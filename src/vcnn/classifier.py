@@ -7,10 +7,17 @@ distance to the nearest prototype of the winning label, so margin zero
 means the query sits on a decision boundary. A set whose prototypes all
 share one label is a constant classifier with margin +inf everywhere.
 
+Ties resolve to +1: a query whose margin is at most ``TIE_RTOL`` times
+its distance to the nearest prototype gets label +1 and margin 0,
+whichever prototype ``argmin`` picked. The rule is relative so that it
+commutes with scaling, and it makes a query on a boundary get the same
+label after any rigid motion, whatever the prototype order or the
+roundoff. The margin 0 keeps a tie from passing any realisation check.
+
 Realisation checks are strict: a labelling is only accepted when every
 point is classified correctly with margin at least ``mu``, which makes
-witnesses robust to floating point and independent of any tie-break
-convention on Voronoi boundaries.
+witnesses robust to floating point and independent of the tie rule.
+``realisation`` is the one place that decides it.
 """
 
 from __future__ import annotations
@@ -25,6 +32,9 @@ from .geometry import DEFAULT_TOL, as_point
 # Default decision margin required by realisation checks, for scenes of
 # unit circumradius.
 DEFAULT_MU = 1e-6
+
+# Relative margin at or below which a query counts as a tie (label +1).
+TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +114,8 @@ def evaluate_margins(s: LabeledPrototypeSet, points) -> tuple[np.ndarray, np.nda
     """Labels and margins of the 1NN classifier at each query point.
 
     Returns ``(labels, margins)`` with shapes (n,). Margins are
-    nonnegative; +inf where no opposite-label prototype exists.
+    nonnegative; +inf where no opposite-label prototype exists. Ties
+    resolve to label +1 and margin 0 (see the module docstring).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[1] != s.dim:
@@ -116,13 +127,30 @@ def evaluate_margins(s: LabeledPrototypeSet, points) -> tuple[np.ndarray, np.nda
     d_win = dist[np.arange(pts.shape[0]), order]
     opp = s.labels[None, :] != win_labels[:, None]
     d_opp = np.where(opp, dist, np.inf).min(axis=1)
-    return win_labels, d_opp - d_win
+    margins = d_opp - d_win
+    tie = margins <= TIE_RTOL * d_win
+    win_labels[tie] = 1
+    margins[tie] = 0.0
+    return win_labels, margins
 
 
 def classify(s: LabeledPrototypeSet, x) -> tuple[int, float]:
     """Label and margin of one query point under the 1NN rule."""
     labels, margins = evaluate_margins(s, as_point(x)[None, :])
     return int(labels[0]), float(margins[0])
+
+
+def realisation(s: LabeledPrototypeSet, points, target: np.ndarray, mu: float) -> tuple[bool, float]:
+    """Whether ``s`` realises ``target`` at margin ``mu``, and its minimum margin.
+
+    ``target`` holds the wanted label of each point. The labelling is
+    realised iff every point gets its target label with margin >= mu;
+    this is the test behind every witness that is accepted or rejected.
+    The caller checks that ``mu`` is positive.
+    """
+    got, margins = evaluate_margins(s, points)
+    min_margin = float(margins.min())
+    return bool(np.all(got == target)) and min_margin >= mu, min_margin
 
 
 def realizes(s: LabeledPrototypeSet, points, labeling: Labeling, mu: float = DEFAULT_MU) -> bool:
@@ -132,5 +160,4 @@ def realizes(s: LabeledPrototypeSet, points, labeling: Labeling, mu: float = DEF
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] != labeling.size:
         raise InvalidInputError("labelling size must match the number of points")
-    got, margins = evaluate_margins(s, pts)
-    return bool(np.all(got == labeling.to_array()) and np.all(margins >= mu))
+    return realisation(s, pts, labeling.to_array(), mu)[0]

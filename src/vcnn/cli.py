@@ -1,5 +1,8 @@
 """Command-line front end: bound tables, witness files, verification, search.
 
+This module parses arguments and renders results; the certificate formats,
+their writers and their re-verification live in ``verification``.
+
 Subcommands
 -----------
 bounds     render the lower/upper bound table over a (d, m) grid
@@ -8,10 +11,10 @@ verify     re-verify a witness file with no generator involved
 plot-data  emit upper-bound curves as CSV
 search     drive the randomized lower-bound search
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure. Certificate JSON uses hex bitmask keys and full-precision floats
-so re-verification is bit-faithful; ``--no-meta`` suppresses timestamps
-for byte-identical outputs. ``VCNN_SEED`` provides the default seed.
+Exit codes: 0 success, 1 verification failure, 2 usage error (bad
+arguments, invalid input, unreadable certificate), 3 numerical failure.
+``--no-meta`` suppresses timestamps for byte-identical outputs.
+``VCNN_SEED`` provides the default seed.
 """
 
 from __future__ import annotations
@@ -28,26 +31,28 @@ import numpy as np
 
 from . import __version__
 from .bounds import compute_bounds, loose_upper_curve, tight_upper_curve
-from .classifier import DEFAULT_MU, LabeledPrototypeSet, Labeling, evaluate_margins
-from .constructions import (
-    Arrangement,
-    gunn_arrangement,
-    gunn_shatter,
-    polytope_to_prototypes,
-    takacs_arrangement,
-    takacs_shatter,
-)
+from .classifier import DEFAULT_MU
+from .constructions import gunn_arrangement, gunn_shatter, takacs_arrangement, takacs_shatter
 from .errors import (
     CertificateError,
+    InvalidInputError,
     NumericalError,
     UnsupportedParametersError,
     VcnnError,
 )
-from .geometry import ConvexPolytope, Halfspace, contains_many
-from .verification import SearchConfig, ShatterCertificate, search_lower_bound, verify_shattering
-
-CERTIFICATE_SCHEMA = "vcnn-certificate/1"
-POLYTOPE_SCHEMA = "vcnn-polytope-witness/1"
+from .geometry import ConvexPolytope, Halfspace
+from .verification import (
+    CERTIFICATE_SCHEMA,
+    POLYTOPE_SCHEMA,
+    SearchConfig,
+    certificate_from_dict,
+    certificate_to_dict,
+    polytope_witness_to_dict,
+    reverify_certificate,
+    reverify_polytope_witness,
+    search_lower_bound,
+    verify_shattering,
+)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -55,23 +60,30 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UnsupportedParametersError(f"not an integer: {text!r}") from None
+
+
 def _default_seed() -> int:
-    return int(os.environ.get("VCNN_SEED", "0"))
+    return _parse_int(os.environ.get("VCNN_SEED", "0"))
 
 
 def _parse_range(text: str) -> list[int]:
     """Parse '3' or '3..6' (inclusive) into a list of ints."""
     if ".." in text:
         lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
+        lo, hi = _parse_int(lo), _parse_int(hi)
         if hi < lo:
             raise UnsupportedParametersError(f"empty range {text!r}")
         return list(range(lo, hi + 1))
-    return [int(text)]
+    return [_parse_int(text)]
 
 
 def _parse_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+    return [_parse_int(tok) for tok in text.split(",") if tok]
 
 
 def _meta(seed: int | None = None) -> dict:
@@ -91,104 +103,6 @@ def _dump_json(obj, path: str | None) -> None:
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-# ---------------------------------------------------------------------------
-# certificate serialization
-
-
-def certificate_to_dict(cert: ShatterCertificate, generator: str, with_meta: bool = True,
-                        seed: int | None = None) -> dict:
-    arr = cert.arrangement
-    special = {}
-    if arr.center_index is not None:
-        special["center_index"] = arr.center_index
-    if arr.inner_indices is not None:
-        special["inner_indices"] = list(arr.inner_indices)
-    if arr.apex_index is not None:
-        special["apex_index"] = arr.apex_index
-    doc = {
-        "schema": CERTIFICATE_SCHEMA,
-        "kind": arr.kind,
-        "radius": arr.radius,
-        "param": arr.param,
-        "points": arr.points.tolist(),
-        "special": special,
-        "mu": cert.mu,
-        "min_margin": cert.min_margin if cert.witnesses else None,
-        "verified": cert.verified,
-        "generator": generator,
-        "witnesses": {
-            format(bits, "#x"): {
-                "prototypes": w.prototypes.tolist(),
-                "labels": w.labels.tolist(),
-            }
-            for bits, w in cert.witnesses.items()
-        },
-    }
-    if cert.first_failure is not None:
-        doc["first_failure"] = format(cert.first_failure, "#x")
-        doc["failure_reason"] = cert.failure_reason
-    if with_meta:
-        doc["meta"] = _meta(seed)
-    return doc
-
-
-def certificate_from_dict(doc: dict) -> tuple[ShatterCertificate, dict]:
-    if doc.get("schema") != CERTIFICATE_SCHEMA:
-        raise CertificateError(f"unknown schema {doc.get('schema')!r}")
-    try:
-        points = np.asarray(doc["points"], dtype=np.float64)
-        special = doc.get("special", {})
-        arr = Arrangement(
-            kind=doc["kind"],
-            points=points,
-            radius=float(doc["radius"]),
-            param=int(doc["param"]),
-            center_index=special.get("center_index"),
-            inner_indices=tuple(special["inner_indices"]) if "inner_indices" in special else None,
-            apex_index=special.get("apex_index"),
-        )
-        witnesses = {
-            int(key, 16): LabeledPrototypeSet(
-                np.asarray(val["prototypes"], dtype=np.float64),
-                np.asarray(val["labels"], dtype=np.int64),
-            )
-            for key, val in doc["witnesses"].items()
-        }
-        cert = ShatterCertificate(
-            arrangement=arr,
-            mu=float(doc["mu"]),
-            witnesses=witnesses,
-            min_margin=float(doc["min_margin"]) if doc.get("min_margin") is not None else float("inf"),
-            verified=bool(doc["verified"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateError(f"malformed certificate: {exc}") from exc
-    return cert, doc
-
-
-def reverify_certificate(cert: ShatterCertificate) -> tuple[bool, str]:
-    """Re-check every labelling from the stored witnesses alone."""
-    n = cert.arrangement.n
-    points = cert.arrangement.points
-    worst = float("inf")
-    for bits in range(1 << n):
-        witness = cert.witnesses.get(bits)
-        if witness is None:
-            return False, f"labelling {bits:#x} missing from certificate"
-        want = Labeling(bits, n).to_array()
-        got, margins = evaluate_margins(witness, points)
-        if not np.all(got == want):
-            return False, f"labelling {bits:#x} misclassified"
-        if not np.all(margins >= cert.mu):
-            return False, (
-                f"labelling {bits:#x} margin {float(margins.min()):.3e} below mu {cert.mu:.3e}"
-            )
-        worst = min(worst, float(margins.min()))
-    if cert.min_margin != float("inf") and not np.isclose(worst, cert.min_margin, rtol=1e-12, atol=0):
-        return False, f"recorded min margin {cert.min_margin!r} does not match recomputed {worst!r}"
-    return True, f"all {1 << n} labelings pass at mu {cert.mu:.1e} (min margin {worst:.6g})"
 
 
 # ---------------------------------------------------------------------------
@@ -275,81 +189,14 @@ def _square_polytope() -> ConvexPolytope:
     )
 
 
-def _polytope_witness_doc(args) -> tuple[dict, int]:
-    polytope = _square_polytope()
-    interior = np.zeros(2)
-    inside_label = 1
-    witness = polytope_to_prototypes(polytope, interior, inside_label)
-    seed = args.seed if args.seed is not None else _default_seed()
-    n_samples = 10000
-    box = 3.0
-    band = 1e-6
-    rng = np.random.default_rng(seed)
-    samples = rng.uniform(-box, box, size=(n_samples, 2))
-    member = contains_many(polytope, samples, tol=band)
-    keep = member != 0
-    got, _ = evaluate_margins(witness, samples[keep])
-    want = np.where(member[keep] == 1, inside_label, -inside_label)
-    disagreements = int((got != want).sum())
-    doc = {
-        "schema": POLYTOPE_SCHEMA,
-        "kind": "polytope",
-        "facets": {
-            "normals": [f.normal.tolist() for f in polytope.facets],
-            "offsets": [f.offset for f in polytope.facets],
-        },
-        "interior": interior.tolist(),
-        "inside_label": inside_label,
-        "prototypes": witness.prototypes.tolist(),
-        "labels": witness.labels.tolist(),
-        "check": {
-            "seed": seed,
-            "n_samples": n_samples,
-            "box_halfwidth": box,
-            "band": band,
-            "disagreements": disagreements,
-        },
-        "verified": disagreements == 0,
-    }
-    if not args.no_meta:
-        doc["meta"] = _meta(seed)
-    return doc, (EXIT_OK if disagreements == 0 else EXIT_VERIFICATION)
-
-
-def _reverify_polytope(doc: dict) -> tuple[bool, str]:
-    try:
-        facets = tuple(
-            Halfspace(np.asarray(n, dtype=np.float64), float(b))
-            for n, b in zip(doc["facets"]["normals"], doc["facets"]["offsets"])
-        )
-        polytope = ConvexPolytope(facets)
-        witness = LabeledPrototypeSet(
-            np.asarray(doc["prototypes"], dtype=np.float64),
-            np.asarray(doc["labels"], dtype=np.int64),
-        )
-        check = doc["check"]
-        inside_label = int(doc["inside_label"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CertificateError(f"malformed polytope witness: {exc}") from exc
-    rng = np.random.default_rng(int(check["seed"]))
-    samples = rng.uniform(-check["box_halfwidth"], check["box_halfwidth"],
-                          size=(int(check["n_samples"]), polytope.dim))
-    member = contains_many(polytope, samples, tol=float(check["band"]))
-    keep = member != 0
-    got, _ = evaluate_margins(witness, samples[keep])
-    want = np.where(member[keep] == 1, inside_label, -inside_label)
-    disagreements = int((got != want).sum())
-    if disagreements != int(check["disagreements"]) or disagreements != 0:
-        return False, f"{disagreements} membership/classification disagreements"
-    return True, f"membership and classification agree on {int(keep.sum())} samples"
-
-
 def cmd_witness(args) -> int:
-    with_meta = not args.no_meta
     if args.kind == "polytope":
         if not args.square:
             raise UnsupportedParametersError("polytope witness requires --square")
-        doc, status = _polytope_witness_doc(args)
+        seed = args.seed if args.seed is not None else _default_seed()
+        doc = polytope_witness_to_dict(_square_polytope(), np.zeros(2), 1, seed,
+                                       meta=None if args.no_meta else _meta(seed))
+        status = EXIT_OK if doc["verified"] else EXIT_VERIFICATION
         if status == EXIT_OK or args.force:
             _dump_json(doc, args.out)
         if status != EXIT_OK:
@@ -368,7 +215,7 @@ def cmd_witness(args) -> int:
         generator, gen_name = gunn_shatter, "gunn_shatter"
 
     cert = verify_shattering(arrangement, lambda a, l: generator(a, l, args.mu), mu=args.mu)
-    doc = certificate_to_dict(cert, gen_name, with_meta=with_meta)
+    doc = certificate_to_dict(cert, gen_name, meta=None if args.no_meta else _meta())
     if cert.verified:
         _dump_json(doc, args.out)
         return EXIT_OK
@@ -389,9 +236,9 @@ def cmd_verify(args) -> int:
         raise CertificateError(f"cannot read certificate: {exc}") from exc
     schema = doc.get("schema")
     if schema == POLYTOPE_SCHEMA:
-        ok, message = _reverify_polytope(doc)
+        ok, message = reverify_polytope_witness(doc)
     elif schema == CERTIFICATE_SCHEMA:
-        cert, _ = certificate_from_dict(doc)
+        cert = certificate_from_dict(doc)
         ok, message = reverify_certificate(cert)
         if ok != cert.verified:
             ok, message = False, f"recorded verified={cert.verified} but re-check says {ok}: {message}"
@@ -459,7 +306,8 @@ def cmd_search(args) -> int:
         f"(min margin {cert.min_margin:.6g})"
     )
     if args.out:
-        _dump_json(certificate_to_dict(cert, "search_lower_bound", with_meta=not args.no_meta, seed=seed), args.out)
+        meta = None if args.no_meta else _meta(seed)
+        _dump_json(certificate_to_dict(cert, "search_lower_bound", meta=meta), args.out)
     return EXIT_OK
 
 
@@ -524,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UnsupportedParametersError, CertificateError) as exc:
+    except (UnsupportedParametersError, InvalidInputError, CertificateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import DEFAULT_MU, LabeledPrototypeSet, Labeling, evaluate_margins
+from .classifier import DEFAULT_MU, LabeledPrototypeSet, Labeling, realisation
 from .errors import (
     ConstructionInfeasibleError,
     InvalidInputError,
@@ -256,21 +256,13 @@ def _disc_facets(
     return facets
 
 
-def _check_realizes(s: LabeledPrototypeSet, points: np.ndarray, labeling: Labeling, mu: float) -> None:
-    got, margins = evaluate_margins(s, points)
-    want = labeling.to_array()
-    if not (np.all(got == want) and np.all(margins >= mu)):
-        raise ConstructionInfeasibleError(
-            f"labelling {labeling.bits:#x} not realised (internal bug): "
-            f"min margin {float(margins.min()):.3e}"
-        )
-
-
 def takacs_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEFAULT_MU) -> LabeledPrototypeSet:
-    """Prototype set realising ``labeling`` on a takacs arrangement.
+    """Candidate prototype set for ``labeling`` on a takacs arrangement.
 
     Constant labellings use a single prototype; everything else uses the
-    full N-facet polytope around the centre, i.e. N+1 prototypes.
+    full N-facet polytope around the centre, i.e. N+1 prototypes. The
+    candidate is not checked here; ``verify_shattering`` checks it. ``mu``
+    is unused; it keeps the signature of ``gunn_shatter``.
     """
     if arrangement.kind != "takacs":
         raise InvalidInputError(f"expected a takacs arrangement, got {arrangement.kind!r}")
@@ -281,16 +273,13 @@ def takacs_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEF
     n_facets = arrangement.param
     centre = arrangement.center_index
     if np.all(labels == labels[0]):
-        s = LabeledPrototypeSet(pts[centre][None, :], labels[:1])
-    else:
-        inside = int(labels[centre])
-        n_c = 2 * n_facets + 1
-        facets = _disc_facets(
-            pts[:n_c], labels[:n_c], inside, pts[centre][None, :], n_facets, arrangement.radius
-        )
-        s = polytope_to_prototypes(ConvexPolytope(tuple(facets)), pts[centre], inside)
-    _check_realizes(s, pts, labeling, mu)
-    return s
+        return LabeledPrototypeSet(pts[centre][None, :], labels[:1])
+    inside = int(labels[centre])
+    n_c = 2 * n_facets + 1
+    facets = _disc_facets(
+        pts[:n_c], labels[:n_c], inside, pts[centre][None, :], n_facets, arrangement.radius
+    )
+    return polytope_to_prototypes(ConvexPolytope(tuple(facets)), pts[centre], inside)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +475,7 @@ def _try_strip_plan(
     park: int,
     mu: float,
 ):
-    """Assemble and validate one full unequal-interior-label construction."""
+    """Assemble one full unequal-interior-label construction; None unless it realises ``labeling``."""
     pts = arrangement.points
     radius = arrangement.radius
     n_v = 2 * arrangement.param - 1
@@ -524,14 +513,11 @@ def _try_strip_plan(
         s = LabeledPrototypeSet(np.array(protos), np.array(labels))
     except InvalidInputError:
         return None
-    got, margins = evaluate_margins(s, pts)
-    if np.all(got == labeling.to_array()) and np.all(margins >= mu):
-        return s
-    return None
+    return s if realisation(s, pts, labeling.to_array(), mu)[0] else None
 
 
 def gunn_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEFAULT_MU) -> LabeledPrototypeSet:
-    """Prototype set realising ``labeling`` on a gunn arrangement, <= m prototypes.
+    """Candidate prototype set for ``labeling`` on a gunn arrangement, <= m prototypes.
 
     Equal interior labels reduce to the circle construction with an
     (m-1)-facet budget. Unequal interior labels relabel the minority class
@@ -539,7 +525,9 @@ def gunn_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEFAU
     the strip holds the minority interior point and two minority vertices,
     otherwise it holds the interior point and one chosen vertex (or the
     interior point alone) and remaining minority vertices are cut in
-    adjacent pairs, parking any unused budget far away.
+    adjacent pairs, parking any unused budget far away. Only the strip
+    plans are tested here, to choose among them; ``verify_shattering``
+    checks the returned candidate.
     """
     if arrangement.kind != "gunn":
         raise InvalidInputError(f"expected a gunn arrangement, got {arrangement.kind!r}")
@@ -553,18 +541,14 @@ def gunn_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEFAU
     i1, i2 = arrangement.inner_indices
 
     if np.all(labels == labels[0]):
-        s = LabeledPrototypeSet(np.zeros((1, 2)), labels[:1])
-        _check_realizes(s, pts, labeling, mu)
-        return s
+        return LabeledPrototypeSet(np.zeros((1, 2)), labels[:1])
 
     if labels[i1] == labels[i2]:
         inside = int(labels[i1])
         facets = _disc_facets(
             pts[:n_v], labels[:n_v], inside, pts[[i1, i2]], m - 1, radius
         )
-        s = polytope_to_prototypes(ConvexPolytope(tuple(facets)), np.zeros(2), inside)
-        _check_realizes(s, pts, labeling, mu)
-        return s
+        return polytope_to_prototypes(ConvexPolytope(tuple(facets)), np.zeros(2), inside)
 
     # interior labels differ: "black" is the minority class (2m+1 is odd,
     # so there is no tie), and the black interior point is in it
@@ -646,5 +630,4 @@ def gunn_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEFAU
         )
     if s.m > m:
         raise ConstructionInfeasibleError("prototype budget exceeded (bug)")
-    _check_realizes(s, pts, labeling, mu)
     return s

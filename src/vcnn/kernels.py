@@ -1,17 +1,12 @@
-"""Hot numeric kernels for the randomized shattering search.
+"""Hot numeric kernel of the randomized shattering search, in NumPy.
 
 The inner loop of the search — evaluating the minimum decision margin of
 a candidate prototype set and hill-climbing prototype coordinates on it —
-dominates runtime, so it is compiled with numba when available. Set
-``VCNN_DISABLE_NJIT=1`` to force the pure-NumPy fallback; both paths
-implement the same proposal schedule, so they find the same witnesses up
-to floating-point reduction order. ``benchmarks/bench_search.py``
-compares the two.
+dominates runtime. ``search_labeling`` runs that hill-climb for one
+labelling over a pool of restarts.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -19,92 +14,9 @@ import numpy as np
 # every real distance at O(1) scene scale.
 BIG = 1e30
 
-_DISABLED = os.environ.get("VCNN_DISABLE_NJIT", "").lower() in ("1", "true", "yes")
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    njit = None
-    NUMBA_AVAILABLE = False
-
-
-def _search_labeling_impl(points, point_labels, inits, init_labels,
-                          sweeps, step0, decay, target, min_step):
-    """Try every restart; hill-climb each on minimum margin.
-
-    points        (n, d) float64 query points
-    point_labels  (n,)  int64 target labels, +1/-1
-    inits         (r, m, d) float64 initial prototype positions
-    init_labels   (r, m) int64 prototype labels per restart
-    Returns (best_margin, best_prototypes, best_restart_index). Stops at
-    the first restart reaching ``target``.
-    """
-    n, d = points.shape
-    r, m, _ = inits.shape
-
-    def min_margin(protos, proto_labels):
-        worst = BIG
-        for i in range(n):
-            d_same = BIG
-            d_opp = BIG
-            for j in range(m):
-                s = 0.0
-                for c in range(d):
-                    t = points[i, c] - protos[j, c]
-                    s += t * t
-                dist = np.sqrt(s)
-                if proto_labels[j] == point_labels[i]:
-                    if dist < d_same:
-                        d_same = dist
-                else:
-                    if dist < d_opp:
-                        d_opp = dist
-            marg = d_opp - d_same
-            if marg < worst:
-                worst = marg
-        return worst
-
-    best_val = -BIG
-    best_idx = 0
-    best_protos = inits[0].copy()
-    for ri in range(r):
-        protos = inits[ri].copy()
-        klab = init_labels[ri]
-        val = min_margin(protos, klab)
-        step = step0
-        for _ in range(sweeps):
-            improved = False
-            for j in range(m):
-                for c in range(d):
-                    orig = protos[j, c]
-                    protos[j, c] = orig + step
-                    cand = min_margin(protos, klab)
-                    if cand > val:
-                        val = cand
-                        improved = True
-                        continue
-                    protos[j, c] = orig - step
-                    cand = min_margin(protos, klab)
-                    if cand > val:
-                        val = cand
-                        improved = True
-                    else:
-                        protos[j, c] = orig
-            if val >= target:
-                break
-            if not improved:
-                step *= decay
-                if step < min_step:
-                    break
-        if val > best_val:
-            best_val = val
-            best_idx = ri
-            best_protos = protos.copy()
-        if best_val >= target:
-            break
-    return best_val, best_protos, best_idx
+# The one backend. Benchmark records store it, and runs are only compared
+# when it matches, so it stays even though nothing selects on it.
+BACKEND = "numpy"
 
 
 def _min_margin_numpy(points, point_labels, protos, proto_labels):
@@ -117,9 +29,17 @@ def _min_margin_numpy(points, point_labels, protos, proto_labels):
     return float((d_opp - d_same).min())
 
 
-def _search_labeling_numpy(points, point_labels, inits, init_labels,
-                           sweeps, step0, decay, target, min_step):
-    """Pure-NumPy fallback with the same proposal schedule as the jitted path."""
+def search_labeling(points, point_labels, inits, init_labels,
+                    sweeps, step0, decay, target, min_step):
+    """Try every restart; hill-climb each on minimum margin.
+
+    points        (n, d) float64 query points
+    point_labels  (n,)  int64 target labels, +1/-1
+    inits         (r, m, d) float64 initial prototype positions
+    init_labels   (r, m) int64 prototype labels per restart
+    Returns (best_margin, best_prototypes, best_restart_index). Stops at
+    the first restart reaching ``target``.
+    """
     r, m, d = inits.shape
     best_val = -BIG
     best_idx = 0
@@ -160,18 +80,3 @@ def _search_labeling_numpy(points, point_labels, inits, init_labels,
         if best_val >= target:
             break
     return best_val, best_protos, best_idx
-
-
-if NUMBA_AVAILABLE:
-    search_labeling_numba = njit(cache=True)(_search_labeling_impl)
-else:  # pragma: no cover
-    search_labeling_numba = None
-
-search_labeling_numpy = _search_labeling_numpy
-
-if NUMBA_AVAILABLE and not _DISABLED:
-    BACKEND = "numba"
-    search_labeling = search_labeling_numba
-else:
-    BACKEND = "numpy"
-    search_labeling = search_labeling_numpy

@@ -1,9 +1,13 @@
-"""Shattering verification: exhaustive sweeps and randomized lower-bound search.
+"""Shattering verification: exhaustive sweeps, certificates, randomized search.
 
 ``verify_shattering`` enumerates every labelling of an arrangement, asks a
 generator for a witness prototype set, and checks it with the margin-aware
 realisation test; the result is a self-contained certificate that can be
-re-verified later without the generator.
+re-verified later without the generator. ``certificate_to_dict`` and
+``certificate_from_dict`` are the JSON form of a certificate (schema
+``vcnn-certificate/1``); ``reverify_certificate`` re-runs the sweep with
+the stored witnesses as the generator. The polytope witness file (schema
+``vcnn-polytope-witness/1``) is written and re-verified here as well.
 
 ``search_lower_bound`` is the randomized complement to the constructive
 witnesses: it samples point sets and hill-climbs prototype placements per
@@ -16,14 +20,19 @@ evaluation order.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .classifier import DEFAULT_MU, LabeledPrototypeSet, Labeling, evaluate_margins
-from .constructions import Arrangement
-from .errors import ConstructionInfeasibleError, InvalidInputError
+from .classifier import DEFAULT_MU, LabeledPrototypeSet, Labeling, evaluate_margins, realisation
+from .constructions import Arrangement, polytope_to_prototypes
+from .errors import CertificateError, ConstructionInfeasibleError, InvalidInputError
+from .geometry import ConvexPolytope, Halfspace, contains_many
+
+CERTIFICATE_SCHEMA = "vcnn-certificate/1"
+POLYTOPE_SCHEMA = "vcnn-polytope-witness/1"
 
 # 2^n labelings must stay enumerable at desk scale.
 _MAX_EXHAUSTIVE_N = 22
@@ -51,12 +60,15 @@ class ShatterCertificate:
 def verify_shattering(arrangement: Arrangement, generator, mu: float = DEFAULT_MU) -> ShatterCertificate:
     """Run ``generator(arrangement, labeling)`` over all 2^n labelings.
 
-    Stops at the first failing labelling and records it; failure is data,
-    not an exception.
+    Every witness is checked here, once, at margin ``mu``. Stops at the
+    first failing labelling and records it; failure is data, not an
+    exception.
     """
     n = arrangement.n
     if n > _MAX_EXHAUSTIVE_N:
         raise InvalidInputError(f"2^{n} labelings is beyond desk scale")
+    if not mu > 0:
+        raise InvalidInputError(f"mu must be positive, got {mu!r}")
     cert = ShatterCertificate(arrangement=arrangement, mu=mu)
     for bits in range(1 << n):
         labeling = Labeling(bits, n)
@@ -66,17 +78,13 @@ def verify_shattering(arrangement: Arrangement, generator, mu: float = DEFAULT_M
             cert.first_failure = bits
             cert.failure_reason = str(exc)
             return cert
-        got, margins = evaluate_margins(witness, arrangement.points)
-        if not (np.all(got == labeling.to_array()) and np.all(margins >= mu)):
+        ok, worst = realisation(witness, arrangement.points, labeling.to_array(), mu)
+        if not ok:
             cert.first_failure = bits
-            cert.failure_reason = (
-                f"witness misclassifies or undercuts margin (min {float(margins.min()):.3e})"
-            )
+            cert.failure_reason = f"witness misclassifies or undercuts margin (min {worst:.3e})"
             return cert
         cert.witnesses[bits] = witness
-        worst = float(margins.min())
-        if worst < cert.min_margin:
-            cert.min_margin = worst
+        cert.min_margin = min(cert.min_margin, worst)
     cert.verified = True
     return cert
 
@@ -151,6 +159,26 @@ def _search_one_labeling(points: np.ndarray, target: np.ndarray, rng: np.random.
         return None
 
 
+def _search_sweep(points: np.ndarray, cfg: SearchConfig, ps: int):
+    """Search every labelling of ``points``, in bitmask order.
+
+    Yields ``(bits, witness, min_margin)``; ``witness`` is None when the
+    search found no witness realising the labelling at margin mu. Each
+    labelling seeds its own restarts with ``[rng_seed, ps, bits]``, so
+    results do not depend on evaluation order.
+    """
+    n = points.shape[0]
+    for bits in range(1 << n):
+        target = Labeling(bits, n).to_array()
+        rng = np.random.default_rng([cfg.rng_seed, ps, bits])
+        witness = _search_one_labeling(points, target, rng, cfg)
+        if witness is None:
+            yield bits, None, None
+            continue
+        ok, min_margin = realisation(witness, points, target, cfg.mu)
+        yield bits, witness if ok else None, min_margin
+
+
 def search_lower_bound(cfg: SearchConfig):
     """Certify by search that some n-point set in R^d is shattered by 1NN(d, m).
 
@@ -162,33 +190,17 @@ def search_lower_bound(cfg: SearchConfig):
         raise InvalidInputError(f"2^{cfg.n} labelings is beyond desk scale")
     for ps in range(cfg.point_sets):
         points = np.random.default_rng([cfg.rng_seed, ps]).uniform(-1.0, 1.0, size=(cfg.n, cfg.d))
-        witnesses: dict[int, LabeledPrototypeSet] = {}
-        min_margin = float("inf")
-        complete = True
-        for bits in range(1 << cfg.n):
-            labeling = Labeling(bits, cfg.n)
-            rng = np.random.default_rng([cfg.rng_seed, ps, bits])
-            witness = _search_one_labeling(points, labeling.to_array(), rng, cfg)
+        cert = ShatterCertificate(
+            arrangement=Arrangement(kind="search", points=points, radius=1.0, param=cfg.m),
+            mu=cfg.mu,
+        )
+        for bits, witness, min_margin in _search_sweep(points, cfg, ps):
             if witness is None:
-                complete = False
                 break
-            got, margins = evaluate_margins(witness, points)
-            if not (np.all(got == labeling.to_array()) and np.all(margins >= cfg.mu)):
-                complete = False
-                break
-            witnesses[bits] = witness
-            min_margin = min(min_margin, float(margins.min()))
-        if complete:
-            arrangement = Arrangement(
-                kind="search", points=points, radius=1.0, param=cfg.m
-            )
-            cert = ShatterCertificate(
-                arrangement=arrangement,
-                mu=cfg.mu,
-                witnesses=witnesses,
-                min_margin=min_margin,
-                verified=True,
-            )
+            cert.witnesses[bits] = witness
+            cert.min_margin = min(cert.min_margin, min_margin)
+        else:
+            cert.verified = True
             return cfg.n, cert
     return 0, None
 
@@ -203,26 +215,182 @@ def shatter_coefficient_exhaustive(points, m: int, cfg: SearchConfig) -> int:
     n = points.shape[0]
     if n > _MAX_COEFFICIENT_N:
         raise InvalidInputError(f"2^{n} labelings is beyond desk scale for counting")
-    cfg = SearchConfig(
-        d=points.shape[1],
-        m=m,
-        n=n,
-        trials=cfg.trials,
-        point_sets=1,
-        steps=cfg.steps,
-        step_init=cfg.step_init,
-        step_decay=cfg.step_decay,
-        rng_seed=cfg.rng_seed,
-        mu=cfg.mu,
-    )
-    count = 0
-    for bits in range(1 << n):
-        labeling = Labeling(bits, n)
-        rng = np.random.default_rng([cfg.rng_seed, 0, bits])
-        witness = _search_one_labeling(points, labeling.to_array(), rng, cfg)
-        if witness is None:
-            continue
-        got, margins = evaluate_margins(witness, points)
-        if np.all(got == labeling.to_array()) and np.all(margins >= cfg.mu):
-            count += 1
-    return count
+    cfg = dataclasses.replace(cfg, d=points.shape[1], m=m, n=n, point_sets=1)
+    return sum(witness is not None for _, witness, _ in _search_sweep(points, cfg, 0))
+
+
+# ---------------------------------------------------------------------------
+# certificate files
+
+
+def certificate_to_dict(cert: ShatterCertificate, generator: str, meta: dict | None = None) -> dict:
+    """The JSON document of ``cert``: hex bitmask keys, full-precision floats.
+
+    ``meta`` (timestamps, tool version) is stored under ``"meta"`` unless
+    it is None, so the rest of the document is byte-reproducible.
+    """
+    arr = cert.arrangement
+    special = {}
+    if arr.center_index is not None:
+        special["center_index"] = arr.center_index
+    if arr.inner_indices is not None:
+        special["inner_indices"] = list(arr.inner_indices)
+    if arr.apex_index is not None:
+        special["apex_index"] = arr.apex_index
+    doc = {
+        "schema": CERTIFICATE_SCHEMA,
+        "kind": arr.kind,
+        "radius": arr.radius,
+        "param": arr.param,
+        "points": arr.points.tolist(),
+        "special": special,
+        "mu": cert.mu,
+        "min_margin": cert.min_margin if cert.witnesses else None,
+        "verified": cert.verified,
+        "generator": generator,
+        "witnesses": {
+            format(bits, "#x"): {
+                "prototypes": w.prototypes.tolist(),
+                "labels": w.labels.tolist(),
+            }
+            for bits, w in cert.witnesses.items()
+        },
+    }
+    if cert.first_failure is not None:
+        doc["first_failure"] = format(cert.first_failure, "#x")
+        doc["failure_reason"] = cert.failure_reason
+    if meta is not None:
+        doc["meta"] = meta
+    return doc
+
+
+def certificate_from_dict(doc: dict) -> ShatterCertificate:
+    """The certificate stored in a ``certificate_to_dict`` document.
+
+    Raises ``CertificateError`` for an unknown schema, a malformed
+    document or a margin ``mu`` that is not positive.
+    """
+    if doc.get("schema") != CERTIFICATE_SCHEMA:
+        raise CertificateError(f"unknown schema {doc.get('schema')!r}")
+    try:
+        points = np.asarray(doc["points"], dtype=np.float64)
+        special = doc.get("special", {})
+        arr = Arrangement(
+            kind=doc["kind"],
+            points=points,
+            radius=float(doc["radius"]),
+            param=int(doc["param"]),
+            center_index=special.get("center_index"),
+            inner_indices=tuple(special["inner_indices"]) if "inner_indices" in special else None,
+            apex_index=special.get("apex_index"),
+        )
+        witnesses = {
+            int(key, 16): LabeledPrototypeSet(
+                np.asarray(val["prototypes"], dtype=np.float64),
+                np.asarray(val["labels"], dtype=np.int64),
+            )
+            for key, val in doc["witnesses"].items()
+        }
+        cert = ShatterCertificate(
+            arrangement=arr,
+            mu=float(doc["mu"]),
+            witnesses=witnesses,
+            min_margin=float(doc["min_margin"]) if doc.get("min_margin") is not None else float("inf"),
+            verified=bool(doc["verified"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CertificateError(f"malformed certificate: {exc}") from exc
+    if not cert.mu > 0:
+        raise CertificateError(f"mu must be positive, got {cert.mu!r}")
+    return cert
+
+
+def reverify_certificate(cert: ShatterCertificate) -> tuple[bool, str]:
+    """Re-check every labelling from the stored witnesses alone.
+
+    Runs ``verify_shattering`` with the stored witnesses as the generator,
+    then compares the recomputed minimum margin with the recorded one.
+    Returns ``(ok, message)``.
+    """
+    n = cert.arrangement.n
+    missing = next((bits for bits in range(1 << n) if bits not in cert.witnesses), None)
+    if missing is not None:
+        return False, f"labelling {missing:#x} missing from certificate"
+    check = verify_shattering(cert.arrangement, lambda _, labeling: cert.witnesses[labeling.bits], cert.mu)
+    if not check.verified:
+        return False, f"labelling {check.first_failure:#x}: {check.failure_reason}"
+    worst = check.min_margin
+    if cert.min_margin != float("inf") and not np.isclose(worst, cert.min_margin, rtol=1e-12, atol=0):
+        return False, f"recorded min margin {cert.min_margin!r} does not match recomputed {worst!r}"
+    return True, f"all {1 << n} labelings pass at mu {cert.mu:.1e} (min margin {worst:.6g})"
+
+
+def _polytope_disagreements(polytope: ConvexPolytope, witness: LabeledPrototypeSet,
+                            inside_label: int, check: dict) -> tuple[int, int]:
+    """Sampled disagreements between membership in ``polytope`` and 1NN labels.
+
+    Draws ``check["n_samples"]`` points uniformly from the box of
+    half-width ``check["box_halfwidth"]`` with seed ``check["seed"]``, drops
+    those within ``check["band"]`` of the boundary, and returns
+    ``(disagreements, samples kept)``.
+    """
+    rng = np.random.default_rng(int(check["seed"]))
+    half = float(check["box_halfwidth"])
+    samples = rng.uniform(-half, half, size=(int(check["n_samples"]), polytope.dim))
+    member = contains_many(polytope, samples, tol=float(check["band"]))
+    keep = member != 0
+    got, _ = evaluate_margins(witness, samples[keep])
+    want = np.where(member[keep] == 1, inside_label, -inside_label)
+    return int((got != want).sum()), int(keep.sum())
+
+
+def polytope_witness_to_dict(polytope: ConvexPolytope, interior, inside_label: int, seed: int,
+                             meta: dict | None = None) -> dict:
+    """The polytope witness document: reflection prototypes plus a sampled check.
+
+    ``"verified"`` is True iff no sample of the check disagrees. ``meta``
+    is stored as in ``certificate_to_dict``.
+    """
+    interior = np.asarray(interior, dtype=np.float64)
+    witness = polytope_to_prototypes(polytope, interior, inside_label)
+    check = {"seed": seed, "n_samples": 10000, "box_halfwidth": 3.0, "band": 1e-6}
+    check["disagreements"], _ = _polytope_disagreements(polytope, witness, inside_label, check)
+    doc = {
+        "schema": POLYTOPE_SCHEMA,
+        "kind": "polytope",
+        "facets": {
+            "normals": [f.normal.tolist() for f in polytope.facets],
+            "offsets": [f.offset for f in polytope.facets],
+        },
+        "interior": interior.tolist(),
+        "inside_label": inside_label,
+        "prototypes": witness.prototypes.tolist(),
+        "labels": witness.labels.tolist(),
+        "check": check,
+        "verified": check["disagreements"] == 0,
+    }
+    if meta is not None:
+        doc["meta"] = meta
+    return doc
+
+
+def reverify_polytope_witness(doc: dict) -> tuple[bool, str]:
+    """Repeat the sampled check of a ``polytope_witness_to_dict`` document."""
+    try:
+        facets = tuple(
+            Halfspace(np.asarray(n, dtype=np.float64), float(b))
+            for n, b in zip(doc["facets"]["normals"], doc["facets"]["offsets"])
+        )
+        polytope = ConvexPolytope(facets)
+        witness = LabeledPrototypeSet(
+            np.asarray(doc["prototypes"], dtype=np.float64),
+            np.asarray(doc["labels"], dtype=np.int64),
+        )
+        check = doc["check"]
+        disagreements, kept = _polytope_disagreements(polytope, witness, int(doc["inside_label"]), check)
+        recorded = int(check["disagreements"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CertificateError(f"malformed polytope witness: {exc}") from exc
+    if disagreements != recorded or disagreements != 0:
+        return False, f"{disagreements} membership/classification disagreements"
+    return True, f"membership and classification agree on {kept} samples"

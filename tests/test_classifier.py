@@ -58,6 +58,16 @@ class TestClassify:
         _, margin = classify(two_prototypes(), [1.0, 0.0])
         assert margin == pytest.approx(0.0, abs=1e-12)
 
+    def test_tie_label_survives_rotation(self):
+        # (1, 0.5) is on the bisector; after rotating by 3 rad the two
+        # distances differ by roundoff, which must not decide the label
+        s = two_prototypes()
+        rot = np.array([[math.cos(3.0), -math.sin(3.0)], [math.sin(3.0), math.cos(3.0)]])
+        moved = LabeledPrototypeSet(s.prototypes @ rot.T, s.labels)
+        q = np.array([1.0, 0.5])
+        assert classify(s, q) == (1, 0.0)
+        assert classify(moved, rot @ q) == (1, 0.0)
+
     def test_single_prototype_margin_infinite(self):
         s = LabeledPrototypeSet(np.array([[3.0, 4.0]]), np.array([-1]))
         label, margin = classify(s, [100.0, -50.0])

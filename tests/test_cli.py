@@ -149,12 +149,46 @@ class TestWitnessAndVerify:
         assert code == EXIT_OK
         assert json.loads(path.read_text())["check"]["seed"] == 42
 
+    def test_nonpositive_mu_refused(self, capsys, tmp_path):
+        path = tmp_path / "gunn4.json"
+        code, _, err = run_cli(
+            capsys, "witness", "gunn", "--m", "4", "--mu", "-1", "--no-meta", "--out", str(path)
+        )
+        assert code == EXIT_USAGE
+        assert "mu" in err
+        assert not path.exists()
+
+    def test_certificate_with_nonpositive_mu_refused(self, capsys, tmp_path):
+        path = tmp_path / "takacs2.json"
+        run_cli(capsys, "witness", "takacs", "--n", "2", "--no-meta", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["mu"] = -1.0
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == EXIT_USAGE
+        assert "mu" in err
+
     def test_unknown_schema_rejected(self, capsys, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text(json.dumps({"schema": "nonsense/9"}))
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == EXIT_USAGE
         assert "schema" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--d", "2", "--m", "x"),
+        ("witness", "takacs", "--n", "2", "--radius", "0"),
+        ("search", "--d", "2", "--m", "3", "--n", "30"),
+    ],
+    ids=["bounds-non-integer", "witness-zero-radius", "search-beyond-desk-scale"],
+)
+def test_bad_input_is_usage_error(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")
 
 
 class TestPlotData:

@@ -1,19 +1,6 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from vcnn import kernels
-
-
-def small_workload(rng):
-    points = rng.uniform(-1, 1, size=(6, 2))
-    target = rng.choice(np.array([-1, 1]), size=6).astype(np.int64)
-    inits = rng.uniform(-1.5, 1.5, size=(6, 3, 2))
-    init_labels = rng.choice(np.array([-1, 1]), size=(6, 3)).astype(np.int64)
-    return points, target, inits, init_labels
 
 
 def test_min_margin_sentinel_for_one_class():
@@ -24,41 +11,6 @@ def test_min_margin_sentinel_for_one_class():
     # no opposite prototype: margin saturates at the sentinel scale
     val = kernels._min_margin_numpy(points, target, protos, labels)
     assert val > 1e29
-
-
-def test_numpy_fallback_matches_jitted_path(rng):
-    if kernels.search_labeling_numba is None:
-        pytest.skip("numba unavailable")
-    points, target, inits, init_labels = small_workload(rng)
-    args = (points, target, inits, init_labels, 40, 0.25, 0.5, 2e-6, 1e-6)
-    v1, p1, r1 = kernels.search_labeling_numba(*args)
-    v2, p2, r2 = kernels.search_labeling_numpy(*args)
-    assert r1 == r2
-    assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-12)
-    assert np.allclose(p1, p2, atol=1e-12)
-
-
-def test_backend_selection_reports():
-    assert kernels.BACKEND in ("numba", "numpy")
-    if kernels.NUMBA_AVAILABLE:
-        assert kernels.search_labeling_numba is not None
-
-
-def test_env_flag_selects_numpy_fallback():
-    script = (
-        "from vcnn import kernels, SearchConfig, search_lower_bound\n"
-        "assert kernels.BACKEND == 'numpy'\n"
-        "n, cert = search_lower_bound(SearchConfig(d=2, m=2, n=3, trials=8,"
-        " point_sets=1, steps=40, rng_seed=0))\n"
-        "assert n == 3 and cert is not None\n"
-        "print('fallback ok')\n"
-    )
-    env = dict(os.environ, VCNN_DISABLE_NJIT="1")
-    result = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True
-    )
-    assert result.returncode == 0, result.stderr
-    assert "fallback ok" in result.stdout
 
 
 def test_search_improves_on_initial_margin(rng):

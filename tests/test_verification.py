@@ -1,11 +1,19 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import vcnn
 from vcnn.classifier import LabeledPrototypeSet, Labeling, evaluate_margins
 from vcnn.constructions import takacs_arrangement, takacs_shatter
-from vcnn.errors import InvalidInputError
+from vcnn.errors import CertificateError, InvalidInputError
 from vcnn.verification import (
     SearchConfig,
+    certificate_from_dict,
+    certificate_to_dict,
     search_lower_bound,
     shatter_coefficient_exhaustive,
     verify_shattering,
@@ -35,6 +43,11 @@ class TestVerifyShattering:
         assert not cert.verified
         assert cert.first_failure is not None
 
+    @pytest.mark.parametrize("mu", [0.0, -1.0])
+    def test_nonpositive_mu_rejected(self, mu):
+        with pytest.raises(InvalidInputError):
+            verify_shattering(takacs_arrangement(2), takacs_shatter, mu=mu)
+
     def test_desk_scale_guard(self):
         arr = takacs_arrangement(11)  # 24 points
         with pytest.raises(InvalidInputError):
@@ -48,6 +61,36 @@ class TestVerifyShattering:
             for w in cert.witnesses.values()
         ]
         assert cert.min_margin == pytest.approx(min(margins))
+
+
+class TestCertificateFiles:
+    def test_nonpositive_mu_rejected_on_load(self):
+        doc = certificate_to_dict(verify_shattering(takacs_arrangement(2), takacs_shatter), "takacs_shatter")
+        certificate_from_dict(doc)
+        doc["mu"] = 0.0
+        with pytest.raises(CertificateError):
+            certificate_from_dict(doc)
+
+    def test_reverify_through_json_without_the_cli(self):
+        script = textwrap.dedent(
+            """
+            import json, sys
+            from vcnn.constructions import takacs_arrangement, takacs_shatter
+            from vcnn.verification import (
+                certificate_from_dict, certificate_to_dict, reverify_certificate, verify_shattering,
+            )
+            cert = verify_shattering(takacs_arrangement(2), takacs_shatter)
+            text = json.dumps(certificate_to_dict(cert, "takacs_shatter"))
+            ok, message = reverify_certificate(certificate_from_dict(json.loads(text)))
+            assert ok, message
+            assert "vcnn.cli" not in sys.modules
+            print(message)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(vcnn.__file__)))
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert "all 64 labelings pass" in result.stdout
 
 
 class TestSearchConfig:
