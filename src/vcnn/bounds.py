@@ -55,12 +55,16 @@ def lower_bound(d: int, m: int) -> int:
     return best
 
 
+def _q(d: int, ms):
+    """q = 9(m - 2) in the plane and (d + 1) m (m - 1) / 2 otherwise, elementwise in m."""
+    ms = np.asarray(ms, dtype=np.float64)
+    return 9.0 * (ms - 2.0) if d == 2 else (d + 1) * ms * (ms - 1.0) / 2.0
+
+
 def shatter_q(d: int, m: int) -> float:
     """Exponent q of the shatter-coefficient bound 2^m * n^q."""
     _require_grid(d, m)
-    if d == 2:
-        return float(9 * (m - 2))
-    return float((d + 1) * m * (m - 1) / 2)
+    return float(_q(d, m))
 
 
 def chatzigeorgiou_seed(u) -> np.ndarray | float:
@@ -88,7 +92,7 @@ def _lambert_wm1_array(y: np.ndarray) -> np.ndarray:
     # Solve g(t) = t - log(t) - (1 + u) = 0 for t = -w >= 1, seeded from
     # above by the closed-form bound; Halley steps with a Newton fallback
     # whenever a step would leave the branch.
-    t = 1.0 + np.sqrt(2.0 * u) + u
+    t = -chatzigeorgiou_seed(u)
     for _ in range(_LAMBERT_MAX_ITER):
         g = t - np.log(t) - 1.0 - u
         gp = (t - 1.0) / t
@@ -123,7 +127,7 @@ def lambert_wm1(y: float) -> float:
 
 def _tight_upper_real_array(d: int, ms: np.ndarray) -> np.ndarray:
     ms = np.asarray(ms, dtype=np.float64)
-    q = np.where(d == 2, 9.0 * (ms - 2.0), (d + 1) * ms * (ms - 1.0) / 2.0)
+    q = _q(d, ms)
     y = -(LN2 / q) * np.exp2(-ms / q)
     w = _lambert_wm1_array(y)
     return -(q / LN2) * w
@@ -137,15 +141,8 @@ def tight_upper_curve(d: int, ms) -> np.ndarray:
     return _tight_upper_real_array(d, ms)
 
 
-def upper_bound_tight(d: int, m: int) -> tuple[float, int]:
-    """Tight upper bound: the largest real n solving 2^m * n^q = 2^n.
-
-    Returns ``(n_star, floor(n_star))``. The integer part is the tightest
-    valid integer bound, since the VC dimension is an integer and every
-    integer beyond n_star fails 2^m * n^q >= 2^n. Verifies the defining
-    equation to 1e-9 relative in base-2 log space and that floor(n_star)
-    is the largest integer crossing.
-    """
+def _solve_tight(d: int, m: int) -> tuple[float, int, float]:
+    """``upper_bound_tight`` plus the residual of its defining equation."""
     _require_grid(d, m)
     q = shatter_q(d, m)
     n_star = float(_tight_upper_real_array(d, np.array([m], dtype=np.float64))[0])
@@ -165,6 +162,19 @@ def upper_bound_tight(d: int, m: int) -> tuple[float, int]:
         n_int -= 1
     if not (crossing(n_int) and not crossing(n_int + 1)):
         raise NumericalError(f"integer crossing inconsistent at (d={d}, m={m})")
+    return n_star, n_int, resid
+
+
+def upper_bound_tight(d: int, m: int) -> tuple[float, int]:
+    """Tight upper bound: the largest real n solving 2^m * n^q = 2^n.
+
+    Returns ``(n_star, floor(n_star))``. The integer part is the tightest
+    valid integer bound, since the VC dimension is an integer and every
+    integer beyond n_star fails 2^m * n^q >= 2^n. Verifies the defining
+    equation to 1e-9 relative in base-2 log space and that floor(n_star)
+    is the largest integer crossing.
+    """
+    n_star, n_int, _ = _solve_tight(d, m)
     return n_star, n_int
 
 
@@ -173,8 +183,7 @@ def loose_upper_curve(d: int, ms) -> np.ndarray:
     ms = np.asarray(ms, dtype=np.float64)
     for m in (int(ms.min()), int(ms.max())):
         _require_grid(d, m)
-    q = np.where(d == 2, 9.0 * (ms - 2.0), (d + 1) * ms * (ms - 1.0) / 2.0)
-    qp = q / LN2
+    qp = _q(d, ms) / LN2
     inner = ms / qp + np.log(qp) - 1.0
     if np.any(inner <= 0.0):
         raise NumericalError("loose bound undefined: m/q' + log q' - 1 <= 0")
@@ -249,15 +258,12 @@ class BoundsReport:
 
 def compute_bounds(d: int, m: int) -> BoundsReport:
     """Evaluate every bound at one (d, m) and cross-check their ordering."""
-    _require_grid(d, m)
-    q = shatter_q(d, m)
-    n_star, n_int = upper_bound_tight(d, m)
-    resid = abs(m + q * math.log2(n_star) - n_star) / n_star
+    n_star, n_int, resid = _solve_tight(d, m)
     return BoundsReport(
         d=d,
         m=m,
         lower=lower_bound(d, m),
-        q=q,
+        q=shatter_q(d, m),
         upper_tight_real=n_star,
         upper_tight=n_int,
         upper_loose=upper_bound_loose(d, m),

@@ -96,13 +96,17 @@ def _meta(seed: int | None = None) -> dict:
     return meta
 
 
-def _dump_json(obj, path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if path is None or path == "-":
+def _write_text(text: str, path: str | None) -> None:
+    """Write ``text`` to ``path``, or to stdout when ``path`` is empty or '-'."""
+    if not path or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _dump_json(obj, path: str | None) -> None:
+    _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
 
 
 # ---------------------------------------------------------------------------
@@ -166,11 +170,7 @@ def cmd_bounds(args) -> int:
         text = _render_csv(rows, _BOUND_COLUMNS)
     else:
         text = json.dumps({"schema": "vcnn-bounds/1", "rows": rows}, sort_keys=True, indent=2) + "\n"
-    if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(text, args.out)
     return EXIT_OK
 
 
@@ -214,7 +214,7 @@ def cmd_witness(args) -> int:
         arrangement = gunn_arrangement(args.m, args.radius)
         generator, gen_name = gunn_shatter, "gunn_shatter"
 
-    cert = verify_shattering(arrangement, lambda a, l: generator(a, l, args.mu), mu=args.mu)
+    cert = verify_shattering(arrangement, generator, mu=args.mu)
     doc = certificate_to_dict(cert, gen_name, meta=None if args.no_meta else _meta())
     if cert.verified:
         _dump_json(doc, args.out)
@@ -234,6 +234,8 @@ def cmd_verify(args) -> int:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CertificateError(f"cannot read certificate: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CertificateError(f"a certificate is a JSON object, not {type(doc).__name__}")
     schema = doc.get("schema")
     if schema == POLYTOPE_SCHEMA:
         ok, message = reverify_polytope_witness(doc)
@@ -273,11 +275,7 @@ def cmd_plot_data(args) -> int:
             row[f"ratio_d{d}"] = float(loose[i] / tight[i])
         rows.append(row)
     text = _render_csv(rows, columns)
-    if args.out and args.out != "-":
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text(text, args.out)
     return EXIT_OK
 
 

@@ -204,13 +204,17 @@ def _circular_runs(mask: np.ndarray) -> list[list[int]]:
     return runs
 
 
+def _outward(vertices: np.ndarray, run: list[int]) -> np.ndarray:
+    """Unit direction through the angular middle of ``run``, consecutive polygon vertices."""
+    step = 2.0 * math.pi / vertices.shape[0]
+    first = vertices[run[0]]
+    mid_angle = math.atan2(first[1], first[0]) + 0.5 * (len(run) - 1) * step
+    return np.array([math.cos(mid_angle), math.sin(mid_angle)])
+
+
 def _run_chords(circle: np.ndarray, run: list[int], kept: np.ndarray, radius: float) -> list[Halfspace]:
     """Chords cutting ``run`` off from every kept point, splitting wide arcs."""
-    n_c = circle.shape[0]
-    step = 2.0 * math.pi / n_c
-    first = circle[run[0]]
-    mid_angle = math.atan2(first[1], first[0]) + 0.5 * (len(run) - 1) * step
-    u = np.array([math.cos(mid_angle), math.sin(mid_angle)])
+    u = _outward(circle, run)
     min_in = float((circle[run] @ u).min())
     max_kept = float((kept @ u).max())
     if min_in - max_kept >= _SPLIT_GAP * radius:
@@ -223,15 +227,15 @@ def _run_chords(circle: np.ndarray, run: list[int], kept: np.ndarray, radius: fl
     )
 
 
-def _disc_facets(
+def _disc_witness(
     circle: np.ndarray,
     circle_labels: np.ndarray,
     inside_label: int,
     kept_extra: np.ndarray,
     budget: int,
     radius: float,
-) -> list[Halfspace]:
-    """Facets of a polytope keeping the inside-labelled points, padded to budget."""
+) -> LabeledPrototypeSet:
+    """The origin reflected across chords keeping the inside-labelled points, padded to budget."""
     mask = circle_labels != inside_label
     runs = _circular_runs(mask)
     if len(runs) > budget:
@@ -253,7 +257,14 @@ def _disc_facets(
     for j in range(budget - len(facets)):
         ang = 0.7 + golden * j
         facets.append(Halfspace(np.array([math.cos(ang), math.sin(ang)]), _PAD_OFFSET * radius))
-    return facets
+    return polytope_to_prototypes(ConvexPolytope(tuple(facets)), np.zeros(2), inside_label)
+
+
+def _require_kind(arrangement: Arrangement, labeling: Labeling, kind: str) -> None:
+    if arrangement.kind != kind:
+        raise InvalidInputError(f"expected a {kind} arrangement, got {arrangement.kind!r}")
+    if labeling.size != arrangement.n:
+        raise InvalidInputError("labelling size must match the arrangement")
 
 
 def takacs_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEFAULT_MU) -> LabeledPrototypeSet:
@@ -262,24 +273,20 @@ def takacs_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEF
     Constant labellings use a single prototype; everything else uses the
     full N-facet polytope around the centre, i.e. N+1 prototypes. The
     candidate is not checked here; ``verify_shattering`` checks it. ``mu``
-    is unused; it keeps the signature of ``gunn_shatter``.
+    is unused, but the generator protocol ``(arrangement, labeling, mu)``
+    requires it.
     """
-    if arrangement.kind != "takacs":
-        raise InvalidInputError(f"expected a takacs arrangement, got {arrangement.kind!r}")
-    if labeling.size != arrangement.n:
-        raise InvalidInputError("labelling size must match the arrangement")
+    _require_kind(arrangement, labeling, "takacs")
     labels = labeling.to_array()
     pts = arrangement.points
     n_facets = arrangement.param
     centre = arrangement.center_index
     if np.all(labels == labels[0]):
         return LabeledPrototypeSet(pts[centre][None, :], labels[:1])
-    inside = int(labels[centre])
     n_c = 2 * n_facets + 1
-    facets = _disc_facets(
-        pts[:n_c], labels[:n_c], inside, pts[centre][None, :], n_facets, arrangement.radius
+    return _disc_witness(
+        pts[:n_c], labels[:n_c], int(labels[centre]), pts[centre][None, :], n_facets, arrangement.radius
     )
-    return polytope_to_prototypes(ConvexPolytope(tuple(facets)), pts[centre], inside)
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +498,9 @@ def _try_strip_plan(
     protos = [core]
     labels = [black]
     whites = [w_dn, w_up]
-    step = 2.0 * math.pi / n_v
     for group in groups:
-        group_pts = pts[group]
-        first = pts[group[0]]
-        mid_angle = math.atan2(first[1], first[0]) + 0.5 * (len(group) - 1) * step
-        u_cut = np.array([math.cos(mid_angle), math.sin(mid_angle)])
         others = np.array([pts[i] for i in range(arrangement.n) if i not in group])
-        b = _cut_prototype(group_pts, others, u_cut, whites, radius, mu)
+        b = _cut_prototype(pts[group], others, _outward(pts[:n_v], group), whites, radius, mu)
         if b is None:
             return None
         protos.append(b)
@@ -527,12 +529,15 @@ def gunn_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEFAU
     interior point alone) and remaining minority vertices are cut in
     adjacent pairs, parking any unused budget far away. Only the strip
     plans are tested here, to choose among them; ``verify_shattering``
-    checks the returned candidate.
+    checks the returned candidate. The clearances scale with the radius
+    R, so ``mu / R`` above ``_CLEAR_MIN`` is refused as unreachable.
     """
-    if arrangement.kind != "gunn":
-        raise InvalidInputError(f"expected a gunn arrangement, got {arrangement.kind!r}")
-    if labeling.size != arrangement.n:
-        raise InvalidInputError("labelling size must match the arrangement")
+    _require_kind(arrangement, labeling, "gunn")
+    if mu > _CLEAR_MIN * arrangement.radius:
+        raise InvalidInputError(
+            f"mu / radius = {mu / arrangement.radius:.3g} exceeds {_CLEAR_MIN:g}, "
+            "the largest margin ratio the gunn construction supports"
+        )
     labels = labeling.to_array()
     pts = arrangement.points
     m = arrangement.param
@@ -544,11 +549,7 @@ def gunn_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEFAU
         return LabeledPrototypeSet(np.zeros((1, 2)), labels[:1])
 
     if labels[i1] == labels[i2]:
-        inside = int(labels[i1])
-        facets = _disc_facets(
-            pts[:n_v], labels[:n_v], inside, pts[[i1, i2]], m - 1, radius
-        )
-        return polytope_to_prototypes(ConvexPolytope(tuple(facets)), np.zeros(2), inside)
+        return _disc_witness(pts[:n_v], labels[:n_v], int(labels[i1]), pts[[i1, i2]], m - 1, radius)
 
     # interior labels differ: "black" is the minority class (2m+1 is odd,
     # so there is no tie), and the black interior point is in it
@@ -599,12 +600,12 @@ def gunn_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEFAU
                 arrangement, labeling, black, [b_idx], u0, b_pt, [], m - 3, mu
             )
         else:
-            def cuts_after(v_star: int) -> int:
-                rest = [v for v in black_vertices if v != v_star]
-                return len(_pair_groups(rest, n_v))
-
-            for v_star in sorted(black_vertices, key=lambda v: (cuts_after(v), v)):
-                groups = _pair_groups([v for v in black_vertices if v != v_star], n_v)
+            groups_after = {
+                v_star: _pair_groups([v for v in black_vertices if v != v_star], n_v)
+                for v_star in black_vertices
+            }
+            for v_star in sorted(black_vertices, key=lambda v: (len(groups_after[v]), v)):
+                groups = groups_after[v_star]
                 if len(groups) > m - 3:
                     continue
                 chord = pts[v_star] - b_pt

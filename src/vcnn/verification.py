@@ -10,17 +10,17 @@ the stored witnesses as the generator. The polytope witness file (schema
 ``vcnn-polytope-witness/1``) is written and re-verified here as well.
 
 ``search_lower_bound`` is the randomized complement to the constructive
-witnesses: it samples point sets and hill-climbs prototype placements per
-labelling. Finding a certificate proves the lower bound for that n; not
-finding one proves nothing and is always reported as a budget-limited
-negative, never as impossibility. Deterministic for a fixed seed: every
-labelling derives its own child seed, so results do not depend on
-evaluation order.
+witnesses: it samples point sets and certifies each through the same
+sweep, with a per-labelling hill-climb as the generator. Finding a
+certificate proves the lower bound for that n; not finding one proves
+nothing and is always reported as a budget-limited negative, never as
+impossibility. Deterministic for a fixed seed: every labelling derives
+its own child seed, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,11 +58,12 @@ class ShatterCertificate:
 
 
 def verify_shattering(arrangement: Arrangement, generator, mu: float = DEFAULT_MU) -> ShatterCertificate:
-    """Run ``generator(arrangement, labeling)`` over all 2^n labelings.
+    """Run ``generator(arrangement, labeling, mu)`` over all 2^n labelings.
 
-    Every witness is checked here, once, at margin ``mu``. Stops at the
-    first failing labelling and records it; failure is data, not an
-    exception.
+    The generator is told the margin ``mu`` it must meet and raises
+    ``ConstructionInfeasibleError`` when it has no witness. Every witness
+    is checked here, once, at margin ``mu``. Stops at the first failing
+    labelling and records it; failure is data, not an exception.
     """
     n = arrangement.n
     if n > _MAX_EXHAUSTIVE_N:
@@ -73,7 +74,7 @@ def verify_shattering(arrangement: Arrangement, generator, mu: float = DEFAULT_M
     for bits in range(1 << n):
         labeling = Labeling(bits, n)
         try:
-            witness = generator(arrangement, labeling)
+            witness = generator(arrangement, labeling, mu)
         except ConstructionInfeasibleError as exc:
             cert.first_failure = bits
             cert.failure_reason = str(exc)
@@ -89,6 +90,10 @@ def verify_shattering(arrangement: Arrangement, generator, mu: float = DEFAULT_M
     return cert
 
 
+_STEP_INIT = 0.25   # first hill-climb step, as a fraction of the point set's extent
+_STEP_DECAY = 0.5   # step factor after a sweep that improves nothing
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Budget and seeding for the randomized lower-bound search."""
@@ -99,8 +104,6 @@ class SearchConfig:
     trials: int = 24          # prototype restarts per labelling
     point_sets: int = 3       # independently sampled point sets
     steps: int = 120          # hill-climb sweeps per restart
-    step_init: float = 0.25   # initial coordinate step, in scene units
-    step_decay: float = 0.5
     rng_seed: int = 0
     mu: float = DEFAULT_MU
 
@@ -113,70 +116,59 @@ class SearchConfig:
             raise InvalidInputError("mu must be positive")
 
 
-def _restart_pool(rng: np.random.Generator, points: np.ndarray, target: np.ndarray, cfg: SearchConfig):
-    """Initial prototype positions and labels for every restart.
+def _restart_pool(rng: np.random.Generator, points: np.ndarray, target: np.ndarray,
+                  trials: int, m: int, span: np.ndarray, scale: float):
+    """Initial positions and labels of m prototypes for each of ``trials`` restarts.
 
     Half the restarts start from jittered sample points carrying the
     target labels (a condensing-style initializer), the rest are uniform
     in the twice-inflated bounding box with random labels.
     """
     n, d = points.shape
-    span = points.max(axis=0) - points.min(axis=0)
-    scale = max(float(span.max()), 1e-6)
-    idx = rng.integers(0, n, size=(cfg.trials, cfg.m))
-    inits = points[idx] + rng.normal(0.0, 0.02 * scale, size=(cfg.trials, cfg.m, d))
+    idx = rng.integers(0, n, size=(trials, m))
+    inits = points[idx] + rng.normal(0.0, 0.02 * scale, size=(trials, m, d))
     labels = target[idx]
-    n_uniform = cfg.trials // 2
+    n_uniform = trials // 2
     if n_uniform:
         centre = 0.5 * (points.max(axis=0) + points.min(axis=0))
         lo = centre - span
         hi = centre + span
-        inits[-n_uniform:] = rng.uniform(lo, hi, size=(n_uniform, cfg.m, d))
-        labels[-n_uniform:] = rng.choice(np.array([-1, 1]), size=(n_uniform, cfg.m))
+        inits[-n_uniform:] = rng.uniform(lo, hi, size=(n_uniform, m, d))
+        labels[-n_uniform:] = rng.choice(np.array([-1, 1]), size=(n_uniform, m))
     return inits, labels.astype(np.int64)
 
 
-def _search_one_labeling(points: np.ndarray, target: np.ndarray, rng: np.random.Generator, cfg: SearchConfig):
-    """Best witness for one labelling, or None within budget."""
-    inits, init_labels = _restart_pool(rng, points, target, cfg)
-    scale = max(float((points.max(axis=0) - points.min(axis=0)).max()), 1e-6)
+def _search_one_labeling(arrangement: Arrangement, labeling: Labeling, mu: float,
+                         cfg: SearchConfig, ps: int) -> LabeledPrototypeSet:
+    """The search generator: a witness for one labelling of point set ``ps``.
+
+    Places ``arrangement.param`` prototypes. Restarts are seeded with
+    ``[rng_seed, ps, bits]``, independent of evaluation order; raises
+    ``ConstructionInfeasibleError`` when none reaches margin 2 mu.
+    """
+    points = arrangement.points
+    target = labeling.to_array()
+    rng = np.random.default_rng([cfg.rng_seed, ps, labeling.bits])
+    span = points.max(axis=0) - points.min(axis=0)
+    scale = max(float(span.max()), 1e-6)
+    inits, init_labels = _restart_pool(rng, points, target, cfg.trials, arrangement.param, span, scale)
     best, protos, ridx = kernels.search_labeling(
         points,
         target,
         inits,
         init_labels,
         cfg.steps,
-        cfg.step_init * scale,
-        cfg.step_decay,
-        2.0 * cfg.mu,
+        _STEP_INIT * scale,
+        _STEP_DECAY,
+        2.0 * mu,
         1e-6 * scale,
     )
-    if best < 2.0 * cfg.mu:
-        return None
+    if best < 2.0 * mu:
+        raise ConstructionInfeasibleError(f"no witness within budget (best margin {best:.3e})")
     try:
         return LabeledPrototypeSet(protos, init_labels[ridx])
-    except InvalidInputError:
-        return None
-
-
-def _search_sweep(points: np.ndarray, cfg: SearchConfig, ps: int):
-    """Search every labelling of ``points``, in bitmask order.
-
-    Yields ``(bits, witness, min_margin)``; ``witness`` is None when the
-    search found no witness realising the labelling at margin mu. Each
-    labelling seeds its own restarts with ``[rng_seed, ps, bits]``, so
-    results do not depend on evaluation order.
-    """
-    n = points.shape[0]
-    for bits in range(1 << n):
-        target = Labeling(bits, n).to_array()
-        rng = np.random.default_rng([cfg.rng_seed, ps, bits])
-        witness = _search_one_labeling(points, target, rng, cfg)
-        if witness is None:
-            yield bits, None, None
-            continue
-        ok, min_margin = realisation(witness, points, target, cfg.mu)
-        yield bits, witness if ok else None, min_margin
+    except InvalidInputError as exc:
+        raise ConstructionInfeasibleError(f"search witness rejected: {exc}") from exc
 
 
 def search_lower_bound(cfg: SearchConfig):
@@ -186,21 +178,12 @@ def search_lower_bound(cfg: SearchConfig):
     point set is realised at margin mu, and ``(0, None)`` otherwise. A
     negative outcome only means the budget was exhausted.
     """
-    if cfg.n > _MAX_EXHAUSTIVE_N:
-        raise InvalidInputError(f"2^{cfg.n} labelings is beyond desk scale")
     for ps in range(cfg.point_sets):
         points = np.random.default_rng([cfg.rng_seed, ps]).uniform(-1.0, 1.0, size=(cfg.n, cfg.d))
-        cert = ShatterCertificate(
-            arrangement=Arrangement(kind="search", points=points, radius=1.0, param=cfg.m),
-            mu=cfg.mu,
-        )
-        for bits, witness, min_margin in _search_sweep(points, cfg, ps):
-            if witness is None:
-                break
-            cert.witnesses[bits] = witness
-            cert.min_margin = min(cert.min_margin, min_margin)
-        else:
-            cert.verified = True
+        arrangement = Arrangement(kind="search", points=points, radius=1.0, param=cfg.m)
+        generator = functools.partial(_search_one_labeling, cfg=cfg, ps=ps)
+        cert = verify_shattering(arrangement, generator, cfg.mu)
+        if cert.verified:
             return cfg.n, cert
     return 0, None
 
@@ -215,8 +198,16 @@ def shatter_coefficient_exhaustive(points, m: int, cfg: SearchConfig) -> int:
     n = points.shape[0]
     if n > _MAX_COEFFICIENT_N:
         raise InvalidInputError(f"2^{n} labelings is beyond desk scale for counting")
-    cfg = dataclasses.replace(cfg, d=points.shape[1], m=m, n=n, point_sets=1)
-    return sum(witness is not None for _, witness, _ in _search_sweep(points, cfg, 0))
+    arrangement = Arrangement(kind="search", points=points, radius=1.0, param=m)
+    count = 0
+    for bits in range(1 << n):
+        labeling = Labeling(bits, n)
+        try:
+            witness = _search_one_labeling(arrangement, labeling, cfg.mu, cfg, 0)
+        except ConstructionInfeasibleError:
+            continue
+        count += realisation(witness, points, labeling.to_array(), cfg.mu)[0]
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +261,8 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
     Raises ``CertificateError`` for an unknown schema, a malformed
     document or a margin ``mu`` that is not positive.
     """
+    if not isinstance(doc, dict):
+        raise CertificateError(f"a certificate is a JSON object, not {type(doc).__name__}")
     if doc.get("schema") != CERTIFICATE_SCHEMA:
         raise CertificateError(f"unknown schema {doc.get('schema')!r}")
     try:
@@ -298,7 +291,7 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
             min_margin=float(doc["min_margin"]) if doc.get("min_margin") is not None else float("inf"),
             verified=bool(doc["verified"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed certificate: {exc}") from exc
     if not cert.mu > 0:
         raise CertificateError(f"mu must be positive, got {cert.mu!r}")
@@ -312,17 +305,18 @@ def reverify_certificate(cert: ShatterCertificate) -> tuple[bool, str]:
     then compares the recomputed minimum margin with the recorded one.
     Returns ``(ok, message)``.
     """
-    n = cert.arrangement.n
-    missing = next((bits for bits in range(1 << n) if bits not in cert.witnesses), None)
-    if missing is not None:
-        return False, f"labelling {missing:#x} missing from certificate"
-    check = verify_shattering(cert.arrangement, lambda _, labeling: cert.witnesses[labeling.bits], cert.mu)
+    def stored(_arrangement, labeling: Labeling, _mu) -> LabeledPrototypeSet:
+        if labeling.bits not in cert.witnesses:
+            raise ConstructionInfeasibleError("missing from certificate")
+        return cert.witnesses[labeling.bits]
+
+    check = verify_shattering(cert.arrangement, stored, cert.mu)
     if not check.verified:
         return False, f"labelling {check.first_failure:#x}: {check.failure_reason}"
     worst = check.min_margin
     if cert.min_margin != float("inf") and not np.isclose(worst, cert.min_margin, rtol=1e-12, atol=0):
         return False, f"recorded min margin {cert.min_margin!r} does not match recomputed {worst!r}"
-    return True, f"all {1 << n} labelings pass at mu {cert.mu:.1e} (min margin {worst:.6g})"
+    return True, f"all {len(check.witnesses)} labelings pass at mu {cert.mu:.1e} (min margin {worst:.6g})"
 
 
 def _polytope_disagreements(polytope: ConvexPolytope, witness: LabeledPrototypeSet,

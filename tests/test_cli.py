@@ -182,11 +182,34 @@ class TestWitnessAndVerify:
         ("bounds", "--d", "2", "--m", "x"),
         ("witness", "takacs", "--n", "2", "--radius", "0"),
         ("search", "--d", "2", "--m", "3", "--n", "30"),
+        ("witness", "gunn", "--m", "4", "--radius", "1e-4"),
+        ("witness", "gunn", "--m", "4", "--mu", "1e-2"),
     ],
-    ids=["bounds-non-integer", "witness-zero-radius", "search-beyond-desk-scale"],
+    ids=["bounds-non-integer", "witness-zero-radius", "search-beyond-desk-scale",
+         "witness-gunn-small-radius", "witness-gunn-large-mu"],
 )
 def test_bad_input_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda doc: [],
+        lambda doc: "x",
+        lambda doc: 3,
+        lambda doc: {**doc, "witnesses": []},
+        lambda doc: {**doc, "special": []},
+    ],
+    ids=["list", "string", "number", "witnesses-list", "special-list"],
+)
+def test_verify_of_non_object_is_usage_error(capsys, tmp_path, edit):
+    path = tmp_path / "takacs2.json"
+    run_cli(capsys, "witness", "takacs", "--n", "2", "--no-meta", "--out", str(path))
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    code, _, err = run_cli(capsys, "verify", str(path))
     assert code == EXIT_USAGE
     assert err.startswith("error:")
 

@@ -8,12 +8,13 @@ import pytest
 
 import vcnn
 from vcnn.classifier import LabeledPrototypeSet, Labeling, evaluate_margins
-from vcnn.constructions import takacs_arrangement, takacs_shatter
+from vcnn.constructions import gunn_arrangement, gunn_shatter, takacs_arrangement, takacs_shatter
 from vcnn.errors import CertificateError, InvalidInputError
 from vcnn.verification import (
     SearchConfig,
     certificate_from_dict,
     certificate_to_dict,
+    reverify_certificate,
     search_lower_bound,
     shatter_coefficient_exhaustive,
     verify_shattering,
@@ -25,8 +26,8 @@ class TestVerifyShattering:
         arr = takacs_arrangement(2)
         bad_bits = 11
 
-        def corrupted(arrangement, labeling):
-            witness = takacs_shatter(arrangement, labeling)
+        def corrupted(arrangement, labeling, mu):
+            witness = takacs_shatter(arrangement, labeling, mu)
             if labeling.bits == bad_bits:
                 return LabeledPrototypeSet(witness.prototypes, -witness.labels)
             return witness
@@ -35,6 +36,23 @@ class TestVerifyShattering:
         assert not cert.verified
         assert cert.first_failure == bad_bits
         assert "misclassifies" in cert.failure_reason or "margin" in cert.failure_reason
+
+    def test_generator_is_told_mu(self):
+        seen = set()
+
+        def recording(arrangement, labeling, mu):
+            seen.add(mu)
+            return takacs_shatter(arrangement, labeling, mu)
+
+        assert verify_shattering(takacs_arrangement(2), recording, mu=2e-3).verified
+        assert seen == {2e-3}
+
+    def test_gunn_verifies_up_to_its_margin_ratio(self):
+        assert verify_shattering(gunn_arrangement(5), gunn_shatter, mu=1e-3).verified
+        with pytest.raises(InvalidInputError, match="mu / radius"):
+            verify_shattering(gunn_arrangement(5), gunn_shatter, mu=2e-3)
+        # only the ratio matters: the same margin at a larger circle is fine
+        assert verify_shattering(gunn_arrangement(4, radius=2.0), gunn_shatter, mu=2e-3).verified
 
     def test_margin_threshold_failure_is_data(self):
         arr = takacs_arrangement(2)
@@ -70,6 +88,20 @@ class TestCertificateFiles:
         doc["mu"] = 0.0
         with pytest.raises(CertificateError):
             certificate_from_dict(doc)
+
+    def test_non_object_document_rejected(self):
+        with pytest.raises(CertificateError, match="JSON object"):
+            certificate_from_dict([])
+
+    def test_reverify_reports_first_defect_in_bitmask_order(self):
+        cert = verify_shattering(takacs_arrangement(2), takacs_shatter)
+        del cert.witnesses[0x2a]
+        cert.witnesses[0x05] = LabeledPrototypeSet(cert.witnesses[0x05].prototypes, -cert.witnesses[0x05].labels)
+        ok, message = reverify_certificate(cert)
+        assert not ok
+        assert message.startswith("labelling 0x5:")
+        del cert.witnesses[0x03]
+        assert reverify_certificate(cert) == (False, "labelling 0x3: missing from certificate")
 
     def test_reverify_through_json_without_the_cli(self):
         script = textwrap.dedent(
