@@ -53,7 +53,7 @@ class LabeledPrototypeSet:
             raise InvalidInputError("labels must match the number of prototypes")
         if not np.all(np.isfinite(protos)):
             raise InvalidInputError("prototype coordinates must be finite")
-        if not np.all(np.isin(labels, (-1, 1))):
+        if not np.all(np.abs(labels) == 1):
             raise InvalidInputError("labels must be +1 or -1")
         if protos.shape[0] > 1:
             diff = protos[:, None, :] - protos[None, :, :]
@@ -110,6 +110,28 @@ class Labeling:
         return cls(bits=bits, size=int(labels.size))
 
 
+def nearest_distances(points, target, prototypes, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's distance to its nearest prototype of label ``target``, and of the other label.
+
+    ``target`` is one label per point, or one for all. Returns ``(same, other)``; +inf where none.
+    """
+    diff = points[:, None, :] - prototypes[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    same = labels[None, :] == np.asarray(target)[..., None]
+    return np.where(same, dist, np.inf).min(axis=1), np.where(same, np.inf, dist).min(axis=1)
+
+
+def _signed_margins(s: LabeledPrototypeSet, points, target) -> np.ndarray:
+    """``other - same`` of each point against ``target``, with ties set to 0."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if pts.shape[1] != s.dim:
+        raise InvalidInputError(f"dimension mismatch: {pts.shape[1]} vs {s.dim}")
+    same, other = nearest_distances(pts, target, s.prototypes, s.labels)
+    margins = other - same
+    margins[np.abs(margins) <= TIE_RTOL * np.minimum(same, other)] = 0.0
+    return margins
+
+
 def evaluate_margins(s: LabeledPrototypeSet, points) -> tuple[np.ndarray, np.ndarray]:
     """Labels and margins of the 1NN classifier at each query point.
 
@@ -117,21 +139,8 @@ def evaluate_margins(s: LabeledPrototypeSet, points) -> tuple[np.ndarray, np.nda
     nonnegative; +inf where no opposite-label prototype exists. Ties
     resolve to label +1 and margin 0 (see the module docstring).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.shape[1] != s.dim:
-        raise InvalidInputError(f"dimension mismatch: {pts.shape[1]} vs {s.dim}")
-    diff = pts[:, None, :] - s.prototypes[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    order = np.argmin(dist, axis=1)
-    win_labels = s.labels[order]
-    d_win = dist[np.arange(pts.shape[0]), order]
-    opp = s.labels[None, :] != win_labels[:, None]
-    d_opp = np.where(opp, dist, np.inf).min(axis=1)
-    margins = d_opp - d_win
-    tie = margins <= TIE_RTOL * d_win
-    win_labels[tie] = 1
-    margins[tie] = 0.0
-    return win_labels, margins
+    margins = _signed_margins(s, points, 1)
+    return np.where(margins >= 0, 1, -1), np.abs(margins)
 
 
 def classify(s: LabeledPrototypeSet, x) -> tuple[int, float]:
@@ -146,11 +155,11 @@ def realisation(s: LabeledPrototypeSet, points, target: np.ndarray, mu: float) -
     ``target`` holds the wanted label of each point. The labelling is
     realised iff every point gets its target label with margin >= mu;
     this is the test behind every witness that is accepted or rejected.
-    The caller checks that ``mu`` is positive.
+    The minimum margin is negative if a point gets the wrong label, and 0
+    if a point is a tie. The caller checks that ``mu`` is positive.
     """
-    got, margins = evaluate_margins(s, points)
-    min_margin = float(margins.min())
-    return bool(np.all(got == target)) and min_margin >= mu, min_margin
+    min_margin = float(_signed_margins(s, points, target).min())
+    return min_margin >= mu, min_margin
 
 
 def realizes(s: LabeledPrototypeSet, points, labeling: Labeling, mu: float = DEFAULT_MU) -> bool:

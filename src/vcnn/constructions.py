@@ -84,8 +84,8 @@ def takacs_arrangement(n_facets: int, radius: float = 1.0) -> Arrangement:
     """2N+1 equally spaced circle points plus the centre; 2N+2 points total."""
     if n_facets < 2:
         raise UnsupportedParametersError(f"need N >= 2 facets, got {n_facets}")
-    if radius <= 0:
-        raise InvalidInputError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise InvalidInputError(f"radius must be finite and positive, got {radius!r}")
     circle = regular_polygon_vertices(2 * n_facets + 1, radius)
     points = np.vstack([circle, np.zeros((1, 2))])
     return Arrangement(
@@ -134,8 +134,8 @@ def gunn_arrangement(m: int, radius: float = 1.0) -> Arrangement:
     """
     if m < 4:
         raise UnsupportedParametersError(f"need m >= 4, got {m}")
-    if radius <= 0:
-        raise InvalidInputError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise InvalidInputError(f"radius must be finite and positive, got {radius!r}")
     n_v = 2 * m - 1
     verts = regular_polygon_vertices(n_v, radius, phase=math.pi / 2.0)
     delta = inner_pair_offset(m, radius)

@@ -10,23 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-# Sentinel for "no prototype of this label"; margins against it dominate
-# every real distance at O(1) scene scale.
-BIG = 1e30
+from .classifier import nearest_distances
 
 # The one backend. Benchmark records store it, and runs are only compared
 # when it matches, so it stays even though nothing selects on it.
 BACKEND = "numpy"
 
 
-def _min_margin_numpy(points, point_labels, protos, proto_labels):
-    """Vectorised minimum margin of a prototype set over labelled points."""
-    diff = points[:, None, :] - protos[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    same = proto_labels[None, :] == point_labels[:, None]
-    d_same = np.where(same, dist, BIG).min(axis=1)
-    d_opp = np.where(~same, dist, BIG).min(axis=1)
-    return float((d_opp - d_same).min())
+def _score(points, point_labels, protos, proto_labels):
+    """Minimum signed margin, without the tie rule, so it is continuous across boundaries."""
+    same, other = nearest_distances(points, point_labels, protos, proto_labels)
+    return float((other - same).min())
 
 
 def search_labeling(points, point_labels, inits, init_labels,
@@ -41,30 +35,26 @@ def search_labeling(points, point_labels, inits, init_labels,
     the first restart reaching ``target``.
     """
     r, m, d = inits.shape
-    best_val = -BIG
+    best_val = -np.inf
     best_idx = 0
     best_protos = inits[0].copy()
     for ri in range(r):
         protos = inits[ri].copy()
         klab = init_labels[ri]
-        val = _min_margin_numpy(points, point_labels, protos, klab)
+        val = _score(points, point_labels, protos, klab)
         step = step0
         for _ in range(sweeps):
             improved = False
             for j in range(m):
                 for c in range(d):
                     orig = protos[j, c]
-                    protos[j, c] = orig + step
-                    cand = _min_margin_numpy(points, point_labels, protos, klab)
-                    if cand > val:
-                        val = cand
-                        improved = True
-                        continue
-                    protos[j, c] = orig - step
-                    cand = _min_margin_numpy(points, point_labels, protos, klab)
-                    if cand > val:
-                        val = cand
-                        improved = True
+                    for move in (step, -step):
+                        protos[j, c] = orig + move
+                        cand = _score(points, point_labels, protos, klab)
+                        if cand > val:
+                            val = cand
+                            improved = True
+                            break
                     else:
                         protos[j, c] = orig
             if val >= target:

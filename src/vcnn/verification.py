@@ -21,6 +21,7 @@ its own child seed, so results do not depend on evaluation order.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,8 +69,8 @@ def verify_shattering(arrangement: Arrangement, generator, mu: float = DEFAULT_M
     n = arrangement.n
     if n > _MAX_EXHAUSTIVE_N:
         raise InvalidInputError(f"2^{n} labelings is beyond desk scale")
-    if not mu > 0:
-        raise InvalidInputError(f"mu must be positive, got {mu!r}")
+    if not 0 < mu < math.inf:
+        raise InvalidInputError(f"mu must be finite and positive, got {mu!r}")
     cert = ShatterCertificate(arrangement=arrangement, mu=mu)
     for bits in range(1 << n):
         labeling = Labeling(bits, n)
@@ -112,8 +113,8 @@ class SearchConfig:
             raise InvalidInputError("d, m, n must be >= 1")
         if self.trials < 1 or self.point_sets < 1 or self.steps < 1:
             raise InvalidInputError("budgets must be >= 1")
-        if self.mu <= 0:
-            raise InvalidInputError("mu must be positive")
+        if not 0 < self.mu < math.inf:
+            raise InvalidInputError(f"mu must be finite and positive, got {self.mu!r}")
 
 
 def _restart_pool(rng: np.random.Generator, points: np.ndarray, target: np.ndarray,
@@ -259,7 +260,8 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
     """The certificate stored in a ``certificate_to_dict`` document.
 
     Raises ``CertificateError`` for an unknown schema, a malformed
-    document or a margin ``mu`` that is not positive.
+    document, a margin ``mu`` that is not finite and positive, or a
+    witness key that is not a labelling of the stored points.
     """
     if not isinstance(doc, dict):
         raise CertificateError(f"a certificate is a JSON object, not {type(doc).__name__}")
@@ -267,6 +269,8 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
         raise CertificateError(f"unknown schema {doc.get('schema')!r}")
     try:
         points = np.asarray(doc["points"], dtype=np.float64)
+        if points.ndim != 2:
+            raise ValueError("points must be an (n, d) array")
         special = doc.get("special", {})
         arr = Arrangement(
             kind=doc["kind"],
@@ -293,8 +297,11 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
         )
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed certificate: {exc}") from exc
-    if not cert.mu > 0:
-        raise CertificateError(f"mu must be positive, got {cert.mu!r}")
+    if not 0 < cert.mu < math.inf:
+        raise CertificateError(f"mu must be finite and positive, got {cert.mu!r}")
+    for bits in cert.witnesses:
+        if not 0 <= bits < 1 << arr.n:
+            raise CertificateError(f"witness key {bits:#x} is not a labelling of {arr.n} points")
     return cert
 
 

@@ -193,6 +193,7 @@ def test_c7_polygon_geometry_facts():
         assert strip_width(m) < 0.63
 
 
+@pytest.mark.slow
 def test_c8_search_counts_respect_shatter_coefficient_bound():
     # the searched pattern count never exceeds min(2^n, 2^m n^q); the
     # bound's own precondition keeps m in {3, 4} here

@@ -10,6 +10,8 @@ from vcnn.classifier import (
     Labeling,
     classify,
     evaluate_margins,
+    nearest_distances,
+    realisation,
     realizes,
 )
 from vcnn.errors import InvalidInputError
@@ -115,6 +117,41 @@ class TestClassify:
             assert label == (1 if side < 0 else -1)
 
 
+def argmin_margins(s, pts):
+    """Labels and margins by the nearest prototype overall (reference for evaluate_margins)."""
+    diff = pts[:, None, :] - s.prototypes[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    order = np.argmin(dist, axis=1)
+    win_labels = s.labels[order]
+    d_win = dist[np.arange(pts.shape[0]), order]
+    opp = s.labels[None, :] != win_labels[:, None]
+    margins = np.where(opp, dist, np.inf).min(axis=1) - d_win
+    tie = margins <= 1e-12 * d_win
+    win_labels[tie] = 1
+    margins[tie] = 0.0
+    return win_labels, margins
+
+
+class TestNearestDistances:
+    def test_one_label_set_has_infinite_margin(self):
+        points = np.array([[0.0, 0.0]])
+        same, other = nearest_distances(points, np.array([1]), np.array([[0.5, 0.0]]), np.array([1]))
+        assert same[0] == 0.5
+        assert other[0] - same[0] == math.inf
+
+    def test_evaluate_margins_matches_argmin_rule(self, rng):
+        # integer coordinates on a small grid give many exact ties
+        for _ in range(500):
+            m, d = rng.integers(1, 5), rng.integers(1, 4)
+            grid = rng.permutation(np.stack(np.meshgrid(*[np.arange(-2, 3)] * d), -1).reshape(-1, d))
+            s = LabeledPrototypeSet(grid[:m].astype(float), rng.choice([-1, 1], size=m))
+            pts = rng.integers(-3, 4, size=(20, d)).astype(float)
+            got, margins = evaluate_margins(s, pts)
+            want, want_margins = argmin_margins(s, pts)
+            assert np.array_equal(got, want)
+            assert np.array_equal(margins, want_margins)
+
+
 class TestRealizes:
     def test_matching_labelling(self):
         s = two_prototypes()
@@ -128,6 +165,12 @@ class TestRealizes:
         # margin is 0.2 here
         assert realizes(s, pts, Labeling.from_array([1]), mu=0.1)
         assert not realizes(s, pts, Labeling.from_array([1]), mu=0.3)
+
+    def test_misclassified_point_has_negative_minimum_margin(self):
+        pts = np.array([[-1.0, 0.0], [0.5, 0.0]])
+        ok, worst = realisation(two_prototypes(), pts, np.array([1, -1]), 0.1)
+        assert not ok
+        assert worst == pytest.approx(-1.0)
 
     def test_mu_must_be_positive(self):
         with pytest.raises(InvalidInputError):

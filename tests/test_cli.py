@@ -168,6 +168,16 @@ class TestWitnessAndVerify:
         assert code == EXIT_USAGE
         assert "mu" in err
 
+    def test_witness_key_outside_labellings_refused(self, capsys, tmp_path):
+        path = tmp_path / "takacs2.json"
+        run_cli(capsys, "witness", "takacs", "--n", "2", "--no-meta", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["witnesses"]["0x400"] = doc["witnesses"]["-0x1"] = doc["witnesses"]["0x0"]
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == EXIT_USAGE
+        assert "0x400" in err
+
     def test_unknown_schema_rejected(self, capsys, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text(json.dumps({"schema": "nonsense/9"}))
@@ -184,9 +194,14 @@ class TestWitnessAndVerify:
         ("search", "--d", "2", "--m", "3", "--n", "30"),
         ("witness", "gunn", "--m", "4", "--radius", "1e-4"),
         ("witness", "gunn", "--m", "4", "--mu", "1e-2"),
+        ("witness", "gunn", "--m", "4", "--radius", "nan"),
+        ("witness", "takacs", "--n", "2", "--radius", "inf"),
+        ("witness", "takacs", "--n", "2", "--mu", "inf"),
+        ("search", "--d", "2", "--m", "3", "--n", "4", "--mu", "inf"),
     ],
     ids=["bounds-non-integer", "witness-zero-radius", "search-beyond-desk-scale",
-         "witness-gunn-small-radius", "witness-gunn-large-mu"],
+         "witness-gunn-small-radius", "witness-gunn-large-mu", "witness-gunn-nan-radius",
+         "witness-takacs-inf-radius", "witness-takacs-inf-mu", "search-inf-mu"],
 )
 def test_bad_input_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -202,8 +217,9 @@ def test_bad_input_is_usage_error(capsys, argv):
         lambda doc: 3,
         lambda doc: {**doc, "witnesses": []},
         lambda doc: {**doc, "special": []},
+        lambda doc: {**doc, "points": 5},
     ],
-    ids=["list", "string", "number", "witnesses-list", "special-list"],
+    ids=["list", "string", "number", "witnesses-list", "special-list", "points-scalar"],
 )
 def test_verify_of_non_object_is_usage_error(capsys, tmp_path, edit):
     path = tmp_path / "takacs2.json"

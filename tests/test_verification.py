@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -61,7 +62,7 @@ class TestVerifyShattering:
         assert not cert.verified
         assert cert.first_failure is not None
 
-    @pytest.mark.parametrize("mu", [0.0, -1.0])
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.inf])
     def test_nonpositive_mu_rejected(self, mu):
         with pytest.raises(InvalidInputError):
             verify_shattering(takacs_arrangement(2), takacs_shatter, mu=mu)
@@ -87,6 +88,12 @@ class TestCertificateFiles:
         certificate_from_dict(doc)
         doc["mu"] = 0.0
         with pytest.raises(CertificateError):
+            certificate_from_dict(doc)
+
+    def test_infinite_mu_rejected_on_load(self):
+        doc = certificate_to_dict(verify_shattering(takacs_arrangement(2), takacs_shatter), "takacs_shatter")
+        doc["mu"] = math.inf
+        with pytest.raises(CertificateError, match="finite"):
             certificate_from_dict(doc)
 
     def test_non_object_document_rejected(self):
@@ -133,6 +140,8 @@ class TestSearchConfig:
             SearchConfig(d=2, m=1, n=1, trials=0)
         with pytest.raises(InvalidInputError):
             SearchConfig(d=2, m=1, n=1, mu=0.0)
+        with pytest.raises(InvalidInputError):
+            SearchConfig(d=2, m=1, n=1, mu=math.inf)
 
 
 class TestSearchLowerBound:
