@@ -9,10 +9,9 @@ share one label is a constant classifier with margin +inf everywhere.
 
 Ties resolve to +1: a query whose margin is at most ``TIE_RTOL`` times
 its distance to the nearest prototype gets label +1 and margin 0,
-whichever prototype ``argmin`` picked. The rule is relative so that it
-commutes with scaling, and it makes a query on a boundary get the same
-label after any rigid motion, whatever the prototype order or the
-roundoff. The margin 0 keeps a tie from passing any realisation check.
+whatever the prototype order. The rule is relative so that it commutes
+with scaling, and it makes a query on a boundary get the same label
+after any rigid motion, whatever the roundoff. The margin 0 keeps a tie from passing any realisation check.
 
 Realisation checks are strict: a labelling is only accepted when every
 point is classified correctly with margin at least ``mu``, which makes
@@ -22,6 +21,7 @@ witnesses robust to floating point and independent of the tie rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,17 +121,6 @@ def nearest_distances(points, target, prototypes, labels) -> tuple[np.ndarray, n
     return np.where(same, dist, np.inf).min(axis=1), np.where(same, np.inf, dist).min(axis=1)
 
 
-def _signed_margins(s: LabeledPrototypeSet, points, target) -> np.ndarray:
-    """``other - same`` of each point against ``target``, with ties set to 0."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.shape[1] != s.dim:
-        raise InvalidInputError(f"dimension mismatch: {pts.shape[1]} vs {s.dim}")
-    same, other = nearest_distances(pts, target, s.prototypes, s.labels)
-    margins = other - same
-    margins[np.abs(margins) <= TIE_RTOL * np.minimum(same, other)] = 0.0
-    return margins
-
-
 def evaluate_margins(s: LabeledPrototypeSet, points) -> tuple[np.ndarray, np.ndarray]:
     """Labels and margins of the 1NN classifier at each query point.
 
@@ -139,7 +128,12 @@ def evaluate_margins(s: LabeledPrototypeSet, points) -> tuple[np.ndarray, np.nda
     nonnegative; +inf where no opposite-label prototype exists. Ties
     resolve to label +1 and margin 0 (see the module docstring).
     """
-    margins = _signed_margins(s, points, 1)
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if pts.shape[1] != s.dim:
+        raise InvalidInputError(f"dimension mismatch: {pts.shape[1]} vs {s.dim}")
+    same, other = nearest_distances(pts, 1, s.prototypes, s.labels)
+    margins = other - same
+    margins[np.abs(margins) <= TIE_RTOL * np.minimum(same, other)] = 0.0
     return np.where(margins >= 0, 1, -1), np.abs(margins)
 
 
@@ -158,14 +152,16 @@ def realisation(s: LabeledPrototypeSet, points, target: np.ndarray, mu: float) -
     The minimum margin is negative if a point gets the wrong label, and 0
     if a point is a tie. The caller checks that ``mu`` is positive.
     """
-    min_margin = float(_signed_margins(s, points, target).min())
+    got, margins = evaluate_margins(s, points)
+    # + 0.0 turns the -0.0 of a tie against a -1 target into 0
+    min_margin = float(np.where(got == target, margins, -margins).min()) + 0.0
     return min_margin >= mu, min_margin
 
 
 def realizes(s: LabeledPrototypeSet, points, labeling: Labeling, mu: float = DEFAULT_MU) -> bool:
     """True iff ``s`` classifies every point as ``labeling`` with margin >= mu."""
-    if mu <= 0:
-        raise InvalidInputError("mu must be positive")
+    if not 0 < mu < math.inf:
+        raise InvalidInputError(f"mu must be finite and positive, got {mu!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] != labeling.size:
         raise InvalidInputError("labelling size must match the number of points")

@@ -173,8 +173,9 @@ class TestRealizes:
         assert worst == pytest.approx(-1.0)
 
     def test_mu_must_be_positive(self):
-        with pytest.raises(InvalidInputError):
-            realizes(two_prototypes(), np.zeros((1, 2)), Labeling(1, 1), mu=0.0)
+        for mu in (0.0, math.nan, math.inf):
+            with pytest.raises(InvalidInputError):
+                realizes(two_prototypes(), np.zeros((1, 2)), Labeling(1, 1), mu=mu)
 
     def test_margins_vectorised_consistent(self, rng):
         protos = rng.uniform(-1, 1, size=(5, 3))
