@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import DEFAULT_MU, LabeledPrototypeSet, Labeling, realisation
+from .classifier import DEFAULT_MU, LabeledPrototypeSet, Labeling
 from .errors import (
     ConstructionInfeasibleError,
     InvalidInputError,
@@ -73,11 +73,18 @@ class Arrangement:
     apex_index: int | None = None
 
     def __post_init__(self):
+        if self.kind not in ("takacs", "gunn", "search"):
+            raise InvalidInputError(f"unknown arrangement kind {self.kind!r}")
         object.__setattr__(self, "points", np.asarray(self.points, dtype=np.float64))
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
+
+    @property
+    def budget(self) -> int:
+        """The most prototypes a witness may use: N+1 for takacs, m otherwise."""
+        return self.param + 1 if self.kind == "takacs" else self.param
 
 
 def takacs_arrangement(n_facets: int, radius: float = 1.0) -> Arrangement:
@@ -232,29 +239,20 @@ def _disc_witness(
     circle_labels: np.ndarray,
     inside_label: int,
     kept_extra: np.ndarray,
-    budget: int,
+    n_facets: int,
     radius: float,
 ) -> LabeledPrototypeSet:
-    """The origin reflected across chords keeping the inside-labelled points, padded to budget."""
+    """The origin reflected across chords keeping the inside-labelled points, padded to ``n_facets``."""
     mask = circle_labels != inside_label
-    runs = _circular_runs(mask)
-    if len(runs) > budget:
-        raise ConstructionInfeasibleError(
-            f"{len(runs)} runs exceed the {budget}-facet budget (bug)"
-        )
     kept = np.vstack([circle[~mask], kept_extra, np.zeros((1, 2))])
     facets: list[Halfspace] = []
-    for run in runs:
+    for run in _circular_runs(mask):
         facets.extend(_run_chords(circle, run, kept, radius))
-    if len(facets) > budget:
-        raise ConstructionInfeasibleError(
-            f"{len(facets)} chords exceed the {budget}-facet budget (bug)"
-        )
     # pad with far redundant facets: every non-constant labelling uses the
     # full budget, so the prototype count depends only on the labelling
     # being constant or not
     golden = 2.399963229728653
-    for j in range(budget - len(facets)):
+    for j in range(n_facets - len(facets)):
         ang = 0.7 + golden * j
         facets.append(Halfspace(np.array([math.cos(ang), math.sin(ang)]), _PAD_OFFSET * radius))
     return polytope_to_prototypes(ConvexPolytope(tuple(facets)), np.zeros(2), inside_label)
@@ -279,13 +277,13 @@ def takacs_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEF
     _require_kind(arrangement, labeling, "takacs")
     labels = labeling.to_array()
     pts = arrangement.points
-    n_facets = arrangement.param
     centre = arrangement.center_index
     if np.all(labels == labels[0]):
         return LabeledPrototypeSet(pts[centre][None, :], labels[:1])
-    n_c = 2 * n_facets + 1
+    n_c = 2 * arrangement.param + 1
     return _disc_witness(
-        pts[:n_c], labels[:n_c], int(labels[centre]), pts[centre][None, :], n_facets, arrangement.radius
+        pts[:n_c], labels[:n_c], int(labels[centre]), pts[centre][None, :], arrangement.budget - 1,
+        arrangement.radius,
     )
 
 
@@ -298,8 +296,25 @@ def _rotated(u: np.ndarray, phi: float) -> np.ndarray:
     return np.array([c * u[0] - s * u[1], s * u[0] + c * u[1]])
 
 
-def _band_quality(in_pts: np.ndarray, out_pts: np.ndarray, u: np.ndarray, radius: float):
-    """Clearance of the projection band spanned by in_pts against out_pts."""
+def _chord_normal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unit normal of the chord from ``a`` to ``b``, rotated a quarter turn counter-clockwise."""
+    chord = b - a
+    u = np.array([-chord[1], chord[0]])
+    u /= np.linalg.norm(u)
+    return u
+
+
+def _place_strip(in_pts: np.ndarray, out_pts: np.ndarray, u: np.ndarray,
+                 anchor: np.ndarray, radius: float):
+    """Line offsets for one candidate direction, scored by worst clearance.
+
+    The band spanned by the projections of ``in_pts`` on ``u`` must hold
+    no projection of ``out_pts``. Offsets take half the projection gap on
+    each side (a gap counts at most R), then are capped so the strip
+    prototype and both of its reflections stay strictly inside the
+    circumcircle (their projections are mid, mid - width, mid + width on
+    an axis through ``anchor``). Returns ``(score, lo, hi)`` or None.
+    """
     in_proj = in_pts @ u
     out_proj = out_pts @ u
     lo_in = float(in_proj.min())
@@ -310,22 +325,6 @@ def _band_quality(in_pts: np.ndarray, out_pts: np.ndarray, u: np.ndarray, radius
     above = out_proj[out_proj >= hi_in]
     gap_lo = min(lo_in - float(below.max()) if below.size else radius, radius)
     gap_hi = min(float(above.min()) - hi_in if above.size else radius, radius)
-    return min(gap_lo, gap_hi), lo_in, hi_in, gap_lo, gap_hi
-
-
-def _place_strip(in_pts: np.ndarray, out_pts: np.ndarray, u: np.ndarray,
-                 anchor: np.ndarray, radius: float):
-    """Line offsets for one candidate direction, scored by worst clearance.
-
-    Offsets take half the projection gap on each side, then are capped so
-    the strip prototype and both of its reflections stay strictly inside
-    the circumcircle (their projections are mid, mid - width, mid + width
-    on an axis through ``anchor``). Returns ``(score, lo, hi)`` or None.
-    """
-    band = _band_quality(in_pts, out_pts, u, radius)
-    if band is None:
-        return None
-    _, lo_in, hi_in, gap_lo, gap_hi = band
     lo0 = lo_in - 0.5 * gap_lo
     hi0 = hi_in + 0.5 * gap_hi
     perp = anchor - float(anchor @ u) * u
@@ -471,9 +470,55 @@ def _pair_groups(indices: list[int], n_v: int) -> list[list[int]]:
     return groups
 
 
-def _try_strip_plan(
+def _strip_plans(arrangement: Arrangement, labels: np.ndarray, black: int):
+    """Strip plans ``(strip_indices, u0, anchor, groups, park)`` in the order they are tried.
+
+    With a full minority class of m points the strip first holds the
+    minority interior point and two minority vertices (a vertex and one of
+    its partners), every other minority vertex cut alone. Then, for any
+    minority class, the strip holds the interior point and at most one
+    vertex, the remaining minority vertices cut in adjacent pairs and any
+    unused budget parked far away.
+    """
+    pts = arrangement.points
+    n_v = 2 * arrangement.param - 1
+    i1, i2 = arrangement.inner_indices
+    b_idx, w_idx = (i1, i2) if labels[i1] == black else (i2, i1)
+    b_pt = pts[b_idx]
+    black_vertices = [v for v in range(n_v) if labels[v] == black]
+    spare = arrangement.budget - 3  # beyond the strip's core and its two reflections
+
+    if len(black_vertices) + 1 == arrangement.param:
+        c_idx = int(np.argmin(np.sqrt(((pts[:n_v] - pts[w_idx]) ** 2).sum(axis=1))))
+        for p_idx in black_vertices:
+            if p_idx == c_idx:
+                continue
+            for partner in _partners(pts[:n_v], p_idx, b_pt):
+                if labels[partner] != black:
+                    continue
+                remaining = sorted(set(black_vertices) - {p_idx, partner})
+                u0 = _chord_normal(pts[p_idx], pts[partner])
+                if float(u0 @ (pts[p_idx] + pts[partner])) < 0.0:
+                    u0 = -u0
+                yield [p_idx, partner, b_idx], u0, np.zeros(2), [[v] for v in remaining], 0
+
+    if not black_vertices:
+        yield [b_idx], b_pt / np.linalg.norm(b_pt), b_pt, [], spare
+        return
+    groups_after = {
+        v_star: _pair_groups([v for v in black_vertices if v != v_star], n_v)
+        for v_star in black_vertices
+    }
+    for v_star in sorted(black_vertices, key=lambda v: (len(groups_after[v]), v)):
+        groups = groups_after[v_star]
+        if len(groups) > spare:
+            continue
+        yield ([b_idx, v_star], _chord_normal(b_pt, pts[v_star]), 0.5 * (b_pt + pts[v_star]),
+               groups, spare - len(groups))
+
+
+def _strip_witness(
     arrangement: Arrangement,
-    labeling: Labeling,
     black: int,
     strip_indices: list[int],
     u0: np.ndarray,
@@ -482,7 +527,7 @@ def _try_strip_plan(
     park: int,
     mu: float,
 ):
-    """Assemble one full unequal-interior-label construction; None unless it realises ``labeling``."""
+    """The prototype set of one strip plan, or None when the plan does not build."""
     pts = arrangement.points
     radius = arrangement.radius
     n_v = 2 * arrangement.param - 1
@@ -512,10 +557,9 @@ def _try_strip_plan(
     protos.extend(whites)
     labels.extend([-black, -black])
     try:
-        s = LabeledPrototypeSet(np.array(protos), np.array(labels))
+        return LabeledPrototypeSet(np.array(protos), np.array(labels))
     except InvalidInputError:
         return None
-    return s if realisation(s, pts, labeling.to_array(), mu)[0] else None
 
 
 def gunn_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEFAULT_MU) -> LabeledPrototypeSet:
@@ -523,14 +567,10 @@ def gunn_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEFAU
 
     Equal interior labels reduce to the circle construction with an
     (m-1)-facet budget. Unequal interior labels relabel the minority class
-    and build a strip construction; with a full minority class of m points
-    the strip holds the minority interior point and two minority vertices,
-    otherwise it holds the interior point and one chosen vertex (or the
-    interior point alone) and remaining minority vertices are cut in
-    adjacent pairs, parking any unused budget far away. Only the strip
-    plans are tested here, to choose among them; ``verify_shattering``
-    checks the returned candidate. The clearances scale with the radius
-    R, so ``mu / R`` above ``_CLEAR_MIN`` is refused as unreachable.
+    and return the first strip plan (see ``_strip_plans``) that builds;
+    ``verify_shattering`` checks the returned candidate. The clearances
+    scale with the radius R, so ``mu / R`` above ``_CLEAR_MIN`` is refused
+    as unreachable.
     """
     _require_kind(arrangement, labeling, "gunn")
     if mu > _CLEAR_MIN * arrangement.radius:
@@ -540,95 +580,23 @@ def gunn_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEFAU
         )
     labels = labeling.to_array()
     pts = arrangement.points
-    m = arrangement.param
-    n_v = 2 * m - 1
-    radius = arrangement.radius
+    n_v = 2 * arrangement.param - 1
     i1, i2 = arrangement.inner_indices
 
     if np.all(labels == labels[0]):
         return LabeledPrototypeSet(np.zeros((1, 2)), labels[:1])
 
     if labels[i1] == labels[i2]:
-        return _disc_witness(pts[:n_v], labels[:n_v], int(labels[i1]), pts[[i1, i2]], m - 1, radius)
+        return _disc_witness(
+            pts[:n_v], labels[:n_v], int(labels[i1]), pts[[i1, i2]], arrangement.budget - 1,
+            arrangement.radius,
+        )
 
     # interior labels differ: "black" is the minority class (2m+1 is odd,
     # so there is no tie), and the black interior point is in it
     black = 1 if int((labels == 1).sum()) < int((labels == -1).sum()) else -1
-    b_idx = i1 if labels[i1] == black else i2
-    w_idx = i2 if labels[i1] == black else i1
-    b_pt, w_pt = pts[b_idx], pts[w_idx]
-    black_vertices = [v for v in range(n_v) if labels[v] == black]
-    k = len(black_vertices) + 1
-    c_idx = int(np.argmin(np.sqrt(((pts[:n_v] - w_pt) ** 2).sum(axis=1))))
-
-    s = None
-    if k == m:
-        # full minority class: strip over a vertex and one of its partners
-        for p_idx in black_vertices:
-            if p_idx == c_idx:
-                continue
-            for partner in _partners(pts[:n_v], p_idx, b_pt):
-                if labels[partner] != black:
-                    continue
-                remaining = sorted(set(black_vertices) - {p_idx, partner})
-                chord = pts[partner] - pts[p_idx]
-                u0 = np.array([-chord[1], chord[0]])
-                u0 /= np.linalg.norm(u0)
-                if float(u0 @ (pts[p_idx] + pts[partner])) < 0.0:
-                    u0 = -u0
-                s = _try_strip_plan(
-                    arrangement,
-                    labeling,
-                    black,
-                    [p_idx, partner, b_idx],
-                    u0,
-                    np.zeros(2),
-                    [[v] for v in remaining],
-                    0,
-                    mu,
-                )
-                if s is not None:
-                    break
-            if s is not None:
-                break
-
-    if s is None:
-        # strip holds the interior minority point and at most one vertex
-        if not black_vertices:
-            u0 = b_pt / np.linalg.norm(b_pt)
-            s = _try_strip_plan(
-                arrangement, labeling, black, [b_idx], u0, b_pt, [], m - 3, mu
-            )
-        else:
-            groups_after = {
-                v_star: _pair_groups([v for v in black_vertices if v != v_star], n_v)
-                for v_star in black_vertices
-            }
-            for v_star in sorted(black_vertices, key=lambda v: (len(groups_after[v]), v)):
-                groups = groups_after[v_star]
-                if len(groups) > m - 3:
-                    continue
-                chord = pts[v_star] - b_pt
-                u0 = np.array([-chord[1], chord[0]])
-                u0 /= np.linalg.norm(u0)
-                s = _try_strip_plan(
-                    arrangement,
-                    labeling,
-                    black,
-                    [b_idx, v_star],
-                    u0,
-                    0.5 * (b_pt + pts[v_star]),
-                    groups,
-                    m - 3 - len(groups),
-                    mu,
-                )
-                if s is not None:
-                    break
-
-    if s is None:
-        raise ConstructionInfeasibleError(
-            f"labelling {labeling.bits:#x} not realised by any strip plan (bug)"
-        )
-    if s.m > m:
-        raise ConstructionInfeasibleError("prototype budget exceeded (bug)")
-    return s
+    for plan in _strip_plans(arrangement, labels, black):
+        s = _strip_witness(arrangement, black, *plan, mu)
+        if s is not None:
+            return s
+    raise ConstructionInfeasibleError(f"labelling {labeling.bits:#x}: no strip plan builds (bug)")

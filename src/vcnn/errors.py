@@ -18,11 +18,12 @@ class InvalidWitnessError(VcnnError, ValueError):
 
 
 class ConstructionInfeasibleError(VcnnError, RuntimeError):
-    """A witness construction could not realise a labelling.
+    """A generator has no witness for a labelling.
 
-    The constructions are proven to cover every labelling of their
-    arrangements, so this surfacing is an internal bug signal, not a
-    legitimate runtime outcome.
+    From the constructions this is an internal bug signal, since they are
+    proven to cover every labelling of their arrangements. It is also a
+    normal outcome: the randomized search raises it when its budget finds
+    no witness, and re-verification when a stored witness is missing.
     """
 
 

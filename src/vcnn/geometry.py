@@ -124,14 +124,8 @@ def contains(polytope: ConvexPolytope, x, tol: float = DEFAULT_TOL) -> str:
     outside means strictly beyond some facet by more than ``tol``;
     anything else is boundary.
     """
-    if tol <= 0:
-        raise InvalidInputError("tolerance must be positive")
-    vals = polytope.side_values(as_point(x)[None, :])[0]
-    if np.any(vals > tol):
-        return OUTSIDE
-    if np.all(vals < -tol):
-        return INSIDE
-    return BOUNDARY
+    member = int(contains_many(polytope, as_point(x)[None, :], tol)[0])
+    return {1: INSIDE, 0: BOUNDARY, -1: OUTSIDE}[member]
 
 
 def contains_many(polytope: ConvexPolytope, xs, tol: float = DEFAULT_TOL) -> np.ndarray:

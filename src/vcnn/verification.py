@@ -63,8 +63,10 @@ def verify_shattering(arrangement: Arrangement, generator, mu: float = DEFAULT_M
 
     The generator is told the margin ``mu`` it must meet and raises
     ``ConstructionInfeasibleError`` when it has no witness. Every witness
-    is checked here, once, at margin ``mu``. Stops at the first failing
-    labelling and records it; failure is data, not an exception.
+    is checked here, once: it may use at most ``arrangement.budget``
+    prototypes and must realise its labelling at margin ``mu``. Stops at
+    the first failing labelling and records it; failure is data, not an
+    exception.
     """
     n = arrangement.n
     if n > _MAX_EXHAUSTIVE_N:
@@ -79,6 +81,12 @@ def verify_shattering(arrangement: Arrangement, generator, mu: float = DEFAULT_M
         except ConstructionInfeasibleError as exc:
             cert.first_failure = bits
             cert.failure_reason = str(exc)
+            return cert
+        if witness.m > arrangement.budget:
+            cert.first_failure = bits
+            cert.failure_reason = (
+                f"witness uses {witness.m} prototypes, over the budget of {arrangement.budget}"
+            )
             return cert
         ok, worst = realisation(witness, arrangement.points, labeling.to_array(), mu)
         if not ok:
@@ -143,7 +151,7 @@ def _search_one_labeling(arrangement: Arrangement, labeling: Labeling, mu: float
                          cfg: SearchConfig, ps: int) -> LabeledPrototypeSet:
     """The search generator: a witness for one labelling of point set ``ps``.
 
-    Places ``arrangement.param`` prototypes. Restarts are seeded with
+    Places ``arrangement.budget`` prototypes. Restarts are seeded with
     ``[rng_seed, ps, bits]``, independent of evaluation order; raises
     ``ConstructionInfeasibleError`` when none reaches margin 2 mu.
     """
@@ -152,7 +160,7 @@ def _search_one_labeling(arrangement: Arrangement, labeling: Labeling, mu: float
     rng = np.random.default_rng([cfg.rng_seed, ps, labeling.bits])
     span = points.max(axis=0) - points.min(axis=0)
     scale = max(float(span.max()), 1e-6)
-    inits, init_labels = _restart_pool(rng, points, target, cfg.trials, arrangement.param, span, scale)
+    inits, init_labels = _restart_pool(rng, points, target, cfg.trials, arrangement.budget, span, scale)
     best, protos, ridx = kernels.search_labeling(
         points,
         target,
@@ -259,9 +267,10 @@ def certificate_to_dict(cert: ShatterCertificate, generator: str, meta: dict | N
 def certificate_from_dict(doc: dict) -> ShatterCertificate:
     """The certificate stored in a ``certificate_to_dict`` document.
 
-    Raises ``CertificateError`` for an unknown schema, a malformed
-    document, a margin ``mu`` that is not finite and positive, or a
-    witness key that is not a labelling of the stored points.
+    Raises ``CertificateError`` for an unknown schema or arrangement kind,
+    a malformed document, a margin ``mu`` that is not finite and positive,
+    or a witness key that is not a labelling of the stored points written
+    as ``format(bits, "#x")``.
     """
     if not isinstance(doc, dict):
         raise CertificateError(f"a certificate is a JSON object, not {type(doc).__name__}")
@@ -299,7 +308,10 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
         raise CertificateError(f"malformed certificate: {exc}") from exc
     if not 0 < cert.mu < math.inf:
         raise CertificateError(f"mu must be finite and positive, got {cert.mu!r}")
-    for bits in cert.witnesses:
+    for key in doc["witnesses"]:
+        bits = int(key, 16)
+        if key != format(bits, "#x"):
+            raise CertificateError(f"witness key {key!r} is not written as {bits:#x}")
         if not 0 <= bits < 1 << arr.n:
             raise CertificateError(f"witness key {bits:#x} is not a labelling of {arr.n} points")
     return cert

@@ -168,6 +168,19 @@ class TestWitnessAndVerify:
         assert code == EXIT_USAGE
         assert "mu" in err
 
+    def test_witness_over_budget_detected(self, capsys, tmp_path):
+        path = tmp_path / "gunn4.json"
+        run_cli(capsys, "witness", "gunn", "--m", "4", "--no-meta", "--out", str(path))
+        doc = json.loads(path.read_text())
+        witness = doc["witnesses"]["0x1"]
+        witness["prototypes"] += [[100.0 + j, 100.0] for j in range(20)]
+        witness["labels"] += [witness["labels"][0]] * 20
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert code == EXIT_VERIFICATION
+        assert "0x1" in out
+        assert "24 prototypes, over the budget of 4" in out
+
     def test_witness_key_outside_labellings_refused(self, capsys, tmp_path):
         path = tmp_path / "takacs2.json"
         run_cli(capsys, "witness", "takacs", "--n", "2", "--no-meta", "--out", str(path))
@@ -218,8 +231,11 @@ def test_bad_input_is_usage_error(capsys, argv):
         lambda doc: {**doc, "witnesses": []},
         lambda doc: {**doc, "special": []},
         lambda doc: {**doc, "points": 5},
+        lambda doc: {**doc, "kind": "foo"},
+        lambda doc: {**doc, "witnesses": {**doc["witnesses"], "0x00": doc["witnesses"]["0x5"]}},
     ],
-    ids=["list", "string", "number", "witnesses-list", "special-list", "points-scalar"],
+    ids=["list", "string", "number", "witnesses-list", "special-list", "points-scalar",
+         "unknown-kind", "non-canonical-key"],
 )
 def test_verify_of_non_object_is_usage_error(capsys, tmp_path, edit):
     path = tmp_path / "takacs2.json"

@@ -72,6 +72,15 @@ class TestArrangements:
         with pytest.raises(UnsupportedParametersError):
             gunn_arrangement(3)
 
+    def test_budget_is_the_papers_prototype_count(self):
+        assert takacs_arrangement(3).budget == 4
+        assert gunn_arrangement(5).budget == 5
+        assert Arrangement(kind="search", points=np.zeros((3, 2)), radius=1.0, param=3).budget == 3
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InvalidInputError, match="kind"):
+            Arrangement(kind="foo", points=np.zeros((3, 2)), radius=1.0, param=3)
+
     @pytest.mark.parametrize("m", [4, 5, 6, 10])
     def test_inner_offset_is_half_the_diagonal_clearance(self, m):
         # same quantity in its two closed forms

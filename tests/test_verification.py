@@ -38,6 +38,23 @@ class TestVerifyShattering:
         assert cert.first_failure == bad_bits
         assert "misclassifies" in cert.failure_reason or "margin" in cert.failure_reason
 
+    def test_witness_over_budget_fails(self):
+        bad_bits = 11
+
+        def padded(arrangement, labeling, mu):
+            witness = takacs_shatter(arrangement, labeling, mu)
+            if labeling.bits == bad_bits:
+                # a far prototype changes no label or margin, only the count
+                return LabeledPrototypeSet(
+                    np.vstack([witness.prototypes, [[100.0, 100.0]]]), np.append(witness.labels, 1)
+                )
+            return witness
+
+        cert = verify_shattering(takacs_arrangement(2), padded)
+        assert not cert.verified
+        assert cert.first_failure == bad_bits
+        assert "budget" in cert.failure_reason
+
     def test_generator_is_told_mu(self):
         seen = set()
 
