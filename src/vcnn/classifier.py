@@ -56,8 +56,7 @@ class LabeledPrototypeSet:
         if not np.all(np.abs(labels) == 1):
             raise InvalidInputError("labels must be +1 or -1")
         if protos.shape[0] > 1:
-            diff = protos[:, None, :] - protos[None, :, :]
-            dist = np.sqrt((diff * diff).sum(axis=2))
+            dist = prototype_distances(protos, protos)
             np.fill_diagonal(dist, np.inf)
             if dist.min() <= DEFAULT_TOL:
                 raise InvalidInputError("prototypes must be pairwise distinct")
@@ -110,15 +109,25 @@ class Labeling:
         return cls(bits=bits, size=int(labels.size))
 
 
-def nearest_distances(points, target, prototypes, labels) -> tuple[np.ndarray, np.ndarray]:
+def prototype_distances(points, prototypes) -> np.ndarray:
+    """Euclidean distances from (n, d) points to (..., m, d) prototypes, shape (..., m, n)."""
+    diff = points - prototypes[..., :, None, :]
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
+def nearest_distances(points, target, prototypes, labels, dist=None) -> tuple[np.ndarray, np.ndarray]:
     """Each point's distance to its nearest prototype of label ``target``, and of the other label.
 
-    ``target`` is one label per point, or one for all. Returns ``(same, other)``; +inf where none.
+    ``target`` (..., n) holds one label per point. ``prototypes``
+    (..., m, d) and ``labels`` (..., m) may carry leading batch axes;
+    ``dist`` is ``prototype_distances(points, prototypes)`` when the
+    caller already holds it. Returns ``(same, other)`` of shape (..., n);
+    +inf where none.
     """
-    diff = points[:, None, :] - prototypes[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    same = labels[None, :] == np.asarray(target)[..., None]
-    return np.where(same, dist, np.inf).min(axis=1), np.where(same, np.inf, dist).min(axis=1)
+    if dist is None:
+        dist = prototype_distances(points, prototypes)
+    same = labels[..., :, None] == target[..., None, :]
+    return np.where(same, dist, np.inf).min(axis=-2), np.where(same, np.inf, dist).min(axis=-2)
 
 
 def evaluate_margins(s: LabeledPrototypeSet, points) -> tuple[np.ndarray, np.ndarray]:
@@ -131,7 +140,7 @@ def evaluate_margins(s: LabeledPrototypeSet, points) -> tuple[np.ndarray, np.nda
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[1] != s.dim:
         raise InvalidInputError(f"dimension mismatch: {pts.shape[1]} vs {s.dim}")
-    same, other = nearest_distances(pts, 1, s.prototypes, s.labels)
+    same, other = nearest_distances(pts, np.ones(pts.shape[0], dtype=np.int64), s.prototypes, s.labels)
     margins = other - same
     margins[np.abs(margins) <= TIE_RTOL * np.minimum(same, other)] = 0.0
     return np.where(margins >= 0, 1, -1), np.abs(margins)

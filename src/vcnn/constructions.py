@@ -76,6 +76,12 @@ class Arrangement:
         if self.kind not in ("takacs", "gunn", "search"):
             raise InvalidInputError(f"unknown arrangement kind {self.kind!r}")
         object.__setattr__(self, "points", np.asarray(self.points, dtype=np.float64))
+        # the budget is read from param, so param must be the one the points were built for
+        size = {"takacs": 2 * self.param + 2, "gunn": 2 * self.param + 1}.get(self.kind, self.n)
+        if self.n != size:
+            raise InvalidInputError(
+                f"a {self.kind} arrangement with param {self.param} has {size} points, not {self.n}"
+            )
 
     @property
     def n(self) -> int:

@@ -11,16 +11,16 @@ the stored witnesses as the generator. The polytope witness file (schema
 
 ``search_lower_bound`` is the randomized complement to the constructive
 witnesses: it samples point sets and certifies each through the same
-sweep, with a per-labelling hill-climb as the generator. Finding a
-certificate proves the lower bound for that n; not finding one proves
-nothing and is always reported as a budget-limited negative, never as
-impossibility. Deterministic for a fixed seed: every labelling derives
-its own child seed, so results do not depend on evaluation order.
+sweep, with a hill-climb as the generator that searches a chunk of
+labellings at a time in one lockstep batch. Finding a certificate proves
+the lower bound for that n; not finding one proves nothing and is always
+reported as a budget-limited negative, never as impossibility.
+Deterministic for a fixed seed: every labelling derives its own child
+seed, so results depend neither on evaluation order nor on chunking.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -147,37 +147,71 @@ def _restart_pool(rng: np.random.Generator, points: np.ndarray, target: np.ndarr
     return inits, labels.astype(np.int64)
 
 
-def _search_one_labeling(arrangement: Arrangement, labeling: Labeling, mu: float,
-                         cfg: SearchConfig, ps: int) -> LabeledPrototypeSet:
-    """The search generator: a witness for one labelling of point set ``ps``.
+# Rows (labellings x restarts) the search climbs in one lockstep batch:
+# enough to spread NumPy's per-call cost, few enough that the sweep's stop
+# at a failing labelling wastes little and the batch stays small in memory.
+_BATCH_ROWS = 256
 
-    Places ``arrangement.budget`` prototypes. Restarts are seeded with
-    ``[rng_seed, ps, bits]``, independent of evaluation order; raises
-    ``ConstructionInfeasibleError`` when none reaches margin 2 mu.
+
+class _SearchGenerator:
+    """The search generator for point set ``ps``: witnesses found a chunk of labellings at a time.
+
+    Labellings are searched in bitmask-order chunks of about
+    ``_BATCH_ROWS`` rows (labellings x ``cfg.trials``), each chunk in one
+    ``kernels.search_batch`` call; a call serves one labelling from the
+    chunk that holds it. Places ``arrangement.budget`` prototypes.
+    Restarts are seeded with ``[rng_seed, ps, bits]``, so a witness depends
+    neither on chunk boundaries nor on evaluation order. Raises
+    ``ConstructionInfeasibleError`` when no restart reaches margin 2 mu.
     """
-    points = arrangement.points
-    target = labeling.to_array()
-    rng = np.random.default_rng([cfg.rng_seed, ps, labeling.bits])
-    span = points.max(axis=0) - points.min(axis=0)
-    scale = max(float(span.max()), 1e-6)
-    inits, init_labels = _restart_pool(rng, points, target, cfg.trials, arrangement.budget, span, scale)
-    best, protos, ridx = kernels.search_labeling(
-        points,
-        target,
-        inits,
-        init_labels,
-        cfg.steps,
-        _STEP_INIT * scale,
-        _STEP_DECAY,
-        2.0 * mu,
-        1e-6 * scale,
-    )
-    if best < 2.0 * mu:
-        raise ConstructionInfeasibleError(f"no witness within budget (best margin {best:.3e})")
-    try:
-        return LabeledPrototypeSet(protos, init_labels[ridx])
-    except InvalidInputError as exc:
-        raise ConstructionInfeasibleError(f"search witness rejected: {exc}") from exc
+
+    def __init__(self, cfg: SearchConfig, ps: int):
+        self.cfg = cfg
+        self.ps = ps
+        self.chunk = max(1, _BATCH_ROWS // cfg.trials)
+        self._key = None      # (arrangement, first bitmask, mu) of the chunk held
+        self._found = None    # (best margin, prototypes, labels) per labelling of the chunk
+
+    def __call__(self, arrangement: Arrangement, labeling: Labeling, mu: float) -> LabeledPrototypeSet:
+        start = labeling.bits - labeling.bits % self.chunk
+        key = self._key
+        if key is None or key[0] is not arrangement or key[1:] != (start, mu):
+            self._found = self._search(arrangement, start, mu)
+            self._key = (arrangement, start, mu)
+        best, protos, labels = (part[labeling.bits - start] for part in self._found)
+        if best < 2.0 * mu:
+            raise ConstructionInfeasibleError(f"no witness within budget (best margin {best:.3e})")
+        try:
+            return LabeledPrototypeSet(protos, labels)
+        except InvalidInputError as exc:
+            raise ConstructionInfeasibleError(f"search witness rejected: {exc}") from exc
+
+    def _search(self, arrangement: Arrangement, start: int, mu: float):
+        cfg = self.cfg
+        points = arrangement.points
+        n = arrangement.n
+        span = points.max(axis=0) - points.min(axis=0)
+        scale = max(float(span.max()), 1e-6)
+        bits = range(start, min(start + self.chunk, 1 << n))
+        targets = np.array([Labeling(b, n).to_array() for b in bits])
+        pools = [
+            _restart_pool(np.random.default_rng([cfg.rng_seed, self.ps, b]), points, target,
+                          cfg.trials, arrangement.budget, span, scale)
+            for b, target in zip(bits, targets)
+        ]
+        init_labels = np.stack([labels for _, labels in pools])
+        best, protos, ridx = kernels.search_batch(
+            points,
+            targets,
+            np.stack([inits for inits, _ in pools]),
+            init_labels,
+            cfg.steps,
+            _STEP_INIT * scale,
+            _STEP_DECAY,
+            2.0 * mu,
+            1e-6 * scale,
+        )
+        return best, protos, init_labels[np.arange(len(bits)), ridx]
 
 
 def search_lower_bound(cfg: SearchConfig):
@@ -190,8 +224,7 @@ def search_lower_bound(cfg: SearchConfig):
     for ps in range(cfg.point_sets):
         points = np.random.default_rng([cfg.rng_seed, ps]).uniform(-1.0, 1.0, size=(cfg.n, cfg.d))
         arrangement = Arrangement(kind="search", points=points, radius=1.0, param=cfg.m)
-        generator = functools.partial(_search_one_labeling, cfg=cfg, ps=ps)
-        cert = verify_shattering(arrangement, generator, cfg.mu)
+        cert = verify_shattering(arrangement, _SearchGenerator(cfg, ps), cfg.mu)
         if cert.verified:
             return cfg.n, cert
     return 0, None
@@ -208,11 +241,12 @@ def shatter_coefficient_exhaustive(points, m: int, cfg: SearchConfig) -> int:
     if n > _MAX_COEFFICIENT_N:
         raise InvalidInputError(f"2^{n} labelings is beyond desk scale for counting")
     arrangement = Arrangement(kind="search", points=points, radius=1.0, param=m)
+    generator = _SearchGenerator(cfg, 0)
     count = 0
     for bits in range(1 << n):
         labeling = Labeling(bits, n)
         try:
-            witness = _search_one_labeling(arrangement, labeling, cfg.mu, cfg, 0)
+            witness = generator(arrangement, labeling, cfg.mu)
         except ConstructionInfeasibleError:
             continue
         count += realisation(witness, points, labeling.to_array(), cfg.mu)[0]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -181,6 +182,19 @@ class TestWitnessAndVerify:
         assert "0x1" in out
         assert "24 prototypes, over the budget of 4" in out
 
+    def test_param_inflated_to_cover_a_padded_witness_refused(self, capsys, tmp_path):
+        path = tmp_path / "gunn4.json"
+        run_cli(capsys, "witness", "gunn", "--m", "4", "--no-meta", "--out", str(path))
+        doc = json.loads(path.read_text())
+        witness = doc["witnesses"]["0x1"]
+        witness["prototypes"] += [[100.0 + j, 100.0] for j in range(20)]
+        witness["labels"] += [witness["labels"][0]] * 20
+        doc["param"] = 24
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "verify", str(path))
+        assert code == EXIT_USAGE
+        assert "gunn arrangement with param 24 has 49 points, not 9" in err
+
     def test_witness_key_outside_labellings_refused(self, capsys, tmp_path):
         path = tmp_path / "takacs2.json"
         run_cli(capsys, "witness", "takacs", "--n", "2", "--no-meta", "--out", str(path))
@@ -279,6 +293,15 @@ class TestSearchCommand:
         assert "certificate found" in out
         code, _, _ = run_cli(capsys, "verify", str(path))
         assert code == EXIT_OK
+
+    def test_search_certificate_bytes_are_frozen(self, capsys, tmp_path):
+        # recorded with the per-restart search; the search is deterministic
+        path = tmp_path / "search.json"
+        code, _, _ = run_cli(capsys, "search", "--d", "2", "--m", "3", "--n", "6", "--seed", "0",
+                             "--no-meta", "--out", str(path))
+        assert code == EXIT_OK
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "f4093fb7110882186eb710362e31d373ddc5a4962b10c1a5982e95b730b9c5bc"
 
     def test_search_failure_reports_budget(self, capsys):
         code, out, _ = run_cli(

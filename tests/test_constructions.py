@@ -81,6 +81,12 @@ class TestArrangements:
         with pytest.raises(InvalidInputError, match="kind"):
             Arrangement(kind="foo", points=np.zeros((3, 2)), radius=1.0, param=3)
 
+    @pytest.mark.parametrize("kind, n_points", [("takacs", 7), ("takacs", 9), ("gunn", 8), ("gunn", 10)])
+    def test_point_count_must_match_param(self, kind, n_points):
+        # takacs N has 2N+2 points, gunn m has 2m+1; the budget is read from param
+        with pytest.raises(InvalidInputError, match="param 4 has"):
+            Arrangement(kind=kind, points=np.zeros((n_points, 2)), radius=1.0, param=4)
+
     @pytest.mark.parametrize("m", [4, 5, 6, 10])
     def test_inner_offset_is_half_the_diagonal_clearance(self, m):
         # same quantity in its two closed forms

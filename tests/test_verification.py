@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import vcnn
+from vcnn import verification
 from vcnn.classifier import LabeledPrototypeSet, Labeling, evaluate_margins
 from vcnn.constructions import gunn_arrangement, gunn_shatter, takacs_arrangement, takacs_shatter
 from vcnn.errors import CertificateError, InvalidInputError
@@ -206,6 +207,27 @@ class TestShatterCoefficient:
         pts = rng.uniform(-1, 1, size=(4, 2))
         cfg = SearchConfig(d=2, m=3, n=4, trials=8, steps=40, rng_seed=5)
         assert shatter_coefficient_exhaustive(pts, 3, cfg) <= 16
+
+    def test_counts_of_the_c8_draw_are_frozen(self):
+        # one point set per (n, m, d), n 3..8, m 3..4, d 2..3, drawn as test c8
+        # draws them; the counts were recorded with the per-restart search
+        draw = np.random.default_rng(99)
+        cfg = SearchConfig(d=2, m=3, n=3, trials=4, steps=24, rng_seed=1)
+        counts = [
+            shatter_coefficient_exhaustive(draw.uniform(-1.0, 1.0, size=(n, d)), m, cfg)
+            for n in range(3, 9) for m in (3, 4) for d in (2, 3)
+        ]
+        assert counts == [8, 8, 8, 8, 15, 16, 15, 16, 29, 31, 31, 32,
+                          43, 62, 53, 64, 74, 113, 111, 125, 116, 178, 155, 243]
+
+    def test_counts_do_not_depend_on_batch_size(self, monkeypatch):
+        pts = np.random.default_rng(99).uniform(-1.0, 1.0, size=(6, 2))
+        cfg = SearchConfig(d=2, m=3, n=6, trials=4, steps=24, rng_seed=1)
+        counts = []
+        for rows in (4, 28, 10_000):   # one labelling, seven, and all 64 per batch
+            monkeypatch.setattr(verification, "_BATCH_ROWS", rows)
+            counts.append(shatter_coefficient_exhaustive(pts, 3, cfg))
+        assert counts[0] == counts[1] == counts[2]
 
     def test_desk_scale_guard(self, rng):
         pts = rng.uniform(-1, 1, size=(17, 2))
