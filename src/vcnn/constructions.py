@@ -23,12 +23,20 @@ prototype budget is parked far away. At most m prototypes in every case.
 
 All free placements are fixed deterministically with explicit clearances
 so the verification margins stay fat.
+
+What depends only on the arrangement is built once per ``Arrangement``,
+in its private plan table (``_planned``): the gunn strips keyed by the
+indices they hold, the cut prototypes by strip, vertex group and ``mu``,
+and the padding facets and parked prototypes by count. Every key fixes
+every input of what it stores, so the witnesses are bit-identical to
+building each one afresh; the chords, which read the labelling's kept
+points, are built per labelling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +52,6 @@ from .geometry import (
     ConvexPolytope,
     Halfspace,
     as_point,
-    reflect,
     regular_polygon_vertices,
 )
 
@@ -71,11 +78,16 @@ class Arrangement:
     center_index: int | None = None
     inner_indices: tuple[int, int] | None = None
     apex_index: int | None = None
+    # arrangement-determined construction geometry, filled lazily (see _planned)
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("takacs", "gunn", "search"):
             raise InvalidInputError(f"unknown arrangement kind {self.kind!r}")
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=np.float64))
+        # a private read-only copy: the plan table is only valid for fixed points
+        points = np.array(self.points, dtype=np.float64)
+        points.setflags(write=False)
+        object.__setattr__(self, "points", points)
         # the budget is read from param, so param must be the one the points were built for
         size = {"takacs": 2 * self.param + 2, "gunn": 2 * self.param + 1}.get(self.kind, self.n)
         if self.n != size:
@@ -91,6 +103,20 @@ class Arrangement:
     def budget(self) -> int:
         """The most prototypes a witness may use: N+1 for takacs, m otherwise."""
         return self.param + 1 if self.kind == "takacs" else self.param
+
+
+def _planned(arrangement: Arrangement, key: tuple, build):
+    """``build()``, computed once per arrangement and ``key``.
+
+    The key must fix every input ``build`` reads beyond the arrangement
+    itself, so a table hit returns exactly the value a fresh build would.
+    Callers copy what they return into new arrays; nothing hands a tabled
+    array to a witness.
+    """
+    plans = arrangement._plans
+    if key not in plans:
+        plans[key] = build()
+    return plans[key]
 
 
 def takacs_arrangement(n_facets: int, radius: float = 1.0) -> Arrangement:
@@ -178,26 +204,28 @@ def polytope_to_prototypes(
         raise InvalidInputError("inside_label must be +1 or -1")
     if interior.size != polytope.dim:
         raise InvalidInputError("interior point dimension mismatch")
-    slack = -(polytope.side_values(interior[None, :])[0])
+    values = polytope.side_values(interior[None, :])[0]
+    slack = -values
     if slack.min() <= tol:
         raise InvalidWitnessError(
             f"interior point violates strict interiority (slack {slack.min():.3e})"
         )
-    protos = [interior] + [reflect(interior, f) for f in polytope.facets]
+    # every facet's reflection at once, in the operation order of geometry.reflect
+    reflections = interior - 2.0 * values[:, None] * polytope.normals
     labels = [inside_label] + [-inside_label] * polytope.n_facets
-    return LabeledPrototypeSet(np.array(protos), np.array(labels))
+    return LabeledPrototypeSet(np.vstack([interior, reflections]), np.array(labels))
 
 
 # ---------------------------------------------------------------------------
 # chord machinery shared by the circle constructions
 
 
-def _circular_runs(mask: np.ndarray) -> list[list[int]]:
+def _circular_runs(mask: list[bool]) -> list[list[int]]:
     """Maximal runs of True in circular index order."""
-    n = mask.size
-    if not mask.any():
+    n = len(mask)
+    if not any(mask):
         return []
-    if mask.all():
+    if all(mask):
         return [list(range(n))]
     # start scanning just past a run boundary
     start = 0
@@ -240,27 +268,36 @@ def _run_chords(circle: np.ndarray, run: list[int], kept: np.ndarray, radius: fl
     )
 
 
+def _pad_facets(count: int, radius: float) -> tuple[Halfspace, ...]:
+    """``count`` far redundant facets, spread by the golden angle."""
+    golden = 2.399963229728653
+    facets = []
+    for j in range(count):
+        ang = 0.7 + golden * j
+        facets.append(Halfspace(np.array([math.cos(ang), math.sin(ang)]), _PAD_OFFSET * radius))
+    return tuple(facets)
+
+
 def _disc_witness(
+    arrangement: Arrangement,
     circle: np.ndarray,
     circle_labels: np.ndarray,
     inside_label: int,
     kept_extra: np.ndarray,
     n_facets: int,
-    radius: float,
 ) -> LabeledPrototypeSet:
     """The origin reflected across chords keeping the inside-labelled points, padded to ``n_facets``."""
+    radius = arrangement.radius
     mask = circle_labels != inside_label
     kept = np.vstack([circle[~mask], kept_extra, np.zeros((1, 2))])
     facets: list[Halfspace] = []
-    for run in _circular_runs(mask):
+    for run in _circular_runs(mask.tolist()):
         facets.extend(_run_chords(circle, run, kept, radius))
     # pad with far redundant facets: every non-constant labelling uses the
     # full budget, so the prototype count depends only on the labelling
     # being constant or not
-    golden = 2.399963229728653
-    for j in range(n_facets - len(facets)):
-        ang = 0.7 + golden * j
-        facets.append(Halfspace(np.array([math.cos(ang), math.sin(ang)]), _PAD_OFFSET * radius))
+    pad = n_facets - len(facets)
+    facets.extend(_planned(arrangement, ("pad", pad), lambda: _pad_facets(pad, radius)))
     return polytope_to_prototypes(ConvexPolytope(tuple(facets)), np.zeros(2), inside_label)
 
 
@@ -288,8 +325,8 @@ def takacs_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEF
         return LabeledPrototypeSet(pts[centre][None, :], labels[:1])
     n_c = 2 * arrangement.param + 1
     return _disc_witness(
-        pts[:n_c], labels[:n_c], int(labels[centre]), pts[centre][None, :], arrangement.budget - 1,
-        arrangement.radius,
+        arrangement, pts[:n_c], labels[:n_c], int(labels[centre]), pts[centre][None, :],
+        arrangement.budget - 1,
     )
 
 
@@ -388,22 +425,21 @@ def _strip_prototypes(u: np.ndarray, lo: float, hi: float, anchor: np.ndarray):
     return core, core - width * u, core + width * u
 
 
-def _cut_prototype(
-    group_pts: np.ndarray,
-    other_pts: np.ndarray,
-    u: np.ndarray,
-    whites: list[np.ndarray],
-    radius: float,
-    mu: float,
-):
-    """A minority prototype claiming ``group_pts`` beyond a single cut line.
+def _cut_prototype(arrangement: Arrangement, group: tuple[int, ...], whites, mu: float):
+    """A minority prototype claiming the vertex ``group`` beyond a single cut line.
 
-    The line is perpendicular to ``u`` between the group and everything
-    else; the prototype is the reflection of whichever majority prototype
-    yields the larger worst-case margin on the group. The line is pushed
-    toward the group as far as clearance allows when that is needed to
-    land the reflection outside the circumcircle.
+    The line is perpendicular to the group's outward direction, between
+    the group and every other point of the arrangement; the prototype is
+    the reflection of whichever majority prototype in ``whites`` yields
+    the larger worst-case margin on the group. The line is pushed toward
+    the group as far as clearance allows when that is needed to land the
+    reflection outside the circumcircle.
     """
+    pts = arrangement.points
+    radius = arrangement.radius
+    group_pts = pts[list(group)]
+    other_pts = np.array([pts[i] for i in range(arrangement.n) if i not in group])
+    u = _outward(pts[: 2 * arrangement.param - 1], list(group))
     min_in = float((group_pts @ u).min())
     max_out = float((other_pts @ u).max())
     gap = min_in - max_out
@@ -465,32 +501,31 @@ def _partners(vertices: np.ndarray, d_idx: int, b_point: np.ndarray) -> tuple[in
     raise ConstructionInfeasibleError("no longest diagonal on the inner point's side (bug)")
 
 
-def _pair_groups(indices: list[int], n_v: int) -> list[list[int]]:
+def _pair_groups(indices: list[int], n_v: int) -> list[tuple[int, ...]]:
     """Split minority vertices into cut groups: adjacent pairs, then singles."""
-    mask = np.zeros(n_v, dtype=bool)
-    mask[indices] = True
-    groups: list[list[int]] = []
-    for run in _circular_runs(mask):
+    chosen = set(indices)
+    groups: list[tuple[int, ...]] = []
+    for run in _circular_runs([v in chosen for v in range(n_v)]):
         for i in range(0, len(run), 2):
-            groups.append(run[i : i + 2])
+            groups.append(tuple(run[i : i + 2]))
     return groups
 
 
-def _strip_plans(arrangement: Arrangement, labels: np.ndarray, black: int):
-    """Strip plans ``(strip_indices, u0, anchor, groups, park)`` in the order they are tried.
+def _strip_plans(arrangement: Arrangement, labels: list[int], black: int):
+    """Strip plans ``(strip_key, groups, park)`` in the order they are tried.
 
-    With a full minority class of m points the strip first holds the
-    minority interior point and two minority vertices (a vertex and one of
-    its partners), every other minority vertex cut alone. Then, for any
-    minority class, the strip holds the interior point and at most one
-    vertex, the remaining minority vertices cut in adjacent pairs and any
-    unused budget parked far away.
+    ``strip_key`` is the tuple of point indices the strip holds. With a
+    full minority class of m points the strip first holds two minority
+    vertices (a vertex and one of its partners) and the minority interior
+    point, every other minority vertex cut alone. Then, for any minority
+    class, the strip holds the interior point and at most one vertex, the
+    remaining minority vertices cut in adjacent pairs and any unused
+    budget parked far away.
     """
     pts = arrangement.points
     n_v = 2 * arrangement.param - 1
     i1, i2 = arrangement.inner_indices
     b_idx, w_idx = (i1, i2) if labels[i1] == black else (i2, i1)
-    b_pt = pts[b_idx]
     black_vertices = [v for v in range(n_v) if labels[v] == black]
     spare = arrangement.budget - 3  # beyond the strip's core and its two reflections
 
@@ -499,17 +534,14 @@ def _strip_plans(arrangement: Arrangement, labels: np.ndarray, black: int):
         for p_idx in black_vertices:
             if p_idx == c_idx:
                 continue
-            for partner in _partners(pts[:n_v], p_idx, b_pt):
+            for partner in _partners(pts[:n_v], p_idx, pts[b_idx]):
                 if labels[partner] != black:
                     continue
                 remaining = sorted(set(black_vertices) - {p_idx, partner})
-                u0 = _chord_normal(pts[p_idx], pts[partner])
-                if float(u0 @ (pts[p_idx] + pts[partner])) < 0.0:
-                    u0 = -u0
-                yield [p_idx, partner, b_idx], u0, np.zeros(2), [[v] for v in remaining], 0
+                yield (p_idx, partner, b_idx), [(v,) for v in remaining], 0
 
     if not black_vertices:
-        yield [b_idx], b_pt / np.linalg.norm(b_pt), b_pt, [], spare
+        yield (b_idx,), [], spare
         return
     groups_after = {
         v_star: _pair_groups([v for v in black_vertices if v != v_star], n_v)
@@ -519,49 +551,87 @@ def _strip_plans(arrangement: Arrangement, labels: np.ndarray, black: int):
         groups = groups_after[v_star]
         if len(groups) > spare:
             continue
-        yield ([b_idx, v_star], _chord_normal(b_pt, pts[v_star]), 0.5 * (b_pt + pts[v_star]),
-               groups, spare - len(groups))
+        yield (b_idx, v_star), groups, spare - len(groups)
+
+
+def _strip_direction(pts: np.ndarray, strip_key: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The natural direction ``u0`` and the anchor of the strip holding ``strip_key``.
+
+    Two vertices and the interior point: the normal of the vertices' chord,
+    pointing away from the centre, anchored at the centre. The interior
+    point and one vertex: the normal of their chord, anchored at its
+    middle. The interior point alone: its own direction, anchored at it.
+    """
+    if len(strip_key) == 3:
+        p_pt, partner_pt = pts[strip_key[0]], pts[strip_key[1]]
+        u0 = _chord_normal(p_pt, partner_pt)
+        if float(u0 @ (p_pt + partner_pt)) < 0.0:
+            u0 = -u0
+        return u0, np.zeros(2)
+    b_pt = pts[strip_key[0]]
+    if len(strip_key) == 2:
+        v_pt = pts[strip_key[1]]
+        return _chord_normal(b_pt, v_pt), 0.5 * (b_pt + v_pt)
+    return b_pt / np.linalg.norm(b_pt), b_pt
+
+
+def _strip_core(arrangement: Arrangement, strip_key: tuple[int, ...]):
+    """``(core, whites)`` of the strip holding exactly ``strip_key``, or None.
+
+    ``core`` is the strip's minority prototype and ``whites`` its two
+    reflections across the strip lines; None when no placement exists or a
+    prototype would leave the circumcircle.
+    """
+    pts = arrangement.points
+    radius = arrangement.radius
+    u0, anchor = _strip_direction(pts, strip_key)
+    out_pts = pts[[i for i in range(arrangement.n) if i not in strip_key]]
+    strip = _build_strip(pts[list(strip_key)], out_pts, u0, anchor, radius)
+    if strip is None:
+        return None
+    core, w_dn, w_up = _strip_prototypes(*strip, anchor)
+    if max(np.linalg.norm(core), np.linalg.norm(w_dn), np.linalg.norm(w_up)) >= radius:
+        return None
+    return core, (w_dn, w_up)
+
+
+def _park_prototypes(count: int, radius: float) -> tuple[np.ndarray, ...]:
+    """``count`` surplus prototypes parked far below the arrangement."""
+    parked = []
+    for j in range(count):
+        ang = -math.pi / 2.0 + 0.13 * (j + 1)
+        parked.append(_PARK_RADIUS * radius * np.array([math.cos(ang), math.sin(ang)]))
+    return tuple(parked)
 
 
 def _strip_witness(
     arrangement: Arrangement,
     black: int,
-    strip_indices: list[int],
-    u0: np.ndarray,
-    anchor: np.ndarray,
-    groups: list[list[int]],
+    strip_key: tuple[int, ...],
+    groups: list[tuple[int, ...]],
     park: int,
     mu: float,
 ):
-    """The prototype set of one strip plan, or None when the plan does not build."""
-    pts = arrangement.points
-    radius = arrangement.radius
-    n_v = 2 * arrangement.param - 1
-    strip_in = pts[strip_indices]
-    out_pts = pts[[i for i in range(arrangement.n) if i not in strip_indices]]
-    strip = _build_strip(strip_in, out_pts, u0, anchor, radius)
+    """The prototype set of one strip plan, or None when the plan does not build.
+
+    The strip, every cut prototype and the parked prototypes come from the
+    arrangement's plan table; only their assembly is per labelling.
+    """
+    strip = _planned(arrangement, ("strip", strip_key), lambda: _strip_core(arrangement, strip_key))
     if strip is None:
         return None
-    u, lo, hi = strip
-    core, w_dn, w_up = _strip_prototypes(u, lo, hi, anchor)
-    if max(np.linalg.norm(core), np.linalg.norm(w_dn), np.linalg.norm(w_up)) >= radius:
-        return None
+    core, whites = strip
     protos = [core]
-    labels = [black]
-    whites = [w_dn, w_up]
     for group in groups:
-        others = np.array([pts[i] for i in range(arrangement.n) if i not in group])
-        b = _cut_prototype(pts[group], others, _outward(pts[:n_v], group), whites, radius, mu)
+        b = _planned(arrangement, ("cut", strip_key, group, mu),
+                     lambda: _cut_prototype(arrangement, group, whites, mu))
         if b is None:
             return None
         protos.append(b)
-        labels.append(black)
-    for j in range(park):
-        ang = -math.pi / 2.0 + 0.13 * (j + 1)
-        protos.append(_PARK_RADIUS * radius * np.array([math.cos(ang), math.sin(ang)]))
-        labels.append(black)
+    protos.extend(_planned(arrangement, ("park", park),
+                           lambda: _park_prototypes(park, arrangement.radius)))
     protos.extend(whites)
-    labels.extend([-black, -black])
+    labels = [black] * (len(protos) - 2) + [-black, -black]
     try:
         return LabeledPrototypeSet(np.array(protos), np.array(labels))
     except InvalidInputError:
@@ -594,14 +664,14 @@ def gunn_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEFAU
 
     if labels[i1] == labels[i2]:
         return _disc_witness(
-            pts[:n_v], labels[:n_v], int(labels[i1]), pts[[i1, i2]], arrangement.budget - 1,
-            arrangement.radius,
+            arrangement, pts[:n_v], labels[:n_v], int(labels[i1]), pts[[i1, i2]],
+            arrangement.budget - 1,
         )
 
     # interior labels differ: "black" is the minority class (2m+1 is odd,
     # so there is no tie), and the black interior point is in it
     black = 1 if int((labels == 1).sum()) < int((labels == -1).sum()) else -1
-    for plan in _strip_plans(arrangement, labels, black):
+    for plan in _strip_plans(arrangement, labels.tolist(), black):
         s = _strip_witness(arrangement, black, *plan, mu)
         if s is not None:
             return s

@@ -110,6 +110,11 @@ class ConvexPolytope:
     def n_facets(self) -> int:
         return len(self.facets)
 
+    @property
+    def normals(self) -> np.ndarray:
+        """Unit facet normals, shape (n_facets, dim)."""
+        return self._normals
+
     def side_values(self, xs: np.ndarray) -> np.ndarray:
         """Signed facet distances, shape (n_points, n_facets)."""
         xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))

@@ -235,8 +235,16 @@ def shatter_coefficient_exhaustive(points, m: int, cfg: SearchConfig) -> int:
 
     A lower bound on the shatter coefficient: search failures undercount,
     successes are margin-verified so the count never exceeds the truth.
+    ``m < 1``, and ``points`` that are not a finite non-empty (n, d) array,
+    raise ``InvalidInputError``.
     """
+    if m < 1:
+        raise InvalidInputError(f"m must be >= 1, got {m}")
     points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2 or 0 in points.shape:
+        raise InvalidInputError(f"points must be a non-empty (n, d) array, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise InvalidInputError("point coordinates must be finite")
     n = points.shape[0]
     if n > _MAX_COEFFICIENT_N:
         raise InvalidInputError(f"2^{n} labelings is beyond desk scale for counting")

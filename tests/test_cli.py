@@ -205,6 +205,25 @@ class TestWitnessAndVerify:
         assert code == EXIT_USAGE
         assert "0x400" in err
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("gunn", "--m", "4"), "3363c8a211d4c59517c43434aaeed76293c4bd7f3b4bee4458fe201cd4c49a3a"),
+            (("gunn", "--m", "5"), "a94a6ee9b8878ce15e1904f91bd2e10aaeedf6e5b7e028d7435cc0b395bb74d8"),
+            (("takacs", "--n", "2"), "5d87b4080f5b7061515102538fd33455ce353f0f60ff588b534d1ba46885b3a6"),
+            (("takacs", "--n", "3"), "6411c87dddad41775cf59b5108c65807887a547d7e6312fcfd8b4dbd856145b8"),
+            (("polytope", "--square", "--seed", "0"),
+             "a2ec3a5ed625adf1108b3b8a1005b5be790fb3270444a241617f00ad2f905d21"),
+        ],
+        ids=["gunn4", "gunn5", "takacs2", "takacs3", "square"],
+    )
+    def test_witness_certificate_bytes_are_frozen(self, capsys, tmp_path, argv, digest):
+        # recorded before the gunn strip and cut geometry moved into per-arrangement tables
+        path = tmp_path / "witness.json"
+        code, _, _ = run_cli(capsys, "witness", *argv, "--no-meta", "--out", str(path))
+        assert code == EXIT_OK
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     def test_unknown_schema_rejected(self, capsys, tmp_path):
         path = tmp_path / "bogus.json"
         path.write_text(json.dumps({"schema": "nonsense/9"}))

@@ -18,7 +18,7 @@ from vcnn.constructions import (
     takacs_shatter,
 )
 from vcnn.errors import InvalidInputError, InvalidWitnessError, UnsupportedParametersError
-from vcnn.geometry import ConvexPolytope, Halfspace, contains_many, regular_polygon_vertices
+from vcnn.geometry import ConvexPolytope, Halfspace, contains_many, reflect, regular_polygon_vertices
 from vcnn.verification import verify_shattering
 
 
@@ -218,6 +218,43 @@ class TestPolytopeToPrototypes:
         assert_membership_agreement(digon, witness, -1, rng)
 
 
+def reflect_each_facet(polytope, interior, inside_label):
+    """The reflection witness built one facet at a time with ``geometry.reflect``."""
+    protos = [interior] + [reflect(interior, f) for f in polytope.facets]
+    labels = [inside_label] + [-inside_label] * polytope.n_facets
+    return np.array(protos), np.array(labels)
+
+
+class TestPolytopeToPrototypesMatchesReflect:
+    def test_bit_identical_at_origin(self, rng):
+        from conftest import random_convex_polygon
+
+        for _ in range(50):
+            poly = random_convex_polygon(rng, int(rng.integers(3, 12)))
+            label = int(rng.choice([-1, 1]))
+            witness = polytope_to_prototypes(poly, np.zeros(2), label)
+            protos, labels = reflect_each_facet(poly, np.zeros(2), label)
+            assert witness.prototypes.tobytes() == protos.tobytes()
+            assert witness.labels.tolist() == labels.tolist()
+
+    def test_close_elsewhere(self, rng):
+        from conftest import random_convex_polygon, random_simplex
+
+        cases = [random_simplex(rng, dim) for dim in (2, 3, 4, 5) for _ in range(5)]
+        for _ in range(20):
+            poly = random_convex_polygon(rng, int(rng.integers(3, 12)))
+            cases.append((poly, rng.uniform(-0.2, 0.2, size=2)))
+        for poly, interior in cases:
+            witness = polytope_to_prototypes(poly, interior, 1)
+            protos, labels = reflect_each_facet(poly, interior, 1)
+            assert np.allclose(witness.prototypes, protos, rtol=1e-12, atol=1e-12)
+            assert witness.labels.tolist() == labels.tolist()
+
+    def test_slack_refusal_kept(self):
+        with pytest.raises(InvalidWitnessError, match="strict interiority"):
+            polytope_to_prototypes(unit_square(), np.array([0.0, 1.0 - 1e-12]), 1)
+
+
 class TestTakacsShatter:
     def test_one_against_five_partition_uses_full_budget(self):
         arr = takacs_arrangement(2)
@@ -322,6 +359,44 @@ class TestGunnShatter:
         got, margins = evaluate_margins(witness, arr.points)
         assert np.all(got == labels)
         assert margins.min() >= 1e-6
+
+
+def same_witnesses(got, want):
+    assert got.verified and want.verified
+    assert got.min_margin == want.min_margin
+    assert got.witnesses.keys() == want.witnesses.keys()
+    for bits, witness in got.witnesses.items():
+        assert np.array_equal(witness.prototypes, want.witnesses[bits].prototypes)
+        assert np.array_equal(witness.labels, want.witnesses[bits].labels)
+
+
+class TestGunnPlanTable:
+    def test_sweeps_match_fresh_arrangements(self):
+        # one arrangement swept at two margins, then a second arrangement:
+        # each sweep must equal the same sweep on a fresh arrangement
+        shared = gunn_arrangement(5)
+        first = verify_shattering(shared, gunn_shatter, 1e-6)
+        same_witnesses(first, verify_shattering(gunn_arrangement(5), gunn_shatter, 1e-6))
+        same_witnesses(verify_shattering(shared, gunn_shatter, 1e-3),
+                       verify_shattering(gunn_arrangement(5), gunn_shatter, 1e-3))
+        wide = gunn_arrangement(5, radius=2.0)
+        same_witnesses(verify_shattering(wide, gunn_shatter, 1e-6),
+                       verify_shattering(gunn_arrangement(5, radius=2.0), gunn_shatter, 1e-6))
+
+        # witnesses own their arrays: scribbling over them changes no later sweep
+        for witness in first.witnesses.values():
+            witness.prototypes[:] = 7.0
+        same_witnesses(verify_shattering(shared, gunn_shatter, 1e-6),
+                       verify_shattering(gunn_arrangement(5), gunn_shatter, 1e-6))
+
+    def test_arrangement_points_are_read_only(self):
+        points = gunn_arrangement(4).points.copy()
+        arr = Arrangement(kind="gunn", points=points, radius=1.0, param=4,
+                          inner_indices=(7, 8), apex_index=0)
+        points[0] = 5.0    # the caller's array is not the arrangement's
+        assert arr.points[0, 0] != 5.0
+        with pytest.raises(ValueError):
+            arr.points[0, 0] = 5.0
 
 
 class TestRandomPolytopeAgreement:

@@ -229,6 +229,23 @@ class TestShatterCoefficient:
             counts.append(shatter_coefficient_exhaustive(pts, 3, cfg))
         assert counts[0] == counts[1] == counts[2]
 
+    @pytest.mark.parametrize(
+        "points, m",
+        [
+            ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 0),
+            ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], -1),
+            ([0.0, 1.0, 2.0], 2),                        # 1-d: no dimension axis
+            (np.zeros((3, 2, 1)), 2),
+            (np.zeros((3, 0)), 2),
+            ([[0.0, 0.0], [1.0, math.nan], [0.0, 1.0]], 2),
+        ],
+        ids=["m0", "m-1", "1d-points", "3d-array", "zero-dim", "nan"],
+    )
+    def test_bad_input_refused(self, points, m):
+        cfg = SearchConfig(d=2, m=2, n=3, trials=1, steps=1)
+        with pytest.raises(InvalidInputError):
+            shatter_coefficient_exhaustive(points, m, cfg)
+
     def test_desk_scale_guard(self, rng):
         pts = rng.uniform(-1, 1, size=(17, 2))
         cfg = SearchConfig(d=2, m=2, n=17, trials=1, steps=1)
