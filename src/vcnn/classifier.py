@@ -21,6 +21,7 @@ witnesses robust to floating point and independent of the tie rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,21 +48,24 @@ class LabeledPrototypeSet:
     def __post_init__(self):
         protos = np.asarray(self.prototypes, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
-        if protos.ndim != 2 or protos.shape[0] < 1:
-            raise InvalidInputError("prototypes must be a non-empty (m, d) array")
-        if labels.shape != (protos.shape[0],):
-            raise InvalidInputError("labels must match the number of prototypes")
-        if not np.all(np.isfinite(protos)):
-            raise InvalidInputError("prototype coordinates must be finite")
-        if not np.all(np.abs(labels) == 1):
-            raise InvalidInputError("labels must be +1 or -1")
-        if protos.shape[0] > 1:
-            dist = prototype_distances(protos, protos)
-            np.fill_diagonal(dist, np.inf)
-            if dist.min() <= DEFAULT_TOL:
-                raise InvalidInputError("prototypes must be pairwise distinct")
+        check_prototype_stack(protos[None], labels[None])
         object.__setattr__(self, "prototypes", protos)
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def from_checked_stack(cls, prototypes: np.ndarray, labels: np.ndarray) -> list["LabeledPrototypeSet"]:
+        """One set per row of stacks that ``check_prototype_stack`` accepted.
+
+        ``prototypes`` is (k, m, d) float64 and ``labels`` (k, m) int64;
+        each set holds views of its rows, which are not checked again.
+        """
+        sets = []
+        for protos, labs in zip(prototypes, labels):
+            s = object.__new__(cls)
+            object.__setattr__(s, "prototypes", protos)
+            object.__setattr__(s, "labels", labs)
+            sets.append(s)
+        return sets
 
     @property
     def m(self) -> int:
@@ -70,6 +74,41 @@ class LabeledPrototypeSet:
     @property
     def dim(self) -> int:
         return self.prototypes.shape[1]
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(m: int) -> tuple[np.ndarray, ...]:
+    """Indices ``(i, j)`` of every pair i < j of m prototypes, read-only: every caller shares them."""
+    pairs = np.triu_indices(m, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
+def check_prototype_stack(prototypes: np.ndarray, labels: np.ndarray) -> None:
+    """Raise ``InvalidInputError`` unless every row is a valid prototype set.
+
+    ``prototypes`` is a (k, m, d) float64 stack and ``labels`` a (k, m)
+    int64 stack of k sets of m >= 1 prototypes each. Each set needs finite
+    coordinates, labels +1 or -1, and prototypes pairwise more than
+    ``DEFAULT_TOL`` apart. This is the one check behind every
+    ``LabeledPrototypeSet``, one at a time or a stack at once.
+    """
+    if prototypes.ndim != 3 or prototypes.shape[1] < 1:
+        raise InvalidInputError("prototypes must be a non-empty (m, d) array")
+    if labels.shape != prototypes.shape[:2]:
+        raise InvalidInputError("labels must match the number of prototypes")
+    if not np.isfinite(prototypes).all():
+        raise InvalidInputError("prototype coordinates must be finite")
+    if not (np.abs(labels) == 1).all():
+        raise InvalidInputError("labels must be +1 or -1")
+    m = prototypes.shape[1]
+    if m > 1:
+        # each pair once: (p_j - p_i)^2 equals (p_i - p_j)^2 exactly
+        i, j = _upper_pairs(m)
+        diff = prototypes[:, j] - prototypes[:, i]
+        if np.sqrt((diff * diff).sum(axis=-1)).min() <= DEFAULT_TOL:
+            raise InvalidInputError("prototypes must be pairwise distinct")
 
 
 @dataclass(frozen=True)
@@ -96,9 +135,17 @@ class Labeling:
             raise InvalidInputError(f"index {i} out of range")
         return 1 if (self.bits >> i) & 1 else -1
 
-    def to_array(self) -> np.ndarray:
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        """The labels as a read-only int64 array, built once."""
         bits = (self.bits >> np.arange(self.size)) & 1
-        return np.where(bits == 1, 1, -1).astype(np.int64)
+        labels = np.where(bits == 1, 1, -1).astype(np.int64)
+        labels.setflags(write=False)
+        return labels
+
+    def to_array(self) -> np.ndarray:
+        """A writable copy of ``array``."""
+        return self.array.copy()
 
     @classmethod
     def from_array(cls, labels) -> "Labeling":
@@ -174,4 +221,4 @@ def realizes(s: LabeledPrototypeSet, points, labeling: Labeling, mu: float = DEF
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] != labeling.size:
         raise InvalidInputError("labelling size must match the number of points")
-    return realisation(s, pts, labeling.to_array(), mu)[0]
+    return realisation(s, pts, labeling.array, mu)[0]

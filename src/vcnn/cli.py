@@ -46,7 +46,8 @@ from .verification import (
     POLYTOPE_SCHEMA,
     SearchConfig,
     certificate_from_dict,
-    certificate_to_dict,
+    certificate_json,
+    certificate_to_dict,  # noqa: F401  (perfbench traces the certificate layer under cli.*)
     polytope_witness_to_dict,
     reverify_certificate,
     reverify_polytope_witness,
@@ -215,16 +216,16 @@ def cmd_witness(args) -> int:
         generator, gen_name = gunn_shatter, "gunn_shatter"
 
     cert = verify_shattering(arrangement, generator, mu=args.mu)
-    doc = certificate_to_dict(cert, gen_name, meta=None if args.no_meta else _meta())
+    text = certificate_json(cert, gen_name, meta=None if args.no_meta else _meta())
     if cert.verified:
-        _dump_json(doc, args.out)
+        _write_text(text, args.out)
         return EXIT_OK
     print(
         f"construction failed at labelling {cert.first_failure:#x}: {cert.failure_reason}",
         file=sys.stderr,
     )
     if args.force:
-        _dump_json(doc, args.out)
+        _write_text(text, args.out)
     return EXIT_VERIFICATION
 
 
@@ -305,7 +306,7 @@ def cmd_search(args) -> int:
     )
     if args.out:
         meta = None if args.no_meta else _meta(seed)
-        _dump_json(certificate_to_dict(cert, "search_lower_bound", meta=meta), args.out)
+        _write_text(certificate_json(cert, "search_lower_bound", meta=meta), args.out)
     return EXIT_OK
 
 

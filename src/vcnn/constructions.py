@@ -318,7 +318,7 @@ def takacs_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEF
     requires it.
     """
     _require_kind(arrangement, labeling, "takacs")
-    labels = labeling.to_array()
+    labels = labeling.array
     pts = arrangement.points
     centre = arrangement.center_index
     if np.all(labels == labels[0]):
@@ -654,7 +654,7 @@ def gunn_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEFAU
             f"mu / radius = {mu / arrangement.radius:.3g} exceeds {_CLEAR_MIN:g}, "
             "the largest margin ratio the gunn construction supports"
         )
-    labels = labeling.to_array()
+    labels = labeling.array
     pts = arrangement.points
     n_v = 2 * arrangement.param - 1
     i1, i2 = arrangement.inner_indices

@@ -5,8 +5,10 @@ generator for a witness prototype set, and checks it with the margin-aware
 realisation test; the result is a self-contained certificate that can be
 re-verified later without the generator. ``certificate_to_dict`` and
 ``certificate_from_dict`` are the JSON form of a certificate (schema
-``vcnn-certificate/1``); ``reverify_certificate`` re-runs the sweep with
-the stored witnesses as the generator. The polytope witness file (schema
+``vcnn-certificate/1``); ``certificate_json`` writes the same text as
+``json.dumps`` of that document from the witness arrays, and the loader
+reads the witnesses back as stacked arrays. ``reverify_certificate``
+re-runs the sweep with the stored witnesses as the generator. The polytope witness file (schema
 ``vcnn-polytope-witness/1``) is written and re-verified here as well.
 
 ``search_lower_bound`` is the randomized complement to the constructive
@@ -21,13 +23,22 @@ seed, so results depend neither on evaluation order nor on chunking.
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import kernels
-from .classifier import DEFAULT_MU, LabeledPrototypeSet, Labeling, evaluate_margins, realisation
+from .classifier import (
+    DEFAULT_MU,
+    LabeledPrototypeSet,
+    Labeling,
+    check_prototype_stack,
+    evaluate_margins,
+    realisation,
+)
 from .constructions import Arrangement, polytope_to_prototypes
 from .errors import CertificateError, ConstructionInfeasibleError, InvalidInputError
 from .geometry import ConvexPolytope, Halfspace, contains_many
@@ -88,7 +99,7 @@ def verify_shattering(arrangement: Arrangement, generator, mu: float = DEFAULT_M
                 f"witness uses {witness.m} prototypes, over the budget of {arrangement.budget}"
             )
             return cert
-        ok, worst = realisation(witness, arrangement.points, labeling.to_array(), mu)
+        ok, worst = realisation(witness, arrangement.points, labeling.array, mu)
         if not ok:
             cert.first_failure = bits
             cert.failure_reason = f"witness misclassifies or undercuts margin (min {worst:.3e})"
@@ -193,7 +204,7 @@ class _SearchGenerator:
         span = points.max(axis=0) - points.min(axis=0)
         scale = max(float(span.max()), 1e-6)
         bits = range(start, min(start + self.chunk, 1 << n))
-        targets = np.array([Labeling(b, n).to_array() for b in bits])
+        targets = np.array([Labeling(b, n).array for b in bits])
         pools = [
             _restart_pool(np.random.default_rng([cfg.rng_seed, self.ps, b]), points, target,
                           cfg.trials, arrangement.budget, span, scale)
@@ -257,7 +268,7 @@ def shatter_coefficient_exhaustive(points, m: int, cfg: SearchConfig) -> int:
             witness = generator(arrangement, labeling, cfg.mu)
         except ConstructionInfeasibleError:
             continue
-        count += realisation(witness, points, labeling.to_array(), cfg.mu)[0]
+        count += realisation(witness, points, labeling.array, cfg.mu)[0]
     return count
 
 
@@ -306,13 +317,127 @@ def certificate_to_dict(cert: ShatterCertificate, generator: str, meta: dict | N
     return doc
 
 
+def _rendered(values: np.ndarray, render) -> np.ndarray:
+    """``render`` of each element of the 1-D ``values``, as an object array.
+
+    ``render`` runs once per distinct 64-bit pattern, not per distinct
+    value, so ``0.0`` and ``-0.0`` keep their own text.
+    """
+    patterns, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([render(v) for v in patterns.view(values.dtype).tolist()], dtype=object)
+    return texts[inverse.ravel()]
+
+
+def _entry_template(m: int, d: int) -> str:
+    """The ``json.dumps(..., indent=2)`` text of one witness entry of m prototypes in R^d.
+
+    Fields: the key, the m labels, then the m * d coordinates row by row.
+    """
+    row = "        [\n" + ",\n".join(["          {}"] * d) + "\n        ]" if d else "        []"
+    return (
+        '    "{}": {{\n      "labels": [\n' + ",\n".join(["        {}"] * m)
+        + '\n      ],\n      "prototypes": [\n' + ",\n".join([row] * m) + "\n      ]\n    }}"
+    )
+
+
+def _witness_entries(witnesses: dict[int, LabeledPrototypeSet]) -> list[str]:
+    """The text of every witness entry, in the order of their JSON keys."""
+    keyed = sorted(((format(bits, "#x"), w) for bits, w in witnesses.items()), key=lambda kw: kw[0])
+    groups: dict[tuple[int, int], list[int]] = {}
+    for pos, (_, w) in enumerate(keyed):
+        groups.setdefault(w.prototypes.shape, []).append(pos)
+    entries = [""] * len(keyed)
+    for (m, d), pos in groups.items():
+        k = len(pos)
+        protos = np.stack([keyed[p][1].prototypes for p in pos])
+        labels = np.stack([keyed[p][1].labels for p in pos])
+        fields = np.concatenate([
+            np.array([keyed[p][0] for p in pos], dtype=object).reshape(k, 1),
+            _rendered(labels.ravel(), int.__repr__).reshape(k, m),
+            _rendered(protos.ravel(), float.__repr__).reshape(k, m * d),
+        ], axis=1)
+        template = _entry_template(m, d)
+        for p, row in zip(pos, fields.tolist()):
+            entries[p] = template.format(*row)
+    return entries
+
+
+def certificate_json(cert: ShatterCertificate, generator: str, meta: dict | None = None) -> str:
+    """``json.dumps(certificate_to_dict(cert, generator, meta), sort_keys=True, indent=2) + "\\n"``.
+
+    The same bytes, built from the prototype arrays: every field but
+    ``"witnesses"`` (the last key in sorted order) is ``json.dumps`` of the
+    document ``certificate_to_dict`` builds, so the schema has one
+    definition; the witness table is filled in from one text template per
+    prototype shape, with ``float.__repr__`` (what ``json`` writes) run
+    once per distinct coordinate bit pattern of each shape.
+    """
+    # one witness is enough for certificate_to_dict to write the recorded min_margin
+    head = replace(cert, witnesses=dict(itertools.islice(cert.witnesses.items(), 1)))
+    doc = certificate_to_dict(head, generator, meta)
+    del doc["witnesses"]
+    prefix = json.dumps(doc, sort_keys=True, indent=2)[: -len("\n}")] + ',\n  "witnesses": '
+    if not cert.witnesses:
+        return prefix + "{}\n}\n"
+    entries = _witness_entries(cert.witnesses)
+    # one join builds the text, with no intermediate copy of the table
+    entries[0] = prefix + "{\n" + entries[0]
+    entries[-1] += "\n  }\n}\n"
+    return ",\n".join(entries)
+
+
+# Most witness entries parsed and checked as one stack: enough to spread
+# NumPy's per-call cost, few enough that the temporaries stay small (a whole
+# gunn m=7 group at once raised the peak RSS of verify from 106 to 134 MB).
+_LOAD_ROWS = 4096
+
+
+def _load_witnesses(entries: dict, n: int) -> dict[int, LabeledPrototypeSet]:
+    """The witnesses of a certificate's ``"witnesses"`` table over n points.
+
+    Entries are grouped by prototype count; each group is stacked, up to
+    ``_LOAD_ROWS`` entries at a time, into one (k, m, d) coordinate and one
+    (k, m) label array, checked once with ``check_prototype_stack`` and
+    wrapped row by row. Labels must be JSON integers. Raises
+    ``CertificateError`` for a key that is not a labelling of n points
+    written as ``format(bits, "#x")``, and lets NumPy's and the stack
+    check's errors through for a malformed entry.
+    """
+    groups: dict[int, list[tuple[int, dict]]] = {}
+    witnesses: dict[int, LabeledPrototypeSet | None] = {}   # keys in the document's order
+    for key, val in entries.items():
+        bits = int(key, 16)
+        if key != format(bits, "#x"):
+            raise CertificateError(f"witness key {key!r} is not written as {bits:#x}")
+        if not 0 <= bits < 1 << n:
+            raise CertificateError(f"witness key {bits:#x} is not a labelling of {n} points")
+        groups.setdefault(len(val["prototypes"]), []).append((bits, val))
+        witnesses[bits] = None
+    for group in groups.values():
+        # a block of rows at a time bounds the temporaries of parsing and checking
+        for lo in range(0, len(group), _LOAD_ROWS):
+            block = group[lo : lo + _LOAD_ROWS]
+            label_rows = [val["labels"] for _, val in block]
+            if set(map(type, itertools.chain.from_iterable(label_rows))) - {int}:
+                raise ValueError("witness labels must be JSON integers +1 or -1")
+            protos = np.array([val["prototypes"] for _, val in block], dtype=np.float64)
+            labels = np.array(label_rows, dtype=np.int64)
+            check_prototype_stack(protos, labels)
+            for (bits, _), w in zip(block, LabeledPrototypeSet.from_checked_stack(protos, labels)):
+                witnesses[bits] = w
+    return witnesses
+
+
 def certificate_from_dict(doc: dict) -> ShatterCertificate:
     """The certificate stored in a ``certificate_to_dict`` document.
 
     Raises ``CertificateError`` for an unknown schema or arrangement kind,
     a malformed document, a margin ``mu`` that is not finite and positive,
-    or a witness key that is not a labelling of the stored points written
-    as ``format(bits, "#x")``.
+    a ``verified`` that is not a JSON boolean, a ``min_margin`` that is not
+    a number (or null when no witness is stored) or is not finite although
+    a stored witness has both labels, a witness label that is not a JSON
+    integer +1 or -1, or a witness key that is not a labelling of the
+    stored points written as ``format(bits, "#x")``.
     """
     if not isinstance(doc, dict):
         raise CertificateError(f"a certificate is a JSON object, not {type(doc).__name__}")
@@ -332,39 +457,40 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
             inner_indices=tuple(special["inner_indices"]) if "inner_indices" in special else None,
             apex_index=special.get("apex_index"),
         )
-        witnesses = {
-            int(key, 16): LabeledPrototypeSet(
-                np.asarray(val["prototypes"], dtype=np.float64),
-                np.asarray(val["labels"], dtype=np.int64),
-            )
-            for key, val in doc["witnesses"].items()
-        }
-        cert = ShatterCertificate(
-            arrangement=arr,
-            mu=float(doc["mu"]),
-            witnesses=witnesses,
-            min_margin=float(doc["min_margin"]) if doc.get("min_margin") is not None else float("inf"),
-            verified=bool(doc["verified"]),
-        )
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        witnesses = _load_witnesses(doc["witnesses"], arr.n)
+        mu = float(doc["mu"])
+        verified = doc["verified"]
+        recorded = doc.get("min_margin")
+        if recorded is not None and (isinstance(recorded, bool) or not isinstance(recorded, (int, float))):
+            raise ValueError(f"min_margin must be a number or null, got {recorded!r}")
+        min_margin = float("inf") if recorded is None else float(recorded)
+    except CertificateError:
+        raise
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed certificate: {exc}") from exc
-    if not 0 < cert.mu < math.inf:
-        raise CertificateError(f"mu must be finite and positive, got {cert.mu!r}")
-    for key in doc["witnesses"]:
-        bits = int(key, 16)
-        if key != format(bits, "#x"):
-            raise CertificateError(f"witness key {key!r} is not written as {bits:#x}")
-        if not 0 <= bits < 1 << arr.n:
-            raise CertificateError(f"witness key {bits:#x} is not a labelling of {arr.n} points")
-    return cert
+    if not 0 < mu < math.inf:
+        raise CertificateError(f"mu must be finite and positive, got {mu!r}")
+    if not isinstance(verified, bool):
+        raise CertificateError(f"verified must be true or false, got {verified!r}")
+    if witnesses and recorded is None:
+        raise CertificateError("min_margin must be a number when witnesses are stored, got null")
+    # the sweep records +inf exactly when no stored witness has both labels
+    if witnesses and not math.isfinite(min_margin) and not (
+        min_margin == math.inf and all(w.labels.min() == w.labels.max() for w in witnesses.values())
+    ):
+        raise CertificateError(
+            f"min_margin must be finite when a stored witness has both labels, got {recorded!r}"
+        )
+    return ShatterCertificate(arrangement=arr, mu=mu, witnesses=witnesses, min_margin=min_margin,
+                              verified=verified)
 
 
 def reverify_certificate(cert: ShatterCertificate) -> tuple[bool, str]:
     """Re-check every labelling from the stored witnesses alone.
 
     Runs ``verify_shattering`` with the stored witnesses as the generator,
-    then compares the recomputed minimum margin with the recorded one.
-    Returns ``(ok, message)``.
+    then compares the recomputed minimum margin with the recorded one,
+    +inf included. Returns ``(ok, message)``.
     """
     def stored(_arrangement, labeling: Labeling, _mu) -> LabeledPrototypeSet:
         if labeling.bits not in cert.witnesses:
@@ -375,7 +501,7 @@ def reverify_certificate(cert: ShatterCertificate) -> tuple[bool, str]:
     if not check.verified:
         return False, f"labelling {check.first_failure:#x}: {check.failure_reason}"
     worst = check.min_margin
-    if cert.min_margin != float("inf") and not np.isclose(worst, cert.min_margin, rtol=1e-12, atol=0):
+    if not np.isclose(worst, cert.min_margin, rtol=1e-12, atol=0):
         return False, f"recorded min margin {cert.min_margin!r} does not match recomputed {worst!r}"
     return True, f"all {len(check.witnesses)} labelings pass at mu {cert.mu:.1e} (min margin {worst:.6g})"
 

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 from vcnn.classifier import (
     LabeledPrototypeSet,
     Labeling,
+    check_prototype_stack,
     classify,
     evaluate_margins,
     nearest_distances,
     realisation,
     realizes,
 )
+from vcnn.constructions import gunn_arrangement, gunn_shatter, takacs_arrangement, takacs_shatter
 from vcnn.errors import InvalidInputError
+from vcnn.geometry import DEFAULT_TOL
 
 
 def two_prototypes():
@@ -35,6 +38,47 @@ class TestLabeledPrototypeSet:
             LabeledPrototypeSet(np.array([[0.0, 0.0]]), np.array([2]))
 
 
+class TestCheckPrototypeStack:
+    def stack(self):
+        protos = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]] * 4)
+        labels = np.array([[1, -1, 1]] * 4)
+        return protos, labels
+
+    def test_valid_stack_passes(self):
+        check_prototype_stack(*self.stack())
+
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            lambda p, l: p.__setitem__((2, 1, 0), np.nan),
+            lambda p, l: l.__setitem__((2, 1), 0),
+            lambda p, l: p.__setitem__((2, 2), p[2, 0] + [0.5 * DEFAULT_TOL, 0.0]),
+            lambda p, l: p.__setitem__((2, 2), p[2, 0] + [DEFAULT_TOL, 0.0]),
+        ],
+        ids=["non-finite", "label-zero", "coincident", "at-tolerance"],
+    )
+    def test_defect_in_a_later_row_refused(self, defect):
+        protos, labels = self.stack()
+        defect(protos, labels)
+        with pytest.raises(InvalidInputError):
+            check_prototype_stack(protos, labels)
+
+    def test_matches_the_full_distance_matrix(self, rng):
+        # the upper triangle gives the same verdict as every ordered pair
+        for _ in range(200):
+            protos = rng.normal(size=(1, 5, 2))
+            protos[0, 3] = protos[0, 1] + rng.choice([0.0, 0.5, 1.0, 2.0]) * DEFAULT_TOL * rng.normal(size=2)
+            diff = protos[0][None, :, :] - protos[0][:, None, :]
+            dist = np.sqrt((diff * diff).sum(axis=-1))
+            np.fill_diagonal(dist, np.inf)
+            try:
+                check_prototype_stack(protos, np.ones((1, 5), dtype=np.int64))
+                refused = False
+            except InvalidInputError:
+                refused = True
+            assert refused == bool(dist.min() <= DEFAULT_TOL)
+
+
 class TestLabeling:
     def test_bitmask_semantics(self):
         lab = Labeling(0b101, 3)
@@ -44,6 +88,28 @@ class TestLabeling:
     def test_roundtrip(self):
         arr = np.array([1, -1, -1, 1, 1])
         assert Labeling.from_array(arr).to_array().tolist() == arr.tolist()
+
+    def test_array_is_built_once_and_read_only(self):
+        lab = Labeling(0b101, 3)
+        assert lab.array is lab.array
+        assert lab.array.dtype == np.int64 and lab.array.tolist() == [1, -1, 1]
+        with pytest.raises(ValueError):
+            lab.array[0] = -1
+        copy = lab.to_array()
+        copy[0] = -1
+        assert lab.array.tolist() == [1, -1, 1]
+
+    @pytest.mark.parametrize(
+        "arrangement, generator",
+        [(takacs_arrangement(2), takacs_shatter), (gunn_arrangement(4), gunn_shatter)],
+        ids=["takacs", "gunn"],
+    )
+    def test_witness_cannot_write_through_the_labelling(self, arrangement, generator):
+        lab = Labeling(0, arrangement.n)   # constant: the witness holds a slice of the labels
+        witness = generator(arrangement, lab)
+        with pytest.raises(ValueError):
+            witness.labels[0] = 1
+        assert lab.array.tolist() == [-1] * arrangement.n
 
     def test_out_of_range_bits(self):
         with pytest.raises(InvalidInputError):

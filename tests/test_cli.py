@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -143,6 +144,17 @@ class TestWitnessAndVerify:
         assert doc["verified"] is False
         assert "first_failure" in doc
 
+    def test_forced_file_with_one_sided_witnesses_reverifies(self, capsys, tmp_path):
+        # only the constant labelling 0x0 is stored, so the recorded min margin is +inf
+        path = tmp_path / "forced.json"
+        code, _, _ = run_cli(capsys, "witness", "takacs", "--n", "2", "--mu", "0.5",
+                             "--no-meta", "--force", "--out", str(path))
+        assert code == EXIT_VERIFICATION
+        doc = json.loads(path.read_text())
+        assert list(doc["witnesses"]) == ["0x0"] and doc["min_margin"] == math.inf
+        code, out, _ = run_cli(capsys, "verify", str(path))
+        assert (code, out) == (EXIT_VERIFICATION, "labelling 0x1: missing from certificate\n")
+
     def test_env_seed_is_default(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("VCNN_SEED", "42")
         path = tmp_path / "square.json"
@@ -255,6 +267,14 @@ def test_bad_input_is_usage_error(capsys, argv):
     assert err.startswith("error:")
 
 
+def _relabelled(doc: dict, relabel) -> dict:
+    witnesses = {
+        key: {**val, "labels": [relabel(label) for label in val["labels"]]}
+        for key, val in doc["witnesses"].items()
+    }
+    return {**doc, "witnesses": witnesses}
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -266,9 +286,19 @@ def test_bad_input_is_usage_error(capsys, argv):
         lambda doc: {**doc, "points": 5},
         lambda doc: {**doc, "kind": "foo"},
         lambda doc: {**doc, "witnesses": {**doc["witnesses"], "0x00": doc["witnesses"]["0x5"]}},
+        lambda doc: _relabelled(doc, lambda label: 1.5 * label),
+        lambda doc: _relabelled(doc, lambda label: True if label == 1 else label),
+        lambda doc: {**doc, "verified": "false"},
+        lambda doc: {**doc, "verified": 1},
+        lambda doc: {**doc, "min_margin": None},
+        lambda doc: {**doc, "min_margin": math.inf},
+        lambda doc: {**doc, "min_margin": math.nan},
+        lambda doc: {**doc, "min_margin": str(doc["min_margin"])},
     ],
     ids=["list", "string", "number", "witnesses-list", "special-list", "points-scalar",
-         "unknown-kind", "non-canonical-key"],
+         "unknown-kind", "non-canonical-key", "labels-scaled", "label-true", "verified-string",
+         "verified-number", "min-margin-null", "min-margin-infinite", "min-margin-nan",
+         "min-margin-string"],
 )
 def test_verify_of_non_object_is_usage_error(capsys, tmp_path, edit):
     path = tmp_path / "takacs2.json"

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -10,11 +11,20 @@ import pytest
 import vcnn
 from vcnn import verification
 from vcnn.classifier import LabeledPrototypeSet, Labeling, evaluate_margins
-from vcnn.constructions import gunn_arrangement, gunn_shatter, takacs_arrangement, takacs_shatter
-from vcnn.errors import CertificateError, InvalidInputError
+from vcnn.constructions import (
+    Arrangement,
+    gunn_arrangement,
+    gunn_shatter,
+    takacs_arrangement,
+    takacs_shatter,
+)
+from vcnn.errors import CertificateError, ConstructionInfeasibleError, InvalidInputError
+from vcnn.geometry import DEFAULT_TOL
 from vcnn.verification import (
     SearchConfig,
+    ShatterCertificate,
     certificate_from_dict,
+    certificate_json,
     certificate_to_dict,
     reverify_certificate,
     search_lower_bound,
@@ -148,6 +158,142 @@ class TestCertificateFiles:
         result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert "all 64 labelings pass" in result.stdout
+
+
+def _dumped(cert, generator, meta=None) -> str:
+    return json.dumps(certificate_to_dict(cert, generator, meta), sort_keys=True, indent=2) + "\n"
+
+
+def _no_witness(_arrangement, _labeling, _mu):
+    raise ConstructionInfeasibleError("no witness for this labelling")
+
+
+def _hand_built_certificate() -> ShatterCertificate:
+    """Witnesses of 1, 2 and 3 prototypes whose coordinates stress float text.
+
+    Keys 0x10 and 0x2 sort as strings, not as numbers.
+    """
+    points = np.array([[0.0, 1.0], [-0.0, 2.0], [0.5, 0.25], [1.0, 1.0], [-1.0, 0.5]])
+    arr = Arrangement(kind="search", points=points, radius=1.0, param=3)
+    witnesses = {
+        0x2: LabeledPrototypeSet(np.array([[0.0, -0.0], [5e-324, 1e16], [1e-05, 0.1]]),
+                                 np.array([1, -1, 1])),
+        0x10: LabeledPrototypeSet(np.array([[-1e22, -0.0]]), np.array([-1])),
+        0x7: LabeledPrototypeSet(np.array([[-0.0, 0.0], [0.1, 1e-05]]), np.array([-1, 1])),
+        0x0: LabeledPrototypeSet(np.array([[0.1, -0.0], [-0.0, 0.1]]), np.array([1, 1])),
+    }
+    return ShatterCertificate(arrangement=arr, mu=1e-6, witnesses=witnesses,
+                              min_margin=0.125, verified=False, first_failure=0x3,
+                              failure_reason="hand-built")
+
+
+class TestCertificateJson:
+    """``certificate_json`` writes exactly the bytes of ``json.dumps`` of ``certificate_to_dict``.
+
+    Mutant note: keying the coordinate text by float value instead of by
+    bit pattern (``np.unique`` on the floats) writes ``-0.0`` as ``0.0``
+    or the reverse, and fails ``test_hand_built_float_text``.
+    """
+
+    @pytest.mark.parametrize(
+        "arrangement, generator",
+        [
+            (gunn_arrangement(4), gunn_shatter),
+            (gunn_arrangement(5), gunn_shatter),
+            (takacs_arrangement(2), takacs_shatter),
+            (takacs_arrangement(3), takacs_shatter),
+        ],
+        ids=["gunn4", "gunn5", "takacs2", "takacs3"],
+    )
+    def test_constructions(self, arrangement, generator):
+        cert = verify_shattering(arrangement, generator)
+        assert cert.verified
+        assert certificate_json(cert, generator.__name__) == _dumped(cert, generator.__name__)
+
+    def test_search_in_three_dimensions(self):
+        _, cert = search_lower_bound(SearchConfig(d=3, m=2, n=4, trials=8, point_sets=2, steps=40))
+        assert cert is not None and cert.arrangement.points.shape[1] == 3
+        assert certificate_json(cert, "search_lower_bound") == _dumped(cert, "search_lower_bound")
+
+    def test_failure_at_the_first_labelling_has_no_witnesses(self):
+        cert = verify_shattering(takacs_arrangement(2), _no_witness)
+        assert cert.first_failure == 0 and not cert.witnesses
+        text = certificate_json(cert, "none")
+        assert text == _dumped(cert, "none")
+        assert json.loads(text)["min_margin"] is None
+
+    def test_with_meta(self):
+        cert = verify_shattering(takacs_arrangement(2), takacs_shatter)
+        meta = {"created": "2024-01-01T00:00:00+00:00", "tool": "vcnn 0.1.0", "seed": 3}
+        assert certificate_json(cert, "takacs_shatter", meta) == _dumped(cert, "takacs_shatter", meta)
+
+    def test_hand_built_float_text(self):
+        cert = _hand_built_certificate()
+        text = certificate_json(cert, "hand")
+        assert text == _dumped(cert, "hand")
+        assert text.index('"0x10"') < text.index('"0x2"') < text.index('"0x7"')
+        assert "-0.0" in text and "5e-324" in text and "-1e+22" in text
+
+
+def _per_witness(doc: dict) -> dict:
+    """The witnesses of ``doc`` built one ``LabeledPrototypeSet`` at a time."""
+    return {
+        int(key, 16): LabeledPrototypeSet(np.asarray(val["prototypes"], dtype=np.float64),
+                                          np.asarray(val["labels"], dtype=np.int64))
+        for key, val in doc["witnesses"].items()
+    }
+
+
+def _late_key(doc: dict, m: int) -> str:
+    """The last key, in document order, of a witness with m prototypes: never the first of its group."""
+    keys = [key for key, val in doc["witnesses"].items() if len(val["prototypes"]) == m]
+    assert len(keys) > 1
+    return keys[-1]
+
+
+class TestWitnessLoader:
+    @pytest.fixture(scope="class")
+    def gunn4_doc(self):
+        cert = verify_shattering(gunn_arrangement(4), gunn_shatter)
+        return json.loads(certificate_json(cert, "gunn_shatter"))
+
+    def test_stacked_load_equals_per_witness_load(self, gunn4_doc):
+        loaded = certificate_from_dict(gunn4_doc).witnesses
+        want = _per_witness(gunn4_doc)
+        assert list(loaded) == list(want)
+        assert {w.m for w in loaded.values()} == {1, 4}
+        for bits, w in want.items():
+            got = loaded[bits]
+            assert got.prototypes.dtype == w.prototypes.dtype == np.float64
+            assert got.labels.dtype == w.labels.dtype == np.int64
+            assert got.prototypes.shape == w.prototypes.shape
+            assert got.prototypes.tobytes() == w.prototypes.tobytes()
+            assert got.labels.tobytes() == w.labels.tobytes()
+
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            lambda w: w["prototypes"][1].__setitem__(0, math.nan),
+            lambda w: w["prototypes"][2].__setitem__(1, math.inf),
+            lambda w: w["labels"].__setitem__(1, 0),
+            lambda w: w["labels"].__setitem__(1, 1.5),
+            lambda w: w["labels"].__setitem__(1, True),
+            lambda w: w["prototypes"].__setitem__(2, list(w["prototypes"][0])),
+            lambda w: w["prototypes"].__setitem__(
+                2, [w["prototypes"][0][0] + 0.5 * DEFAULT_TOL, w["prototypes"][0][1]]),
+            lambda w: w["labels"].pop(),
+            lambda w: w.update(prototypes=[], labels=[]),
+            lambda w: w["prototypes"][3].append(0.0),
+            lambda w: w["labels"].__setitem__(0, [1]),
+        ],
+        ids=["nan", "inf", "label-zero", "label-float", "label-bool", "coincident",
+             "within-tol", "labels-short", "empty", "ragged-row", "nested-label"],
+    )
+    def test_defect_in_a_later_witness_refused(self, gunn4_doc, defect):
+        doc = json.loads(json.dumps(gunn4_doc))
+        defect(doc["witnesses"][_late_key(doc, 4)])
+        with pytest.raises(CertificateError):
+            certificate_from_dict(doc)
 
 
 class TestSearchConfig:
