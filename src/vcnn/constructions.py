@@ -67,30 +67,50 @@ _TILT_RANGE = 0.5    # radians scanned when a strip needs tilting
 _TILT_STEPS = 251
 
 
+_LAYOUTS = {
+    "takacs": lambda p: (2 * p + 2, 2 * p + 1, {"center_index": 2 * p + 1}, p + 1),
+    "gunn": lambda p: (2 * p + 1, 2 * p - 1, {"apex_index": 0, "inner_indices": [2 * p - 1, 2 * p]}, p),
+    "search": lambda p: (None, 0, {}, p),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class Arrangement:
-    """A concrete planar point set to be shattered, with its special indices."""
+    """A concrete point set to be shattered: its kind, param, radius and points.
+
+    ``_LAYOUTS[kind](param)`` derives the rest: (point count, None for any;
+    polygon vertex count; ``special`` indices; prototype ``budget``). takacs
+    N is the (2N+1)-gon then the centre, N+1 prototypes; gunn m the
+    (2m-1)-gon from its apex then the interior pair, m prototypes; search
+    any points, m prototypes. Checked once here: a known kind, a finite
+    positive radius, an integer param >= 1, and points forming a finite,
+    non-empty (n, d) array of the layout's point count.
+    """
 
     kind: str             # "takacs" | "gunn" | "search"
-    points: np.ndarray    # (n, 2)
+    points: np.ndarray    # (n, d)
     radius: float
-    param: int            # N for takacs, m for gunn
-    center_index: int | None = None
-    inner_indices: tuple[int, int] | None = None
-    apex_index: int | None = None
+    param: int            # N for takacs, m for gunn and search
     # arrangement-determined construction geometry, filled lazily (see _planned)
     _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("takacs", "gunn", "search"):
+        if self.kind not in _LAYOUTS:
             raise InvalidInputError(f"unknown arrangement kind {self.kind!r}")
+        if not 0 < self.radius < math.inf:
+            raise InvalidInputError(f"radius must be finite and positive, got {self.radius!r}")
+        if isinstance(self.param, bool) or not isinstance(self.param, (int, np.integer)) or self.param < 1:
+            raise InvalidInputError(f"param must be an integer >= 1, got {self.param!r}")
+        object.__setattr__(self, "param", int(self.param))   # a certificate writes it as JSON
         # a private read-only copy: the plan table is only valid for fixed points
         points = np.array(self.points, dtype=np.float64)
+        if points.ndim != 2 or 0 in points.shape or not np.isfinite(points).all():
+            raise InvalidInputError(f"points must be a finite, non-empty (n, d) array, got shape {points.shape}")
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
         # the budget is read from param, so param must be the one the points were built for
-        size = {"takacs": 2 * self.param + 2, "gunn": 2 * self.param + 1}.get(self.kind, self.n)
-        if self.n != size:
+        size = _LAYOUTS[self.kind](self.param)[0]
+        if size not in (None, self.n):
             raise InvalidInputError(
                 f"a {self.kind} arrangement with param {self.param} has {size} points, not {self.n}"
             )
@@ -100,9 +120,19 @@ class Arrangement:
         return self.points.shape[0]
 
     @property
+    def n_vertices(self) -> int:
+        """The polygon's vertex count: 2N+1 for takacs, 2m-1 for gunn, 0 for search."""
+        return _LAYOUTS[self.kind](self.param)[1]
+
+    @property
+    def special(self) -> dict:
+        """The indices of the layout's special points, as a certificate stores them."""
+        return _LAYOUTS[self.kind](self.param)[2]
+
+    @property
     def budget(self) -> int:
         """The most prototypes a witness may use: N+1 for takacs, m otherwise."""
-        return self.param + 1 if self.kind == "takacs" else self.param
+        return _LAYOUTS[self.kind](self.param)[3]
 
 
 def _planned(arrangement: Arrangement, key: tuple, build):
@@ -123,17 +153,9 @@ def takacs_arrangement(n_facets: int, radius: float = 1.0) -> Arrangement:
     """2N+1 equally spaced circle points plus the centre; 2N+2 points total."""
     if n_facets < 2:
         raise UnsupportedParametersError(f"need N >= 2 facets, got {n_facets}")
-    if not 0 < radius < math.inf:
-        raise InvalidInputError(f"radius must be finite and positive, got {radius!r}")
     circle = regular_polygon_vertices(2 * n_facets + 1, radius)
     points = np.vstack([circle, np.zeros((1, 2))])
-    return Arrangement(
-        kind="takacs",
-        points=points,
-        radius=radius,
-        param=n_facets,
-        center_index=2 * n_facets + 1,
-    )
+    return Arrangement(kind="takacs", points=points, radius=radius, param=n_facets)
 
 
 def centre_to_longest_diagonal(n_vertices: int, radius: float = 1.0) -> float:
@@ -173,20 +195,10 @@ def gunn_arrangement(m: int, radius: float = 1.0) -> Arrangement:
     """
     if m < 4:
         raise UnsupportedParametersError(f"need m >= 4, got {m}")
-    if not 0 < radius < math.inf:
-        raise InvalidInputError(f"radius must be finite and positive, got {radius!r}")
-    n_v = 2 * m - 1
-    verts = regular_polygon_vertices(n_v, radius, phase=math.pi / 2.0)
+    verts = regular_polygon_vertices(2 * m - 1, radius, phase=math.pi / 2.0)
     delta = inner_pair_offset(m, radius)
     points = np.vstack([verts, [[delta, 0.0], [-delta, 0.0]]])
-    return Arrangement(
-        kind="gunn",
-        points=points,
-        radius=radius,
-        param=m,
-        inner_indices=(n_v, n_v + 1),
-        apex_index=0,
-    )
+    return Arrangement(kind="gunn", points=points, radius=radius, param=m)
 
 
 def polytope_to_prototypes(
@@ -278,25 +290,24 @@ def _pad_facets(count: int, radius: float) -> tuple[Halfspace, ...]:
     return tuple(facets)
 
 
-def _disc_witness(
-    arrangement: Arrangement,
-    circle: np.ndarray,
-    circle_labels: np.ndarray,
-    inside_label: int,
-    kept_extra: np.ndarray,
-    n_facets: int,
-) -> LabeledPrototypeSet:
-    """The origin reflected across chords keeping the inside-labelled points, padded to ``n_facets``."""
+def _disc_witness(arrangement: Arrangement, labels: np.ndarray, inside_label: int) -> LabeledPrototypeSet:
+    """The origin reflected across chords cutting off the polygon vertices not labelled ``inside_label``.
+
+    Every point off the polygon must carry ``inside_label``. The chords are
+    padded to ``budget - 1`` facets.
+    """
     radius = arrangement.radius
-    mask = circle_labels != inside_label
-    kept = np.vstack([circle[~mask], kept_extra, np.zeros((1, 2))])
+    n_v = arrangement.n_vertices
+    circle = arrangement.points[:n_v]
+    mask = labels[:n_v] != inside_label
+    kept = np.vstack([circle[~mask], arrangement.points[n_v:], np.zeros((1, 2))])
     facets: list[Halfspace] = []
     for run in _circular_runs(mask.tolist()):
         facets.extend(_run_chords(circle, run, kept, radius))
     # pad with far redundant facets: every non-constant labelling uses the
     # full budget, so the prototype count depends only on the labelling
     # being constant or not
-    pad = n_facets - len(facets)
+    pad = arrangement.budget - 1 - len(facets)
     facets.extend(_planned(arrangement, ("pad", pad), lambda: _pad_facets(pad, radius)))
     return polytope_to_prototypes(ConvexPolytope(tuple(facets)), np.zeros(2), inside_label)
 
@@ -319,15 +330,10 @@ def takacs_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEF
     """
     _require_kind(arrangement, labeling, "takacs")
     labels = labeling.array
-    pts = arrangement.points
-    centre = arrangement.center_index
+    centre = arrangement.special["center_index"]
     if np.all(labels == labels[0]):
-        return LabeledPrototypeSet(pts[centre][None, :], labels[:1])
-    n_c = 2 * arrangement.param + 1
-    return _disc_witness(
-        arrangement, pts[:n_c], labels[:n_c], int(labels[centre]), pts[centre][None, :],
-        arrangement.budget - 1,
-    )
+        return LabeledPrototypeSet(arrangement.points[centre][None, :], labels[:1])
+    return _disc_witness(arrangement, labels, int(labels[centre]))
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +445,7 @@ def _cut_prototype(arrangement: Arrangement, group: tuple[int, ...], whites, mu:
     radius = arrangement.radius
     group_pts = pts[list(group)]
     other_pts = np.array([pts[i] for i in range(arrangement.n) if i not in group])
-    u = _outward(pts[: 2 * arrangement.param - 1], list(group))
+    u = _outward(pts[: arrangement.n_vertices], list(group))
     min_in = float((group_pts @ u).min())
     max_out = float((other_pts @ u).max())
     gap = min_in - max_out
@@ -523,8 +529,8 @@ def _strip_plans(arrangement: Arrangement, labels: list[int], black: int):
     budget parked far away.
     """
     pts = arrangement.points
-    n_v = 2 * arrangement.param - 1
-    i1, i2 = arrangement.inner_indices
+    n_v = arrangement.n_vertices
+    i1, i2 = arrangement.special["inner_indices"]
     b_idx, w_idx = (i1, i2) if labels[i1] == black else (i2, i1)
     black_vertices = [v for v in range(n_v) if labels[v] == black]
     spare = arrangement.budget - 3  # beyond the strip's core and its two reflections
@@ -655,18 +661,13 @@ def gunn_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEFAU
             "the largest margin ratio the gunn construction supports"
         )
     labels = labeling.array
-    pts = arrangement.points
-    n_v = 2 * arrangement.param - 1
-    i1, i2 = arrangement.inner_indices
+    i1, i2 = arrangement.special["inner_indices"]
 
     if np.all(labels == labels[0]):
         return LabeledPrototypeSet(np.zeros((1, 2)), labels[:1])
 
     if labels[i1] == labels[i2]:
-        return _disc_witness(
-            arrangement, pts[:n_v], labels[:n_v], int(labels[i1]), pts[[i1, i2]],
-            arrangement.budget - 1,
-        )
+        return _disc_witness(arrangement, labels, int(labels[i1]))
 
     # interior labels differ: "black" is the minority class (2m+1 is odd,
     # so there is no tie), and the black interior point is in it

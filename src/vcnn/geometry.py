@@ -151,7 +151,7 @@ def regular_polygon_vertices(n: int, radius: float = 1.0, phase: float = 0.0) ->
     """
     if n < 3:
         raise InvalidInputError(f"a polygon needs n >= 3 vertices, got {n}")
-    if radius <= 0:
-        raise InvalidInputError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise InvalidInputError(f"radius must be finite and positive, got {radius!r}")
     angles = phase + 2.0 * math.pi * np.arange(n) / n
     return radius * np.column_stack([np.cos(angles), np.sin(angles)])

@@ -85,29 +85,37 @@ def verify_shattering(arrangement: Arrangement, generator, mu: float = DEFAULT_M
     if not 0 < mu < math.inf:
         raise InvalidInputError(f"mu must be finite and positive, got {mu!r}")
     cert = ShatterCertificate(arrangement=arrangement, mu=mu)
-    for bits in range(1 << n):
-        labeling = Labeling(bits, n)
-        try:
-            witness = generator(arrangement, labeling, mu)
-        except ConstructionInfeasibleError as exc:
-            cert.first_failure = bits
-            cert.failure_reason = str(exc)
-            return cert
-        if witness.m > arrangement.budget:
-            cert.first_failure = bits
-            cert.failure_reason = (
-                f"witness uses {witness.m} prototypes, over the budget of {arrangement.budget}"
-            )
-            return cert
-        ok, worst = realisation(witness, arrangement.points, labeling.array, mu)
-        if not ok:
-            cert.first_failure = bits
-            cert.failure_reason = f"witness misclassifies or undercuts margin (min {worst:.3e})"
+    for bits, witness, worst, failure in _outcomes(arrangement, generator, mu):
+        if failure is not None:
+            cert.first_failure, cert.failure_reason = bits, failure
             return cert
         cert.witnesses[bits] = witness
         cert.min_margin = min(cert.min_margin, worst)
     cert.verified = True
     return cert
+
+
+def _outcomes(arrangement: Arrangement, generator, mu: float):
+    """``(bits, witness, worst, failure)`` of every labelling in bitmask order.
+
+    ``failure`` is None when the witness passes the checks that
+    ``verify_shattering`` states, and says why not otherwise.
+    """
+    n = arrangement.n
+    for bits in range(1 << n):
+        labeling = Labeling(bits, n)
+        try:
+            witness = generator(arrangement, labeling, mu)
+        except ConstructionInfeasibleError as exc:
+            yield bits, None, None, str(exc)
+            continue
+        budget = arrangement.budget
+        if witness.m > budget:
+            yield bits, None, None, f"witness uses {witness.m} prototypes, over the budget of {budget}"
+            continue
+        ok, worst = realisation(witness, arrangement.points, labeling.array, mu)
+        failure = None if ok else f"witness misclassifies or undercuts margin (min {worst:.3e})"
+        yield bits, witness, worst, failure
 
 
 _STEP_INIT = 0.25   # first hill-climb step, as a fraction of the point set's extent
@@ -246,30 +254,14 @@ def shatter_coefficient_exhaustive(points, m: int, cfg: SearchConfig) -> int:
 
     A lower bound on the shatter coefficient: search failures undercount,
     successes are margin-verified so the count never exceeds the truth.
-    ``m < 1``, and ``points`` that are not a finite non-empty (n, d) array,
-    raise ``InvalidInputError``.
+    ``m`` and ``points`` that ``Arrangement`` refuses raise
+    ``InvalidInputError``.
     """
-    if m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {m}")
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or 0 in points.shape:
-        raise InvalidInputError(f"points must be a non-empty (n, d) array, got shape {points.shape}")
-    if not np.all(np.isfinite(points)):
-        raise InvalidInputError("point coordinates must be finite")
-    n = points.shape[0]
-    if n > _MAX_COEFFICIENT_N:
-        raise InvalidInputError(f"2^{n} labelings is beyond desk scale for counting")
     arrangement = Arrangement(kind="search", points=points, radius=1.0, param=m)
-    generator = _SearchGenerator(cfg, 0)
-    count = 0
-    for bits in range(1 << n):
-        labeling = Labeling(bits, n)
-        try:
-            witness = generator(arrangement, labeling, cfg.mu)
-        except ConstructionInfeasibleError:
-            continue
-        count += realisation(witness, points, labeling.array, cfg.mu)[0]
-    return count
+    if arrangement.n > _MAX_COEFFICIENT_N:
+        raise InvalidInputError(f"2^{arrangement.n} labelings is beyond desk scale for counting")
+    outcomes = _outcomes(arrangement, _SearchGenerator(cfg, 0), cfg.mu)
+    return sum(failure is None for *_, failure in outcomes)
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +275,13 @@ def certificate_to_dict(cert: ShatterCertificate, generator: str, meta: dict | N
     it is None, so the rest of the document is byte-reproducible.
     """
     arr = cert.arrangement
-    special = {}
-    if arr.center_index is not None:
-        special["center_index"] = arr.center_index
-    if arr.inner_indices is not None:
-        special["inner_indices"] = list(arr.inner_indices)
-    if arr.apex_index is not None:
-        special["apex_index"] = arr.apex_index
     doc = {
         "schema": CERTIFICATE_SCHEMA,
         "kind": arr.kind,
         "radius": arr.radius,
         "param": arr.param,
         "points": arr.points.tolist(),
-        "special": special,
+        "special": arr.special,
         "mu": cert.mu,
         "min_margin": cert.min_margin if cert.witnesses else None,
         "verified": cert.verified,
@@ -386,6 +371,16 @@ def certificate_json(cert: ShatterCertificate, generator: str, meta: dict | None
     return ",\n".join(entries)
 
 
+def _require_json_types(values, types: tuple, message: str) -> None:
+    """Raise ``ValueError(message)`` unless every element of ``values`` is one of ``types``, never a bool.
+
+    One pass of ``type`` over ``values``, then one test per distinct type.
+    """
+    for kind in set(map(type, values)):
+        if issubclass(kind, bool) or not issubclass(kind, types):
+            raise ValueError(message)
+
+
 # Most witness entries parsed and checked as one stack: enough to spread
 # NumPy's per-call cost, few enough that the temporaries stay small (a whole
 # gunn m=7 group at once raised the peak RSS of verify from 106 to 134 MB).
@@ -398,8 +393,8 @@ def _load_witnesses(entries: dict, n: int) -> dict[int, LabeledPrototypeSet]:
     Entries are grouped by prototype count; each group is stacked, up to
     ``_LOAD_ROWS`` entries at a time, into one (k, m, d) coordinate and one
     (k, m) label array, checked once with ``check_prototype_stack`` and
-    wrapped row by row. Labels must be JSON integers. Raises
-    ``CertificateError`` for a key that is not a labelling of n points
+    wrapped row by row. Labels must be JSON integers and coordinates JSON
+    numbers. Raises ``CertificateError`` for a key that is not a labelling of n points
     written as ``format(bits, "#x")``, and lets NumPy's and the stack
     check's errors through for a malformed entry.
     """
@@ -418,9 +413,12 @@ def _load_witnesses(entries: dict, n: int) -> dict[int, LabeledPrototypeSet]:
         for lo in range(0, len(group), _LOAD_ROWS):
             block = group[lo : lo + _LOAD_ROWS]
             label_rows = [val["labels"] for _, val in block]
-            if set(map(type, itertools.chain.from_iterable(label_rows))) - {int}:
-                raise ValueError("witness labels must be JSON integers +1 or -1")
-            protos = np.array([val["prototypes"] for _, val in block], dtype=np.float64)
+            proto_rows = [val["prototypes"] for _, val in block]
+            _require_json_types(itertools.chain.from_iterable(label_rows), (int,),
+                                "witness labels must be JSON integers +1 or -1")
+            _require_json_types(itertools.chain.from_iterable(itertools.chain.from_iterable(proto_rows)),
+                                (int, float), "witness coordinates must be JSON numbers")
+            protos = np.array(proto_rows, dtype=np.float64)
             labels = np.array(label_rows, dtype=np.int64)
             check_prototype_stack(protos, labels)
             for (bits, _), w in zip(block, LabeledPrototypeSet.from_checked_stack(protos, labels)):
@@ -431,38 +429,36 @@ def _load_witnesses(entries: dict, n: int) -> dict[int, LabeledPrototypeSet]:
 def certificate_from_dict(doc: dict) -> ShatterCertificate:
     """The certificate stored in a ``certificate_to_dict`` document.
 
-    Raises ``CertificateError`` for an unknown schema or arrangement kind,
-    a malformed document, a margin ``mu`` that is not finite and positive,
-    a ``verified`` that is not a JSON boolean, a ``min_margin`` that is not
-    a number (or null when no witness is stored) or is not finite although
-    a stored witness has both labels, a witness label that is not a JSON
-    integer +1 or -1, or a witness key that is not a labelling of the
-    stored points written as ``format(bits, "#x")``.
+    Raises ``CertificateError`` for an unknown schema, a malformed
+    document, an arrangement ``Arrangement`` refuses, a stored ``special``
+    (missing reads as ``{}``) other than the one ``kind`` and ``param``
+    derive, a ``mu``, ``radius`` or coordinate that is not a JSON number, a
+    margin ``mu`` that is not finite and positive, a ``verified`` that is
+    not a JSON boolean, a ``min_margin`` that is not a number (or null when
+    no witness is stored) or is not finite although a stored witness has
+    both labels, a witness label that is not a JSON integer +1 or -1, or a
+    witness key that is not a labelling of the stored points written as
+    ``format(bits, "#x")``.
     """
     if not isinstance(doc, dict):
         raise CertificateError(f"a certificate is a JSON object, not {type(doc).__name__}")
     if doc.get("schema") != CERTIFICATE_SCHEMA:
         raise CertificateError(f"unknown schema {doc.get('schema')!r}")
     try:
-        points = np.asarray(doc["points"], dtype=np.float64)
-        if points.ndim != 2:
-            raise ValueError("points must be an (n, d) array")
+        mu, radius, recorded = doc["mu"], doc["radius"], doc.get("min_margin")
+        _require_json_types([mu, radius], (int, float),
+                            f"mu and radius must be JSON numbers, got {mu!r} and {radius!r}")
+        _require_json_types([recorded], (int, float, type(None)),
+                            f"min_margin must be a number or null, got {recorded!r}")
+        _require_json_types(itertools.chain.from_iterable(doc["points"]), (int, float),
+                            "point coordinates must be JSON numbers")
+        arr = Arrangement(kind=doc["kind"], points=doc["points"], radius=radius, param=doc["param"])
         special = doc.get("special", {})
-        arr = Arrangement(
-            kind=doc["kind"],
-            points=points,
-            radius=float(doc["radius"]),
-            param=int(doc["param"]),
-            center_index=special.get("center_index"),
-            inner_indices=tuple(special["inner_indices"]) if "inner_indices" in special else None,
-            apex_index=special.get("apex_index"),
-        )
+        # compared as JSON text, so an index written as 5.0 or true does not pass for 5 or 1
+        if json.dumps(special, sort_keys=True) != json.dumps(arr.special, sort_keys=True):
+            raise CertificateError(f"special {special!r} is not the {arr.kind} layout {arr.special!r}")
         witnesses = _load_witnesses(doc["witnesses"], arr.n)
-        mu = float(doc["mu"])
         verified = doc["verified"]
-        recorded = doc.get("min_margin")
-        if recorded is not None and (isinstance(recorded, bool) or not isinstance(recorded, (int, float))):
-            raise ValueError(f"min_margin must be a number or null, got {recorded!r}")
         min_margin = float("inf") if recorded is None else float(recorded)
     except CertificateError:
         raise
@@ -490,7 +486,8 @@ def reverify_certificate(cert: ShatterCertificate) -> tuple[bool, str]:
 
     Runs ``verify_shattering`` with the stored witnesses as the generator,
     then compares the recomputed minimum margin with the recorded one,
-    +inf included. Returns ``(ok, message)``.
+    +inf included. Returns ``(ok, message)``; a certificate recorded as
+    not verified fails even when every stored witness passes.
     """
     def stored(_arrangement, labeling: Labeling, _mu) -> LabeledPrototypeSet:
         if labeling.bits not in cert.witnesses:
@@ -503,7 +500,10 @@ def reverify_certificate(cert: ShatterCertificate) -> tuple[bool, str]:
     worst = check.min_margin
     if not np.isclose(worst, cert.min_margin, rtol=1e-12, atol=0):
         return False, f"recorded min margin {cert.min_margin!r} does not match recomputed {worst!r}"
-    return True, f"all {len(check.witnesses)} labelings pass at mu {cert.mu:.1e} (min margin {worst:.6g})"
+    message = f"all {len(check.witnesses)} labelings pass at mu {cert.mu:.1e} (min margin {worst:.6g})"
+    if not cert.verified:
+        return False, f"recorded verified=False but re-check says True: {message}"
+    return True, message
 
 
 def _polytope_disagreements(polytope: ConvexPolytope, witness: LabeledPrototypeSet,

@@ -183,7 +183,7 @@ def test_c7_polygon_geometry_facts():
     for m in range(4, 21):
         arr = gunn_arrangement(m)
         verts = arr.points[: 2 * m - 1]
-        b_pt = arr.points[arr.inner_indices[0]]
+        b_pt = arr.points[arr.special["inner_indices"][0]]
         for d_idx in range(2 * m - 1):
             _, near = _partners(verts, d_idx, b_pt)
             a, b = verts[d_idx], verts[near]

@@ -275,6 +275,13 @@ def _relabelled(doc: dict, relabel) -> dict:
     return {**doc, "witnesses": witnesses}
 
 
+def _with_string_coordinate(doc: dict, key: str) -> dict:
+    """``doc`` with the first coordinate of witness ``key`` written as a JSON string."""
+    protos = [list(row) for row in doc["witnesses"][key]["prototypes"]]
+    protos[0][0] = str(protos[0][0])
+    return {**doc, "witnesses": {**doc["witnesses"], key: {**doc["witnesses"][key], "prototypes": protos}}}
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -294,11 +301,24 @@ def _relabelled(doc: dict, relabel) -> dict:
         lambda doc: {**doc, "min_margin": math.inf},
         lambda doc: {**doc, "min_margin": math.nan},
         lambda doc: {**doc, "min_margin": str(doc["min_margin"])},
+        lambda doc: {**doc, "special": {"center_index": 0}},
+        lambda doc: {**doc, "special": {"center_index": "x"}},
+        lambda doc: {**doc, "special": {"apex_index": 0, "inner_indices": [3, 4]}},
+        lambda doc: {key: val for key, val in doc.items() if key != "special"},
+        lambda doc: {**doc, "radius": -1.0},
+        lambda doc: {**doc, "param": 2.5},
+        lambda doc: {**doc, "points": [[math.nan, 0.0]] + doc["points"][1:]},
+        lambda doc: {**doc, "mu": str(doc["mu"])},
+        lambda doc: {**doc, "radius": str(doc["radius"])},
+        lambda doc: {**doc, "points": [[str(doc["points"][0][0]), doc["points"][0][1]]] + doc["points"][1:]},
+        lambda doc: _with_string_coordinate(doc, "0x2a"),
     ],
     ids=["list", "string", "number", "witnesses-list", "special-list", "points-scalar",
          "unknown-kind", "non-canonical-key", "labels-scaled", "label-true", "verified-string",
          "verified-number", "min-margin-null", "min-margin-infinite", "min-margin-nan",
-         "min-margin-string"],
+         "min-margin-string", "special-wrong-centre", "special-string-centre", "special-gunn-layout",
+         "special-missing", "radius-negative", "param-fraction", "point-nan", "mu-string",
+         "radius-string", "point-string", "witness-coordinate-string"],
 )
 def test_verify_of_non_object_is_usage_error(capsys, tmp_path, edit):
     path = tmp_path / "takacs2.json"

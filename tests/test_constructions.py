@@ -52,7 +52,7 @@ class TestArrangements:
         arr = takacs_arrangement(4, radius=2.5)
         radii = np.linalg.norm(arr.points[:-1], axis=1)
         assert np.allclose(radii, 2.5, atol=1e-12)
-        assert np.allclose(arr.points[arr.center_index], 0.0)
+        assert np.allclose(arr.points[arr.special["center_index"]], 0.0)
 
     def test_takacs_small_n_rejected(self):
         with pytest.raises(UnsupportedParametersError):
@@ -61,12 +61,12 @@ class TestArrangements:
     def test_gunn_counts_and_layout(self):
         arr = gunn_arrangement(4)
         assert arr.n == 9
-        i1, i2 = arr.inner_indices
+        i1, i2 = arr.special["inner_indices"]
         delta = inner_pair_offset(4)
         assert np.allclose(arr.points[i1], [delta, 0.0])
         assert np.allclose(arr.points[i2], [-delta, 0.0])
         # apex sits at angle pi/2
-        assert np.allclose(arr.points[arr.apex_index], [0.0, 1.0], atol=1e-12)
+        assert np.allclose(arr.points[arr.special["apex_index"]], [0.0, 1.0], atol=1e-12)
 
     def test_gunn_small_m_rejected(self):
         with pytest.raises(UnsupportedParametersError):
@@ -86,6 +86,45 @@ class TestArrangements:
         # takacs N has 2N+2 points, gunn m has 2m+1; the budget is read from param
         with pytest.raises(InvalidInputError, match="param 4 has"):
             Arrangement(kind=kind, points=np.zeros((n_points, 2)), radius=1.0, param=4)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"radius": 0.0}, "radius"),
+            ({"radius": -1.0}, "radius"),
+            ({"radius": math.nan, "points": np.full((3, 2), math.nan)}, "radius"),
+            ({"radius": math.inf}, "radius"),
+            ({"param": 0}, "param"),
+            ({"param": 2.5}, "param"),
+            ({"param": True}, "param"),
+            ({"points": [[0.0, 0.0], [1.0, math.nan], [0.0, 1.0]]}, "finite"),
+            ({"points": [0.0, 1.0, 2.0]}, "non-empty"),
+            ({"points": np.zeros((0, 2))}, "non-empty"),
+        ],
+        ids=["radius-0", "radius-negative", "radius-nan", "radius-inf", "param-0", "param-2.5",
+             "param-true", "nan-point", "1d-points", "empty-points"],
+    )
+    def test_invalid_arrangement_refused(self, kwargs, match):
+        # the radius is checked before the points, so a NaN radius reports the radius
+        args = {"kind": "search", "points": np.zeros((3, 2)), "radius": 1.0, "param": 3, **kwargs}
+        with pytest.raises(InvalidInputError, match=match):
+            Arrangement(**args)
+
+    def test_numpy_integer_param_is_stored_as_int(self):
+        arr = Arrangement(kind="search", points=np.zeros((3, 2)), radius=1.0, param=np.int64(3))
+        assert type(arr.param) is int
+
+    def test_special_is_derived_from_kind_and_param(self):
+        assert takacs_arrangement(3).special == {"center_index": 7}
+        assert gunn_arrangement(5).special == {"apex_index": 0, "inner_indices": [9, 10]}
+        assert Arrangement(kind="search", points=np.zeros((3, 2)), radius=1.0, param=3).special == {}
+
+    @pytest.mark.parametrize("build, generator", [(takacs_arrangement, takacs_shatter),
+                                                  (gunn_arrangement, gunn_shatter)])
+    def test_arrangement_built_from_its_four_fields_verifies(self, build, generator):
+        built = build(4, 2.0)
+        arr = Arrangement(kind=built.kind, points=built.points, radius=2.0, param=4)
+        assert verify_shattering(arr, generator).verified
 
     @pytest.mark.parametrize("m", [4, 5, 6, 10])
     def test_inner_offset_is_half_the_diagonal_clearance(self, m):
@@ -140,7 +179,7 @@ class TestGeometricFacts:
         arr = gunn_arrangement(m)
         n_v = 2 * m - 1
         verts = arr.points[:n_v]
-        b_pt = arr.points[arr.inner_indices[0]]
+        b_pt = arr.points[arr.special["inner_indices"][0]]
         widths = []
         for d_idx in range(n_v):
             _, near = _partners(verts, d_idx, b_pt)
@@ -164,7 +203,8 @@ class TestGeometricFacts:
         arr = gunn_arrangement(m)
         n_v = 2 * m - 1
         verts = arr.points[:n_v]
-        for b_idx, w_idx in (arr.inner_indices, arr.inner_indices[::-1]):
+        inner = arr.special["inner_indices"]
+        for b_idx, w_idx in (inner, inner[::-1]):
             b_pt, w_pt = arr.points[b_idx], arr.points[w_idx]
             c_idx = int(np.argmin(np.linalg.norm(verts - w_pt, axis=1)))
             for d_idx in range(n_v):
@@ -391,8 +431,7 @@ class TestGunnPlanTable:
 
     def test_arrangement_points_are_read_only(self):
         points = gunn_arrangement(4).points.copy()
-        arr = Arrangement(kind="gunn", points=points, radius=1.0, param=4,
-                          inner_indices=(7, 8), apex_index=0)
+        arr = Arrangement(kind="gunn", points=points, radius=1.0, param=4)
         points[0] = 5.0    # the caller's array is not the arrangement's
         assert arr.points[0, 0] != 5.0
         with pytest.raises(ValueError):

@@ -128,6 +128,14 @@ class TestCertificateFiles:
         with pytest.raises(CertificateError, match="JSON object"):
             certificate_from_dict([])
 
+    def test_reverify_fails_a_passing_certificate_recorded_as_not_verified(self):
+        cert = verify_shattering(takacs_arrangement(2), takacs_shatter)
+        assert reverify_certificate(cert)[0]
+        cert.verified = False
+        ok, message = reverify_certificate(cert)
+        assert not ok
+        assert message.startswith("recorded verified=False but re-check says True: all 64 labelings pass")
+
     def test_reverify_reports_first_defect_in_bitmask_order(self):
         cert = verify_shattering(takacs_arrangement(2), takacs_shatter)
         del cert.witnesses[0x2a]
