@@ -106,10 +106,6 @@ def _write_text(text: str, path: str | None) -> None:
             fh.write(text)
 
 
-def _dump_json(obj, path: str | None) -> None:
-    _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
-
-
 # ---------------------------------------------------------------------------
 # bounds table
 
@@ -118,23 +114,12 @@ _BOUND_COLUMNS = ["d", "m", "lower", "q", "upper_tight_real", "upper_tight", "up
 
 
 def _bound_rows(ds: list[int], ms: list[int]) -> list[dict]:
-    rows = []
-    for d in ds:
-        for m in ms:
-            rep = compute_bounds(d, m)
-            rows.append(
-                {
-                    "d": rep.d,
-                    "m": rep.m,
-                    "lower": rep.lower,
-                    "q": rep.q,
-                    "upper_tight_real": rep.upper_tight_real,
-                    "upper_tight": rep.upper_tight,
-                    "upper_loose": rep.upper_loose,
-                    "residual": rep.solver_residual,
-                }
-            )
-    return rows
+    reports = [compute_bounds(d, m) for d in ds for m in ms]
+    return [
+        dict(zip(_BOUND_COLUMNS, (r.d, r.m, r.lower, r.q, r.upper_tight_real, r.upper_tight,
+                                  r.upper_loose, r.solver_residual)))
+        for r in reports
+    ]
 
 
 def _render_table(rows: list[dict]) -> str:
@@ -192,41 +177,21 @@ def _square_polytope() -> ConvexPolytope:
 
 def cmd_witness(args) -> int:
     if args.kind == "polytope":
-        if not args.square:
-            raise UnsupportedParametersError("polytope witness requires --square")
         seed = args.seed if args.seed is not None else _default_seed()
         doc = polytope_witness_to_dict(_square_polytope(), np.zeros(2), 1, seed,
                                        meta=None if args.no_meta else _meta(seed))
-        status = EXIT_OK if doc["verified"] else EXIT_VERIFICATION
-        if status == EXIT_OK or args.force:
-            _dump_json(doc, args.out)
-        if status != EXIT_OK:
-            print("witness verification failed: sampled disagreement", file=sys.stderr)
-        return status
-
-    if args.kind == "takacs":
-        if args.n is None:
-            raise UnsupportedParametersError("takacs witness requires --n")
-        arrangement = takacs_arrangement(args.n, args.radius)
-        generator, gen_name = takacs_shatter, "takacs_shatter"
+        failure = None if doc["verified"] else "witness verification failed: sampled disagreement"
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
-        if args.m is None:
-            raise UnsupportedParametersError("gunn witness requires --m")
-        arrangement = gunn_arrangement(args.m, args.radius)
-        generator, gen_name = gunn_shatter, "gunn_shatter"
-
-    cert = verify_shattering(arrangement, generator, mu=args.mu)
-    text = certificate_json(cert, gen_name, meta=None if args.no_meta else _meta())
-    if cert.verified:
+        cert = verify_shattering(args.build(args.param, args.radius), args.generator, mu=args.mu)
+        failure = None if cert.verified else (
+            f"construction failed at labelling {cert.first_failure:#x}: {cert.failure_reason}")
+        text = certificate_json(cert, args.generator.__name__, meta=None if args.no_meta else _meta())
+    if failure is not None:
+        print(failure, file=sys.stderr)
+    if failure is None or args.force:
         _write_text(text, args.out)
-        return EXIT_OK
-    print(
-        f"construction failed at labelling {cert.first_failure:#x}: {cert.failure_reason}",
-        file=sys.stderr,
-    )
-    if args.force:
-        _write_text(text, args.out)
-    return EXIT_VERIFICATION
+    return EXIT_OK if failure is None else EXIT_VERIFICATION
 
 
 def cmd_verify(args) -> int:
@@ -325,17 +290,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_wit = sub.add_parser("witness", help="build and verify a witness file")
-    p_wit.add_argument("kind", choices=["takacs", "gunn", "polytope"])
-    p_wit.add_argument("--n", type=int, default=None, help="facet budget N (takacs)")
-    p_wit.add_argument("--m", type=int, default=None, help="prototype budget m (gunn)")
-    p_wit.add_argument("--square", action="store_true", help="unit square witness (polytope)")
-    p_wit.add_argument("--radius", type=float, default=1.0)
-    p_wit.add_argument("--mu", type=float, default=DEFAULT_MU)
-    p_wit.add_argument("--out", default=None, help="output path (default stdout)")
-    p_wit.add_argument("--force", action="store_true", help="write even if verification fails")
-    p_wit.add_argument("--no-meta", action="store_true", help="omit timestamps for reproducible bytes")
-    p_wit.add_argument("--seed", type=int, default=None, help="sampling seed (polytope); default $VCNN_SEED")
     p_wit.set_defaults(func=cmd_witness)
+    # each kind takes only its own flags, unabbreviated, so a foreign flag is a usage error
+    kinds = p_wit.add_subparsers(dest="kind", required=True)
+    written = argparse.ArgumentParser(add_help=False)   # the flags of every kind
+    written.add_argument("--out", default=None, help="output path (default stdout)")
+    written.add_argument("--force", action="store_true", help="write even if verification fails")
+    written.add_argument("--no-meta", action="store_true", help="omit timestamps for reproducible bytes")
+    swept = argparse.ArgumentParser(add_help=False, parents=[written])   # and of the two constructions
+    swept.add_argument("--radius", type=float, default=1.0)
+    swept.add_argument("--mu", type=float, default=DEFAULT_MU)
+    p_takacs = kinds.add_parser("takacs", parents=[swept], allow_abbrev=False, help="circle plus centre")
+    p_takacs.add_argument("--n", dest="param", type=int, required=True, help="facet budget N")
+    p_takacs.set_defaults(build=takacs_arrangement, generator=takacs_shatter)
+    p_gunn = kinds.add_parser("gunn", parents=[swept], allow_abbrev=False, help="odd polygon plus inner pair")
+    p_gunn.add_argument("--m", dest="param", type=int, required=True, help="prototype budget m")
+    p_gunn.set_defaults(build=gunn_arrangement, generator=gunn_shatter)
+    p_poly = kinds.add_parser("polytope", parents=[written], allow_abbrev=False, help="reflected polytope")
+    p_poly.add_argument("--square", action="store_true", required=True, help="the unit square")
+    p_poly.add_argument("--seed", type=int, default=None, help="sampling seed; default $VCNN_SEED")
 
     p_ver = sub.add_parser("verify", help="re-verify a witness file")
     p_ver.add_argument("certificate")
@@ -364,8 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # a usage error (exit 2) or --help (exit 0)
+        return exc.code
     try:
         return args.func(args)
     except (UnsupportedParametersError, InvalidInputError, CertificateError) as exc:

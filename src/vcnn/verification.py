@@ -1,20 +1,24 @@
 """Shattering verification: exhaustive sweeps, certificates, randomized search.
 
-``verify_shattering`` enumerates every labelling of an arrangement, asks a
-generator for a witness prototype set, and checks it with the margin-aware
-realisation test; the result is a self-contained certificate that can be
-re-verified later without the generator. ``certificate_to_dict`` and
+One sweep, ``_outcomes``, checks every labelling of an arrangement: it
+reads a stream of ``(labeling, witness or failure reason)`` items in
+bitmask order and accepts a witness with the margin-aware realisation
+test. Three producers feed it: ``verify_shattering`` calls a per-labelling
+generator (the constructions), ``reverify_certificate`` streams a
+certificate's stored witnesses, and the randomized search streams the
+witnesses it finds. The result is a self-contained certificate that can
+be re-verified later without the generator. ``certificate_to_dict`` and
 ``certificate_from_dict`` are the JSON form of a certificate (schema
 ``vcnn-certificate/1``); ``certificate_json`` writes the same text as
 ``json.dumps`` of that document from the witness arrays, and the loader
-reads the witnesses back as stacked arrays. ``reverify_certificate``
-re-runs the sweep with the stored witnesses as the generator. The polytope witness file (schema
-``vcnn-polytope-witness/1``) is written and re-verified here as well.
+reads the witnesses back as stacked arrays. The polytope witness file
+(schema ``vcnn-polytope-witness/1``) is written and re-verified here as
+well.
 
 ``search_lower_bound`` is the randomized complement to the constructive
 witnesses: it samples point sets and certifies each through the same
-sweep, with a hill-climb as the generator that searches a chunk of
-labellings at a time in one lockstep batch. Finding a certificate proves
+sweep, hill-climbing a chunk of labellings at a time in one lockstep
+batch, a chunk only when the sweep reaches it. Finding a certificate proves
 the lower bound for that n; not finding one proves nothing and is always
 reported as a budget-limited negative, never as impossibility.
 Deterministic for a fixed seed: every labelling derives its own child
@@ -39,7 +43,7 @@ from .classifier import (
     evaluate_margins,
     realisation,
 )
-from .constructions import Arrangement, polytope_to_prototypes
+from .constructions import Arrangement, gunn_arrangement, polytope_to_prototypes, takacs_arrangement
 from .errors import CertificateError, ConstructionInfeasibleError, InvalidInputError
 from .geometry import ConvexPolytope, Halfspace, contains_many
 
@@ -70,22 +74,34 @@ class ShatterCertificate:
 
 
 def verify_shattering(arrangement: Arrangement, generator, mu: float = DEFAULT_MU) -> ShatterCertificate:
-    """Run ``generator(arrangement, labeling, mu)`` over all 2^n labelings.
+    """Certify ``arrangement`` with ``generator(arrangement, labeling, mu)`` as the witness source.
 
     The generator is told the margin ``mu`` it must meet and raises
-    ``ConstructionInfeasibleError`` when it has no witness. Every witness
-    is checked here, once: it may use at most ``arrangement.budget``
-    prototypes and must realise its labelling at margin ``mu``. Stops at
-    the first failing labelling and records it; failure is data, not an
-    exception.
+    ``ConstructionInfeasibleError`` when it has no witness; the error's
+    text becomes the labelling's failure reason. Each witness must pass
+    the sweep's checks (see ``_outcomes``), and the sweep stops at the
+    first labelling that fails.
     """
-    n = arrangement.n
-    if n > _MAX_EXHAUSTIVE_N:
-        raise InvalidInputError(f"2^{n} labelings is beyond desk scale")
-    if not 0 < mu < math.inf:
-        raise InvalidInputError(f"mu must be finite and positive, got {mu!r}")
+    def called():
+        for bits in range(1 << arrangement.n):
+            labeling = Labeling(bits, arrangement.n)
+            try:
+                found = generator(arrangement, labeling, mu)
+            except ConstructionInfeasibleError as exc:
+                found = str(exc)
+            yield labeling, found
+
+    return _certify(arrangement, mu, called())
+
+
+def _certify(arrangement: Arrangement, mu: float, stream) -> ShatterCertificate:
+    """The certificate of the sweep over ``stream``.
+
+    Stops at the first failing labelling and records it; failure is data,
+    not an exception.
+    """
     cert = ShatterCertificate(arrangement=arrangement, mu=mu)
-    for bits, witness, worst, failure in _outcomes(arrangement, generator, mu):
+    for bits, witness, worst, failure in _outcomes(arrangement, mu, stream):
         if failure is not None:
             cert.first_failure, cert.failure_reason = bits, failure
             return cert
@@ -95,27 +111,32 @@ def verify_shattering(arrangement: Arrangement, generator, mu: float = DEFAULT_M
     return cert
 
 
-def _outcomes(arrangement: Arrangement, generator, mu: float):
-    """``(bits, witness, worst, failure)`` of every labelling in bitmask order.
+def _outcomes(arrangement: Arrangement, mu: float, stream):
+    """The sweep: ``(bits, witness, worst, failure)`` of every item of ``stream``.
 
-    ``failure`` is None when the witness passes the checks that
-    ``verify_shattering`` states, and says why not otherwise.
+    ``stream`` yields ``(labeling, witness or failure reason)`` for every
+    labelling of the arrangement, in bitmask order. Every witness is
+    checked here, once: it may use at most ``arrangement.budget``
+    prototypes and must realise its labelling at margin ``mu``.
+    ``failure`` is None when it does, and says why not otherwise. Refuses
+    more than ``_MAX_EXHAUSTIVE_N`` points and a ``mu`` that is not finite
+    and positive before it reads the stream, which is read only as far as
+    the caller reads the outcomes.
     """
-    n = arrangement.n
-    for bits in range(1 << n):
-        labeling = Labeling(bits, n)
-        try:
-            witness = generator(arrangement, labeling, mu)
-        except ConstructionInfeasibleError as exc:
-            yield bits, None, None, str(exc)
-            continue
-        budget = arrangement.budget
-        if witness.m > budget:
-            yield bits, None, None, f"witness uses {witness.m} prototypes, over the budget of {budget}"
-            continue
-        ok, worst = realisation(witness, arrangement.points, labeling.array, mu)
-        failure = None if ok else f"witness misclassifies or undercuts margin (min {worst:.3e})"
-        yield bits, witness, worst, failure
+    if arrangement.n > _MAX_EXHAUSTIVE_N:
+        raise InvalidInputError(f"2^{arrangement.n} labelings is beyond desk scale")
+    if not 0 < mu < math.inf:
+        raise InvalidInputError(f"mu must be finite and positive, got {mu!r}")
+    budget = arrangement.budget
+    for labeling, found in stream:
+        if isinstance(found, str):
+            yield labeling.bits, None, None, found
+        elif found.m > budget:
+            yield labeling.bits, None, None, f"witness uses {found.m} prototypes, over the budget of {budget}"
+        else:
+            ok, worst = realisation(found, arrangement.points, labeling.array, mu)
+            failure = None if ok else f"witness misclassifies or undercuts margin (min {worst:.3e})"
+            yield labeling.bits, found, worst, failure
 
 
 _STEP_INIT = 0.25   # first hill-climb step, as a fraction of the point set's extent
@@ -172,65 +193,43 @@ def _restart_pool(rng: np.random.Generator, points: np.ndarray, target: np.ndarr
 _BATCH_ROWS = 256
 
 
-class _SearchGenerator:
-    """The search generator for point set ``ps``: witnesses found a chunk of labellings at a time.
+def _searched(cfg: SearchConfig, ps: int, arrangement: Arrangement):
+    """The sweep's stream for point set ``ps``: ``(labeling, witness or reason)`` found by search.
 
     Labellings are searched in bitmask-order chunks of about
     ``_BATCH_ROWS`` rows (labellings x ``cfg.trials``), each chunk in one
-    ``kernels.search_batch`` call; a call serves one labelling from the
-    chunk that holds it. Places ``arrangement.budget`` prototypes.
-    Restarts are seeded with ``[rng_seed, ps, bits]``, so a witness depends
-    neither on chunk boundaries nor on evaluation order. Raises
-    ``ConstructionInfeasibleError`` when no restart reaches margin 2 mu.
+    ``kernels.search_batch`` call made only when the sweep reads its first
+    labelling. Places ``arrangement.budget`` prototypes. Restarts are
+    seeded with ``[rng_seed, ps, bits]``, so a witness depends neither on
+    chunk boundaries nor on evaluation order. A labelling no restart
+    realises at margin 2 mu gets a failure reason in place of a witness.
     """
-
-    def __init__(self, cfg: SearchConfig, ps: int):
-        self.cfg = cfg
-        self.ps = ps
-        self.chunk = max(1, _BATCH_ROWS // cfg.trials)
-        self._key = None      # (arrangement, first bitmask, mu) of the chunk held
-        self._found = None    # (best margin, prototypes, labels) per labelling of the chunk
-
-    def __call__(self, arrangement: Arrangement, labeling: Labeling, mu: float) -> LabeledPrototypeSet:
-        start = labeling.bits - labeling.bits % self.chunk
-        key = self._key
-        if key is None or key[0] is not arrangement or key[1:] != (start, mu):
-            self._found = self._search(arrangement, start, mu)
-            self._key = (arrangement, start, mu)
-        best, protos, labels = (part[labeling.bits - start] for part in self._found)
-        if best < 2.0 * mu:
-            raise ConstructionInfeasibleError(f"no witness within budget (best margin {best:.3e})")
-        try:
-            return LabeledPrototypeSet(protos, labels)
-        except InvalidInputError as exc:
-            raise ConstructionInfeasibleError(f"search witness rejected: {exc}") from exc
-
-    def _search(self, arrangement: Arrangement, start: int, mu: float):
-        cfg = self.cfg
-        points = arrangement.points
-        n = arrangement.n
-        span = points.max(axis=0) - points.min(axis=0)
-        scale = max(float(span.max()), 1e-6)
-        bits = range(start, min(start + self.chunk, 1 << n))
-        targets = np.array([Labeling(b, n).array for b in bits])
+    points, n, mu = arrangement.points, arrangement.n, cfg.mu
+    span = points.max(axis=0) - points.min(axis=0)
+    scale = max(float(span.max()), 1e-6)
+    chunk = max(1, _BATCH_ROWS // cfg.trials)
+    for start in range(0, 1 << n, chunk):
+        labelings = [Labeling(bits, n) for bits in range(start, min(start + chunk, 1 << n))]
         pools = [
-            _restart_pool(np.random.default_rng([cfg.rng_seed, self.ps, b]), points, target,
+            _restart_pool(np.random.default_rng([cfg.rng_seed, ps, lab.bits]), points, lab.array,
                           cfg.trials, arrangement.budget, span, scale)
-            for b, target in zip(bits, targets)
+            for lab in labelings
         ]
         init_labels = np.stack([labels for _, labels in pools])
         best, protos, ridx = kernels.search_batch(
-            points,
-            targets,
-            np.stack([inits for inits, _ in pools]),
-            init_labels,
-            cfg.steps,
-            _STEP_INIT * scale,
-            _STEP_DECAY,
-            2.0 * mu,
-            1e-6 * scale,
+            points, np.array([lab.array for lab in labelings]), np.stack([inits for inits, _ in pools]),
+            init_labels, cfg.steps, _STEP_INIT * scale, _STEP_DECAY, 2.0 * mu, 1e-6 * scale,
         )
-        return best, protos, init_labels[np.arange(len(bits)), ridx]
+        labels = init_labels[np.arange(len(labelings)), ridx]
+        for labeling, margin, witness_protos, witness_labels in zip(labelings, best, protos, labels):
+            if margin < 2.0 * mu:
+                yield labeling, f"no witness within budget (best margin {margin:.3e})"
+                continue
+            try:
+                found = LabeledPrototypeSet(witness_protos, witness_labels)
+            except InvalidInputError as exc:
+                found = f"search witness rejected: {exc}"
+            yield labeling, found
 
 
 def search_lower_bound(cfg: SearchConfig):
@@ -243,7 +242,7 @@ def search_lower_bound(cfg: SearchConfig):
     for ps in range(cfg.point_sets):
         points = np.random.default_rng([cfg.rng_seed, ps]).uniform(-1.0, 1.0, size=(cfg.n, cfg.d))
         arrangement = Arrangement(kind="search", points=points, radius=1.0, param=cfg.m)
-        cert = verify_shattering(arrangement, _SearchGenerator(cfg, ps), cfg.mu)
+        cert = _certify(arrangement, cfg.mu, _searched(cfg, ps, arrangement))
         if cert.verified:
             return cfg.n, cert
     return 0, None
@@ -260,7 +259,7 @@ def shatter_coefficient_exhaustive(points, m: int, cfg: SearchConfig) -> int:
     arrangement = Arrangement(kind="search", points=points, radius=1.0, param=m)
     if arrangement.n > _MAX_COEFFICIENT_N:
         raise InvalidInputError(f"2^{arrangement.n} labelings is beyond desk scale for counting")
-    outcomes = _outcomes(arrangement, _SearchGenerator(cfg, 0), cfg.mu)
+    outcomes = _outcomes(arrangement, cfg.mu, _searched(cfg, 0, arrangement))
     return sum(failure is None for *_, failure in outcomes)
 
 
@@ -432,8 +431,10 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
     Raises ``CertificateError`` for an unknown schema, a malformed
     document, an arrangement ``Arrangement`` refuses, a stored ``special``
     (missing reads as ``{}``) other than the one ``kind`` and ``param``
-    derive, a ``mu``, ``radius`` or coordinate that is not a JSON number, a
-    margin ``mu`` that is not finite and positive, a ``verified`` that is
+    derive, takacs or gunn ``points`` that are not the layout ``kind``,
+    ``param`` and ``radius`` build (same shape, within ``1e-12 * radius``
+    per coordinate), a ``mu``, ``radius`` or coordinate that is not a JSON
+    number, a margin ``mu`` that is not finite and positive, a ``verified`` that is
     not a JSON boolean, a ``min_margin`` that is not a number (or null when
     no witness is stored) or is not finite although a stored witness has
     both labels, a witness label that is not a JSON integer +1 or -1, or a
@@ -457,6 +458,13 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
         # compared as JSON text, so an index written as 5.0 or true does not pass for 5 or 1
         if json.dumps(special, sort_keys=True) != json.dumps(arr.special, sort_keys=True):
             raise CertificateError(f"special {special!r} is not the {arr.kind} layout {arr.special!r}")
+        # the layout a takacs or gunn file names, rebuilt (search points are their own);
+        # the tolerance allows for cos and sin differing by an ulp between platforms
+        build = {"takacs": takacs_arrangement, "gunn": gunn_arrangement}.get(arr.kind)
+        layout = arr.points if build is None else build(arr.param, arr.radius).points
+        if layout.shape != arr.points.shape or np.abs(layout - arr.points).max() > 1e-12 * arr.radius:
+            raise CertificateError(f"points are not the {arr.kind} arrangement of param {arr.param} "
+                                   f"and radius {arr.radius!r}")
         witnesses = _load_witnesses(doc["witnesses"], arr.n)
         verified = doc["verified"]
         min_margin = float("inf") if recorded is None else float(recorded)
@@ -484,17 +492,14 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
 def reverify_certificate(cert: ShatterCertificate) -> tuple[bool, str]:
     """Re-check every labelling from the stored witnesses alone.
 
-    Runs ``verify_shattering`` with the stored witnesses as the generator,
-    then compares the recomputed minimum margin with the recorded one,
-    +inf included. Returns ``(ok, message)``; a certificate recorded as
+    Runs the sweep over the stored witnesses, a missing one failing its
+    labelling, then compares the recomputed minimum margin with the
+    recorded one, +inf included. Returns ``(ok, message)``; a certificate recorded as
     not verified fails even when every stored witness passes.
     """
-    def stored(_arrangement, labeling: Labeling, _mu) -> LabeledPrototypeSet:
-        if labeling.bits not in cert.witnesses:
-            raise ConstructionInfeasibleError("missing from certificate")
-        return cert.witnesses[labeling.bits]
-
-    check = verify_shattering(cert.arrangement, stored, cert.mu)
+    n = cert.arrangement.n
+    stored = ((Labeling(bits, n), cert.witnesses.get(bits, "missing from certificate")) for bits in range(1 << n))
+    check = _certify(cert.arrangement, cert.mu, stored)
     if not check.verified:
         return False, f"labelling {check.first_failure:#x}: {check.failure_reason}"
     worst = check.min_margin
@@ -556,22 +561,39 @@ def polytope_witness_to_dict(polytope: ConvexPolytope, interior, inside_label: i
 
 
 def reverify_polytope_witness(doc: dict) -> tuple[bool, str]:
-    """Repeat the sampled check of a ``polytope_witness_to_dict`` document."""
+    """Repeat the sampled check of a ``polytope_witness_to_dict`` document.
+
+    Raises ``CertificateError`` for a malformed document, as
+    ``certificate_from_dict`` does: labels must be JSON integers +1 or -1,
+    ``seed``, ``n_samples`` and ``disagreements`` JSON integers,
+    ``n_samples >= 1``, ``0 < band < box_halfwidth < inf``, and
+    ``verified`` a JSON boolean. Fails when a sample disagrees, when the
+    check keeps no sample, and when the file records ``"verified": false``.
+    """
     try:
-        facets = tuple(
-            Halfspace(np.asarray(n, dtype=np.float64), float(b))
-            for n, b in zip(doc["facets"]["normals"], doc["facets"]["offsets"])
-        )
-        polytope = ConvexPolytope(facets)
-        witness = LabeledPrototypeSet(
-            np.asarray(doc["prototypes"], dtype=np.float64),
-            np.asarray(doc["labels"], dtype=np.int64),
-        )
-        check = doc["check"]
-        disagreements, kept = _polytope_disagreements(polytope, witness, int(doc["inside_label"]), check)
-        recorded = int(check["disagreements"])
+        check, inside, verified = doc["check"], doc["inside_label"], doc["verified"]
+        _require_json_types([inside, *doc["labels"]], (int,), "labels must be JSON integers +1 or -1")
+        _require_json_types([check["seed"], check["n_samples"], check["disagreements"]], (int,),
+                            "seed, n_samples and disagreements must be JSON integers")
+        half, band = check["box_halfwidth"], check["band"]
+        _require_json_types([half, band], (int, float), "box_halfwidth and band must be JSON numbers")
+        if inside not in (1, -1) or check["n_samples"] < 1 or not 0 < band < half < math.inf:
+            raise ValueError(f"need inside_label +1 or -1, n_samples >= 1 and 0 < band < box_halfwidth "
+                             f"< inf, got {inside!r}, {check['n_samples']!r}, {band!r} and {half!r}")
+        if not isinstance(verified, bool):
+            raise ValueError(f"verified must be true or false, got {verified!r}")
+        polytope = ConvexPolytope(tuple(Halfspace(np.asarray(n, dtype=np.float64), float(b))
+                                        for n, b in zip(doc["facets"]["normals"], doc["facets"]["offsets"])))
+        witness = LabeledPrototypeSet(np.asarray(doc["prototypes"], dtype=np.float64),
+                                      np.asarray(doc["labels"], dtype=np.int64))
+        disagreements, kept = _polytope_disagreements(polytope, witness, inside, check)
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed polytope witness: {exc}") from exc
-    if disagreements != recorded or disagreements != 0:
+    if disagreements != check["disagreements"] or disagreements != 0:
         return False, f"{disagreements} membership/classification disagreements"
-    return True, f"membership and classification agree on {kept} samples"
+    if not kept:
+        return False, f"no sample of the check lies outside the band {band!r} around the boundary"
+    message = f"membership and classification agree on {kept} samples"
+    if not verified:
+        return False, f"recorded verified=False but re-check says True: {message}"
+    return True, message

@@ -267,6 +267,65 @@ def test_bad_input_is_usage_error(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("polytope", "--square", "--m", "4", "--radius", "2", "--mu", "0.1"),
+        ("gunn", "--m", "4", "--n", "3", "--seed", "5"),
+        ("takacs", "--n", "2", "--square"),
+        ("gunn", "--m", "4", "--n"),   # not an abbreviation of --no-meta
+        ("takacs", "--radius", "2"),
+    ],
+    ids=["polytope-with-construction-flags", "gunn-with-n-and-seed", "takacs-with-square",
+         "gunn-with-bare-n", "takacs-without-n"],
+)
+def test_witness_flag_of_another_kind_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "witness.json"
+    code, _, err = run_cli(capsys, "witness", *argv, "--no-meta", "--out", str(path))
+    assert code == EXIT_USAGE
+    assert "error:" in err
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "edit, want",
+    [
+        (lambda doc: doc["check"].update(n_samples=0), EXIT_USAGE),
+        (lambda doc: doc["check"].update(band=100), EXIT_USAGE),
+        (lambda doc: doc["check"].update(box_halfwidth=0), EXIT_USAGE),
+        (lambda doc: doc.update(inside_label=1.5), EXIT_USAGE),
+        (lambda doc: doc.update(inside_label=True), EXIT_USAGE),
+        (lambda doc: doc["labels"].__setitem__(0, True), EXIT_USAGE),
+        (lambda doc: doc["check"].update(seed="7"), EXIT_USAGE),
+        (lambda doc: doc.update(verified="true"), EXIT_USAGE),
+        (lambda doc: doc.update(verified=False), EXIT_VERIFICATION),
+        # the box is the square itself, so every sample lies within the band of its boundary
+        (lambda doc: doc["check"].update(box_halfwidth=1.0, band=0.999), EXIT_VERIFICATION),
+    ],
+    ids=["no-samples", "band-wider-than-box", "zero-box", "inside-label-fraction", "inside-label-true",
+         "label-true", "seed-string", "verified-string", "recorded-unverified", "no-sample-kept"],
+)
+def test_polytope_witness_that_checks_nothing_is_refused(capsys, tmp_path, edit, want):
+    path = tmp_path / "square.json"
+    run_cli(capsys, "witness", "polytope", "--square", "--seed", "0", "--no-meta", "--out", str(path))
+    doc = json.loads(path.read_text())
+    assert doc["labels"][0] == doc["inside_label"] == 1
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "verify", str(path))
+    assert code == want
+    assert err.startswith("error: malformed polytope witness") if want == EXIT_USAGE else err == ""
+
+
+def _lifted(doc: dict) -> dict:
+    """``doc`` with every point and witness prototype given a third coordinate 0.0."""
+    witnesses = {
+        key: {**val, "prototypes": [row + [0.0] for row in val["prototypes"]]}
+        for key, val in doc["witnesses"].items()
+    }
+    return {**doc, "points": [row + [0.0] for row in doc["points"]], "witnesses": witnesses}
+
+
 def _relabelled(doc: dict, relabel) -> dict:
     witnesses = {
         key: {**val, "labels": [relabel(label) for label in val["labels"]]}
@@ -312,13 +371,15 @@ def _with_string_coordinate(doc: dict, key: str) -> dict:
         lambda doc: {**doc, "radius": str(doc["radius"])},
         lambda doc: {**doc, "points": [[str(doc["points"][0][0]), doc["points"][0][1]]] + doc["points"][1:]},
         lambda doc: _with_string_coordinate(doc, "0x2a"),
+        lambda doc: {**doc, "points": [[doc["points"][0][0] + 1e-3, doc["points"][0][1]]] + doc["points"][1:]},
+        _lifted,
     ],
     ids=["list", "string", "number", "witnesses-list", "special-list", "points-scalar",
          "unknown-kind", "non-canonical-key", "labels-scaled", "label-true", "verified-string",
          "verified-number", "min-margin-null", "min-margin-infinite", "min-margin-nan",
          "min-margin-string", "special-wrong-centre", "special-string-centre", "special-gunn-layout",
          "special-missing", "radius-negative", "param-fraction", "point-nan", "mu-string",
-         "radius-string", "point-string", "witness-coordinate-string"],
+         "radius-string", "point-string", "witness-coordinate-string", "point-moved", "points-lifted"],
 )
 def test_verify_of_non_object_is_usage_error(capsys, tmp_path, edit):
     path = tmp_path / "takacs2.json"

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import vcnn
-from vcnn import verification
+from vcnn import kernels, verification
 from vcnn.classifier import LabeledPrototypeSet, Labeling, evaluate_margins
 from vcnn.constructions import (
     Arrangement,
@@ -19,7 +19,7 @@ from vcnn.constructions import (
     takacs_shatter,
 )
 from vcnn.errors import CertificateError, ConstructionInfeasibleError, InvalidInputError
-from vcnn.geometry import DEFAULT_TOL
+from vcnn.geometry import DEFAULT_TOL, regular_polygon_vertices
 from vcnn.verification import (
     SearchConfig,
     ShatterCertificate,
@@ -145,6 +145,25 @@ class TestCertificateFiles:
         assert message.startswith("labelling 0x5:")
         del cert.witnesses[0x03]
         assert reverify_certificate(cert) == (False, "labelling 0x3: missing from certificate")
+
+    @pytest.mark.parametrize(
+        "arrangement, generator",
+        [(takacs_arrangement(2, radius=2.0), takacs_shatter), (gunn_arrangement(4, radius=2.0), gunn_shatter)],
+        ids=["takacs", "gunn"],
+    )
+    def test_points_must_be_the_named_layout(self, arrangement, generator):
+        doc = certificate_to_dict(verify_shattering(arrangement, generator), generator.__name__)
+        doc["points"][1][0] += 1e-12   # within 1e-12 * radius, as an ulp of cos or sin is
+        certificate_from_dict(doc)
+        doc["points"][1][0] += 1e-3
+        with pytest.raises(CertificateError, match=f"points are not the {arrangement.kind} arrangement"):
+            certificate_from_dict(doc)
+
+    def test_takacs_layout_below_two_facets_refused(self):
+        points = np.vstack([regular_polygon_vertices(3, 1.0), np.zeros((1, 2))])
+        cert = verify_shattering(Arrangement(kind="takacs", points=points, radius=1.0, param=1), takacs_shatter)
+        with pytest.raises(CertificateError, match="need N >= 2 facets"):
+            certificate_from_dict(certificate_to_dict(cert, "takacs_shatter"))
 
     def test_reverify_through_json_without_the_cli(self):
         script = textwrap.dedent(
@@ -335,6 +354,20 @@ class TestSearchLowerBound:
                 assert np.array_equal(
                     r1[1].witnesses[bits].prototypes, r2[1].witnesses[bits].prototypes
                 )
+
+    def test_sweep_searches_no_chunk_after_the_first_failure(self, monkeypatch):
+        # one prototype realises only the constant labellings, so labelling 0x1 fails first
+        search_batch, searched = kernels.search_batch, []
+
+        def recording(points, targets, *rest):
+            searched.append([Labeling.from_array(target).bits for target in targets])
+            return search_batch(points, targets, *rest)
+
+        cfg = SearchConfig(d=2, m=1, n=4, trials=4, point_sets=1, steps=10)
+        monkeypatch.setattr(verification, "_BATCH_ROWS", cfg.trials)   # one labelling per chunk
+        monkeypatch.setattr(kernels, "search_batch", recording)
+        assert search_lower_bound(cfg) == (0, None)
+        assert searched == [[0x0], [0x1]]
 
     def test_witnesses_reverify_without_generator(self):
         cfg = SearchConfig(d=2, m=2, n=3, trials=16, point_sets=2, steps=80, rng_seed=0)
