@@ -133,12 +133,17 @@ def _tight_upper_real_array(d: int, ms: np.ndarray) -> np.ndarray:
     return -(q / LN2) * w
 
 
-def tight_upper_curve(d: int, ms) -> np.ndarray:
-    """Vectorised real-valued tight upper bound over an array of m values."""
-    ms = np.asarray(ms)
+def _grid_curve(d: int, ms) -> np.ndarray:
+    """``ms`` as a float64 array, once (d, min m) and (d, max m) are on the supported grid."""
+    ms = np.asarray(ms, dtype=np.float64)
     for m in (int(ms.min()), int(ms.max())):
         _require_grid(d, m)
-    return _tight_upper_real_array(d, ms)
+    return ms
+
+
+def tight_upper_curve(d: int, ms) -> np.ndarray:
+    """Vectorised real-valued tight upper bound over an array of m values."""
+    return _tight_upper_real_array(d, _grid_curve(d, ms))
 
 
 def _solve_tight(d: int, m: int) -> tuple[float, int, float]:
@@ -180,9 +185,7 @@ def upper_bound_tight(d: int, m: int) -> tuple[float, int]:
 
 def loose_upper_curve(d: int, ms) -> np.ndarray:
     """Vectorised loose upper bound over an array of m values."""
-    ms = np.asarray(ms, dtype=np.float64)
-    for m in (int(ms.min()), int(ms.max())):
-        _require_grid(d, m)
+    ms = _grid_curve(d, ms)
     qp = _q(d, ms) / LN2
     inner = ms / qp + np.log(qp) - 1.0
     if np.any(inner <= 0.0):

@@ -38,6 +38,18 @@ DEFAULT_MU = 1e-6
 TIE_RTOL = 1e-12
 
 
+def check_int(name: str, value, least: int) -> None:
+    """Raise ``InvalidInputError`` unless ``value`` is an integer >= ``least``; a bool is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_mu(mu) -> None:
+    """Raise ``InvalidInputError`` unless the decision margin ``mu`` is finite and positive."""
+    if not 0 < mu < math.inf:
+        raise InvalidInputError(f"mu must be finite and positive, got {mu!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledPrototypeSet:
     """m labelled prototypes in R^d; the parameters of one 1NN classifier."""
@@ -206,7 +218,7 @@ def realisation(s: LabeledPrototypeSet, points, target: np.ndarray, mu: float) -
     realised iff every point gets its target label with margin >= mu;
     this is the test behind every witness that is accepted or rejected.
     The minimum margin is negative if a point gets the wrong label, and 0
-    if a point is a tie. The caller checks that ``mu`` is positive.
+    if a point is a tie. The caller checks ``mu`` with ``check_mu``.
     """
     got, margins = evaluate_margins(s, points)
     # + 0.0 turns the -0.0 of a tie against a -1 target into 0
@@ -216,8 +228,7 @@ def realisation(s: LabeledPrototypeSet, points, target: np.ndarray, mu: float) -
 
 def realizes(s: LabeledPrototypeSet, points, labeling: Labeling, mu: float = DEFAULT_MU) -> bool:
     """True iff ``s`` classifies every point as ``labeling`` with margin >= mu."""
-    if not 0 < mu < math.inf:
-        raise InvalidInputError(f"mu must be finite and positive, got {mu!r}")
+    check_mu(mu)
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.shape[0] != labeling.size:
         raise InvalidInputError("labelling size must match the number of points")

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import DEFAULT_MU, LabeledPrototypeSet, Labeling
+from .classifier import DEFAULT_MU, LabeledPrototypeSet, Labeling, check_int, prototype_distances
 from .errors import (
     ConstructionInfeasibleError,
     InvalidInputError,
@@ -63,6 +63,12 @@ _PARK_RADIUS = 100.0 # distance of parked surplus prototypes
 _RIM = 0.99          # strip prototypes must stay inside this fraction of R
 _PUSH_OUT = 1.02     # reflected cut prototypes are pushed at least this far out
 
+# The radii an arrangement may have. Everything is placed at fractions of R,
+# but the prototype-distinctness and strict-interiority checks use the
+# absolute geometry.DEFAULT_TOL, which a much smaller R undercuts, and a
+# much larger R overflows the squared distances.
+_RADIUS_MIN, _RADIUS_MAX = 1e-6, 1e6
+
 _TILT_RANGE = 0.5    # radians scanned when a strip needs tilting
 _TILT_STEPS = 251
 
@@ -82,8 +88,8 @@ class Arrangement:
     polygon vertex count; ``special`` indices; prototype ``budget``). takacs
     N is the (2N+1)-gon then the centre, N+1 prototypes; gunn m the
     (2m-1)-gon from its apex then the interior pair, m prototypes; search
-    any points, m prototypes. Checked once here: a known kind, a finite
-    positive radius, an integer param >= 1, and points forming a finite,
+    any points, m prototypes. Checked once here: a known kind, a radius in
+    ``[1e-6, 1e6]``, an integer param >= 1, and points forming a finite,
     non-empty (n, d) array of the layout's point count.
     """
 
@@ -97,10 +103,10 @@ class Arrangement:
     def __post_init__(self):
         if self.kind not in _LAYOUTS:
             raise InvalidInputError(f"unknown arrangement kind {self.kind!r}")
-        if not 0 < self.radius < math.inf:
-            raise InvalidInputError(f"radius must be finite and positive, got {self.radius!r}")
-        if isinstance(self.param, bool) or not isinstance(self.param, (int, np.integer)) or self.param < 1:
-            raise InvalidInputError(f"param must be an integer >= 1, got {self.param!r}")
+        if not _RADIUS_MIN <= self.radius <= _RADIUS_MAX:
+            raise InvalidInputError(
+                f"radius must be in [{_RADIUS_MIN:.0e}, {_RADIUS_MAX:.0e}], got {self.radius!r}")
+        check_int("param", self.param, 1)
         object.__setattr__(self, "param", int(self.param))   # a certificate writes it as JSON
         # a private read-only copy: the plan table is only valid for fixed points
         points = np.array(self.points, dtype=np.float64)
@@ -454,9 +460,7 @@ def _cut_prototype(arrangement: Arrangement, group: tuple[int, ...], whites, mu:
     c_mid = 0.5 * (min_in + max_out)
     c_max = min_in - 0.25 * gap
     target = _PUSH_OUT * radius
-    d_w = np.stack(
-        [np.sqrt(((group_pts - wx) ** 2).sum(axis=1)) for wx in whites]
-    ).min(axis=0)
+    d_w = prototype_distances(group_pts, np.stack(whites)).min(axis=0)
     best = None
     best_key = (False, -np.inf)
     for w in whites:
@@ -476,7 +480,7 @@ def _cut_prototype(arrangement: Arrangement, group: tuple[int, ...], whites, mu:
                 candidates.append(c2)
         for c in candidates:
             b = w + 2.0 * (c - pw) * u
-            d_b = np.sqrt(((group_pts - b) ** 2).sum(axis=1))
+            d_b = prototype_distances(group_pts, b[None])[0]
             margin = float((d_w - d_b).min())
             if margin < 2.0 * mu:
                 continue
@@ -536,7 +540,7 @@ def _strip_plans(arrangement: Arrangement, labels: list[int], black: int):
     spare = arrangement.budget - 3  # beyond the strip's core and its two reflections
 
     if len(black_vertices) + 1 == arrangement.param:
-        c_idx = int(np.argmin(np.sqrt(((pts[:n_v] - pts[w_idx]) ** 2).sum(axis=1))))
+        c_idx = int(np.argmin(prototype_distances(pts[:n_v], pts[[w_idx]])[0]))
         for p_idx in black_vertices:
             if p_idx == c_idx:
                 continue

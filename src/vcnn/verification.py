@@ -39,6 +39,8 @@ from .classifier import (
     DEFAULT_MU,
     LabeledPrototypeSet,
     Labeling,
+    check_int,
+    check_mu,
     check_prototype_stack,
     evaluate_margins,
     realisation,
@@ -125,8 +127,7 @@ def _outcomes(arrangement: Arrangement, mu: float, stream):
     """
     if arrangement.n > _MAX_EXHAUSTIVE_N:
         raise InvalidInputError(f"2^{arrangement.n} labelings is beyond desk scale")
-    if not 0 < mu < math.inf:
-        raise InvalidInputError(f"mu must be finite and positive, got {mu!r}")
+    check_mu(mu)
     budget = arrangement.budget
     for labeling, found in stream:
         if isinstance(found, str):
@@ -145,7 +146,12 @@ _STEP_DECAY = 0.5   # step factor after a sweep that improves nothing
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and seeding for the randomized lower-bound search."""
+    """Budget and seeding for the randomized lower-bound search.
+
+    Refuses, with ``InvalidInputError``, a count (``d``, ``m``, ``n`` or a
+    budget) that is not an integer >= 1, an ``rng_seed`` that is not an
+    integer >= 0 and a ``mu`` that is not finite and positive.
+    """
 
     d: int
     m: int
@@ -157,12 +163,10 @@ class SearchConfig:
     mu: float = DEFAULT_MU
 
     def __post_init__(self):
-        if self.d < 1 or self.m < 1 or self.n < 1:
-            raise InvalidInputError("d, m, n must be >= 1")
-        if self.trials < 1 or self.point_sets < 1 or self.steps < 1:
-            raise InvalidInputError("budgets must be >= 1")
-        if not 0 < self.mu < math.inf:
-            raise InvalidInputError(f"mu must be finite and positive, got {self.mu!r}")
+        for name in ("d", "m", "n", "trials", "point_sets", "steps"):
+            check_int(name, getattr(self, name), 1)
+        check_int("rng_seed", self.rng_seed, 0)
+        check_mu(self.mu)
 
 
 def _restart_pool(rng: np.random.Generator, points: np.ndarray, target: np.ndarray,
@@ -468,12 +472,11 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
         witnesses = _load_witnesses(doc["witnesses"], arr.n)
         verified = doc["verified"]
         min_margin = float("inf") if recorded is None else float(recorded)
+        check_mu(mu)
     except CertificateError:
         raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed certificate: {exc}") from exc
-    if not 0 < mu < math.inf:
-        raise CertificateError(f"mu must be finite and positive, got {mu!r}")
     if not isinstance(verified, bool):
         raise CertificateError(f"verified must be true or false, got {verified!r}")
     if witnesses and recorded is None:
@@ -535,8 +538,10 @@ def polytope_witness_to_dict(polytope: ConvexPolytope, interior, inside_label: i
     """The polytope witness document: reflection prototypes plus a sampled check.
 
     ``"verified"`` is True iff no sample of the check disagrees. ``meta``
-    is stored as in ``certificate_to_dict``.
+    is stored as in ``certificate_to_dict``. A ``seed`` that is not an
+    integer >= 0 raises ``InvalidInputError``.
     """
+    check_int("seed", seed, 0)
     interior = np.asarray(interior, dtype=np.float64)
     witness = polytope_to_prototypes(polytope, interior, inside_label)
     check = {"seed": seed, "n_samples": 10000, "box_halfwidth": 3.0, "band": 1e-6}
@@ -565,14 +570,22 @@ def reverify_polytope_witness(doc: dict) -> tuple[bool, str]:
 
     Raises ``CertificateError`` for a malformed document, as
     ``certificate_from_dict`` does: labels must be JSON integers +1 or -1,
-    ``seed``, ``n_samples`` and ``disagreements`` JSON integers,
-    ``n_samples >= 1``, ``0 < band < box_halfwidth < inf``, and
-    ``verified`` a JSON boolean. Fails when a sample disagrees, when the
-    check keeps no sample, and when the file records ``"verified": false``.
+    facet normals and offsets, the interior point and the prototypes JSON
+    numbers, one offset per normal, ``seed``, ``n_samples`` and
+    ``disagreements`` JSON integers, ``n_samples >= 1``,
+    ``0 < band < box_halfwidth < inf``, and ``verified`` a JSON boolean;
+    the interior point must lie strictly inside the facets, and the stored
+    prototypes and labels must be the witness ``polytope_to_prototypes``
+    rebuilds from them (within ``1e-12`` of its largest coordinate). Fails
+    when a sample disagrees, when the check keeps no sample, and when the
+    file records ``"verified": false``.
     """
     try:
         check, inside, verified = doc["check"], doc["inside_label"], doc["verified"]
+        normals, offsets, interior = doc["facets"]["normals"], doc["facets"]["offsets"], doc["interior"]
         _require_json_types([inside, *doc["labels"]], (int,), "labels must be JSON integers +1 or -1")
+        _require_json_types(itertools.chain(offsets, interior, *normals, *doc["prototypes"]), (int, float),
+                            "normals, offsets, interior and prototype coordinates must be JSON numbers")
         _require_json_types([check["seed"], check["n_samples"], check["disagreements"]], (int,),
                             "seed, n_samples and disagreements must be JSON integers")
         half, band = check["box_halfwidth"], check["band"]
@@ -583,9 +596,12 @@ def reverify_polytope_witness(doc: dict) -> tuple[bool, str]:
         if not isinstance(verified, bool):
             raise ValueError(f"verified must be true or false, got {verified!r}")
         polytope = ConvexPolytope(tuple(Halfspace(np.asarray(n, dtype=np.float64), float(b))
-                                        for n, b in zip(doc["facets"]["normals"], doc["facets"]["offsets"])))
-        witness = LabeledPrototypeSet(np.asarray(doc["prototypes"], dtype=np.float64),
-                                      np.asarray(doc["labels"], dtype=np.int64))
+                                        for n, b in zip(normals, offsets, strict=True)))
+        witness = polytope_to_prototypes(polytope, interior, inside)
+        stored = np.array(doc["prototypes"], dtype=np.float64)
+        if (stored.shape != witness.prototypes.shape or doc["labels"] != witness.labels.tolist()
+                or np.abs(stored - witness.prototypes).max() > 1e-12 * np.abs(witness.prototypes).max()):
+            raise ValueError("prototypes and labels are not the reflection witness of the facets and interior")
         disagreements, kept = _polytope_disagreements(polytope, witness, inside, check)
     except (KeyError, TypeError, ValueError) as exc:
         raise CertificateError(f"malformed polytope witness: {exc}") from exc

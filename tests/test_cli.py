@@ -317,6 +317,49 @@ def test_polytope_witness_that_checks_nothing_is_refused(capsys, tmp_path, edit,
     assert err.startswith("error: malformed polytope witness") if want == EXIT_USAGE else err == ""
 
 
+@pytest.mark.parametrize(
+    "env, argv, edit",
+    [
+        ({}, ("search", "--d", "2", "--m", "3", "--n", "4", "--seed", "-1"), None),
+        ({"VCNN_SEED": "-3"}, ("search", "--d", "2", "--m", "3", "--n", "4"), None),
+        ({}, ("witness", "polytope", "--square", "--seed", "-1"), None),
+        ({"VCNN_SEED": "-1"}, ("witness", "polytope", "--square"), None),
+        ({}, ("witness", "takacs", "--n", "2", "--radius", "1e-9"), None),
+        ({}, ("witness", "gunn", "--m", "5", "--radius", "1e-9", "--mu", "1e-13"), None),
+        ({}, ("witness", "takacs", "--n", "2", "--radius", "1e155"), None),
+        ({}, ("witness", "gunn", "--m", "4", "--radius", "1e154"), None),
+        ({}, ("verify",), lambda doc: doc["facets"]["offsets"].append(1.0)),
+        ({}, ("verify",), lambda doc: doc["facets"]["normals"].append([1, 1])),
+        ({}, ("verify",), lambda doc: doc["facets"]["offsets"].__setitem__(0, "1.0")),
+        ({}, ("verify",), lambda doc: doc["prototypes"][1].__setitem__(0, "2.0")),
+        ({}, ("verify",), lambda doc: doc["facets"]["normals"][0].__setitem__(0, True)),
+        ({}, ("verify",), lambda doc: doc.update(interior="x")),
+        ({}, ("verify",), lambda doc: doc.update(interior=[5, 5])),
+        ({}, ("verify",), lambda doc: doc["prototypes"][1].__setitem__(0, 2.5)),
+        ({}, ("verify",), lambda doc: doc["labels"].__setitem__(1, 1)),
+    ],
+    ids=["search-seed-negative", "search-env-seed-negative", "polytope-seed-negative",
+         "polytope-env-seed-negative", "takacs-tiny-radius", "gunn-tiny-radius", "takacs-huge-radius",
+         "gunn-huge-radius", "polytope-extra-offset", "polytope-extra-normal", "polytope-offset-string",
+         "polytope-prototype-string", "polytope-normal-true", "polytope-interior-string",
+         "polytope-interior-outside", "polytope-prototype-moved", "polytope-label-flipped"],
+)
+def test_input_the_tool_cannot_serve_is_usage_error(capsys, tmp_path, monkeypatch, env, argv, edit):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    if edit is not None:
+        path = tmp_path / "square.json"
+        run_cli(capsys, "witness", "polytope", "--square", "--seed", "0", "--no-meta", "--out", str(path))
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        argv = (*argv, str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(("error:", "usage:"))
+
+
 def _lifted(doc: dict) -> dict:
     """``doc`` with every point and witness prototype given a third coordinate 0.0."""
     witnesses = {

@@ -110,6 +110,18 @@ class TestArrangements:
         with pytest.raises(InvalidInputError, match=match):
             Arrangement(**args)
 
+    @pytest.mark.parametrize("radius", [1e-9, 0.99e-6, 1.01e6, 1e155])
+    def test_radius_outside_the_tolerances_range_is_refused(self, radius):
+        # the constructions' absolute tolerances serve radii in [1e-6, 1e6] only
+        with pytest.raises(InvalidInputError, match=r"radius must be in \[1e-06, 1e\+06\]"):
+            Arrangement(kind="search", points=np.zeros((3, 2)), radius=radius, param=3)
+
+    @pytest.mark.parametrize("radius", [1e-6, 1e6])
+    @pytest.mark.parametrize("build, param, generator", [(takacs_arrangement, 2, takacs_shatter),
+                                                         (gunn_arrangement, 4, gunn_shatter)])
+    def test_radius_range_ends_verify(self, build, param, generator, radius):
+        assert verify_shattering(build(param, radius), generator, mu=1e-6 * radius).verified
+
     def test_numpy_integer_param_is_stored_as_int(self):
         arr = Arrangement(kind="search", points=np.zeros((3, 2)), radius=1.0, param=np.int64(3))
         assert type(arr.param) is int

@@ -334,6 +334,25 @@ class TestSearchConfig:
         with pytest.raises(InvalidInputError):
             SearchConfig(d=2, m=1, n=1, mu=math.inf)
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"n": 3.5}, "n must be an integer >= 1"),
+            ({"d": 2.5}, "d must be an integer >= 1"),
+            ({"m": True}, "m must be an integer >= 1"),
+            ({"trials": 2.5}, "trials must be an integer >= 1"),
+            ({"point_sets": 1.5}, "point_sets must be an integer >= 1"),
+            ({"steps": True}, "steps must be an integer >= 1"),
+            ({"rng_seed": -1}, "rng_seed must be an integer >= 0"),
+            ({"rng_seed": 1.0}, "rng_seed must be an integer >= 0"),
+        ],
+        ids=["n-fraction", "d-fraction", "m-true", "trials-fraction", "point-sets-fraction", "steps-true",
+             "seed-negative", "seed-float"],
+    )
+    def test_count_or_seed_that_is_not_an_integer_is_refused(self, kwargs, match):
+        with pytest.raises(InvalidInputError, match=match):
+            SearchConfig(**{"d": 2, "m": 2, "n": 3, **kwargs})
+
 
 class TestSearchLowerBound:
     def test_halfplane_case_shatters_three_points(self):
