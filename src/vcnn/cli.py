@@ -83,7 +83,11 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _parse_list(text: str) -> list[int]:
-    return [_parse_int(tok) for tok in text.split(",") if tok]
+    """Parse '2,3' into a list of ints; an empty list or a repeated value is refused."""
+    values = [_parse_int(tok) for tok in text.split(",") if tok]
+    if not values or len(set(values)) != len(values):
+        raise UnsupportedParametersError(f"need distinct comma-separated integers, got {text!r}")
+    return values
 
 
 def _meta(seed: int | None = None) -> dict:
@@ -97,12 +101,18 @@ def _meta(seed: int | None = None) -> dict:
 
 
 def _write_text(text: str, path: str | None) -> None:
-    """Write ``text`` to ``path``, or to stdout when ``path`` is empty or '-'."""
+    """Write ``text`` to ``path``, or to stdout when ``path`` is empty or '-'.
+
+    A path that cannot be written is a usage error.
+    """
     if not path or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------

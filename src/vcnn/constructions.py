@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,24 +74,57 @@ _TILT_RANGE = 0.5    # radians scanned when a strip needs tilting
 _TILT_STEPS = 251
 
 
+def _takacs_points(n_facets: int, radius: float) -> np.ndarray:
+    """The (2N+1)-gon's vertices from angle 0, then the centre."""
+    return np.vstack([regular_polygon_vertices(2 * n_facets + 1, radius), np.zeros((1, 2))])
+
+
+def _gunn_points(m: int, radius: float) -> np.ndarray:
+    """The (2m-1)-gon's vertices from its apex at angle pi/2, then the pair (delta, 0), (-delta, 0)."""
+    verts = regular_polygon_vertices(2 * m - 1, radius, phase=math.pi / 2.0)
+    delta = inner_pair_offset(m, radius)
+    return np.vstack([verts, [[delta, 0.0], [-delta, 0.0]]])
+
+
+class _Layout(NamedTuple):
+    least: int                # the least param
+    points: Callable | None   # (param, radius) -> the layout's points; None when any points will do
+    derive: Callable          # param -> (point count or None, polygon vertex count, special, budget)
+
+
 _LAYOUTS = {
-    "takacs": lambda p: (2 * p + 2, 2 * p + 1, {"center_index": 2 * p + 1}, p + 1),
-    "gunn": lambda p: (2 * p + 1, 2 * p - 1, {"apex_index": 0, "inner_indices": [2 * p - 1, 2 * p]}, p),
-    "search": lambda p: (None, 0, {}, p),
+    "takacs": _Layout(2, _takacs_points,
+                      lambda p: (2 * p + 2, 2 * p + 1, {"center_index": 2 * p + 1}, p + 1)),
+    "gunn": _Layout(4, _gunn_points,
+                    lambda p: (2 * p + 1, 2 * p - 1, {"apex_index": 0, "inner_indices": [2 * p - 1, 2 * p]}, p)),
+    "search": _Layout(1, None, lambda p: (None, 0, {}, p)),
 }
+
+
+def _check_param(kind: str, param) -> None:
+    """Raise unless ``param`` is an integer >= 1 and no less than the least param of ``kind``."""
+    check_int("param", param, 1)
+    least = _LAYOUTS[kind].least
+    if param < least:
+        raise UnsupportedParametersError(f"a {kind} arrangement needs param >= {least}, got {param}")
 
 
 @dataclass(frozen=True, eq=False)
 class Arrangement:
     """A concrete point set to be shattered: its kind, param, radius and points.
 
-    ``_LAYOUTS[kind](param)`` derives the rest: (point count, None for any;
-    polygon vertex count; ``special`` indices; prototype ``budget``). takacs
-    N is the (2N+1)-gon then the centre, N+1 prototypes; gunn m the
-    (2m-1)-gon from its apex then the interior pair, m prototypes; search
-    any points, m prototypes. Checked once here: a known kind, a radius in
-    ``[1e-6, 1e6]``, an integer param >= 1, and points forming a finite,
-    non-empty (n, d) array of the layout's point count.
+    ``_LAYOUTS[kind]`` defines the kind once: its least param, what
+    ``param`` derives (point count, None for any; polygon vertex count;
+    ``special`` indices; prototype ``budget``) and the points ``(param,
+    radius)`` build. takacs N >= 2 is the (2N+1)-gon then the centre, N+1
+    prototypes; gunn m >= 4 the (2m-1)-gon from its apex then the interior
+    pair, m prototypes; search any points, m >= 1 prototypes. Checked once
+    here: a known kind, a radius in ``[1e-6, 1e6]``, an integer param no
+    less than the kind's least (``UnsupportedParametersError`` below it),
+    points forming a finite, non-empty (n, d) array of the layout's point
+    count, and takacs or gunn points that are the layout's (same shape,
+    every coordinate within ``1e-12 * radius``, as ``cos`` and ``sin`` may
+    differ by an ulp between platforms).
     """
 
     kind: str             # "takacs" | "gunn" | "search"
@@ -106,7 +140,7 @@ class Arrangement:
         if not _RADIUS_MIN <= self.radius <= _RADIUS_MAX:
             raise InvalidInputError(
                 f"radius must be in [{_RADIUS_MIN:.0e}, {_RADIUS_MAX:.0e}], got {self.radius!r}")
-        check_int("param", self.param, 1)
+        _check_param(self.kind, self.param)
         object.__setattr__(self, "param", int(self.param))   # a certificate writes it as JSON
         # a private read-only copy: the plan table is only valid for fixed points
         points = np.array(self.points, dtype=np.float64)
@@ -114,12 +148,19 @@ class Arrangement:
             raise InvalidInputError(f"points must be a finite, non-empty (n, d) array, got shape {points.shape}")
         points.setflags(write=False)
         object.__setattr__(self, "points", points)
-        # the budget is read from param, so param must be the one the points were built for
-        size = _LAYOUTS[self.kind](self.param)[0]
+        # the budget is read from param, so param must be the one the points were built for;
+        # the count is checked first, so a huge param is refused before its layout is built
+        layout = _LAYOUTS[self.kind]
+        size = layout.derive(self.param)[0]
         if size not in (None, self.n):
             raise InvalidInputError(
                 f"a {self.kind} arrangement with param {self.param} has {size} points, not {self.n}"
             )
+        if layout.points is not None:
+            built = layout.points(self.param, self.radius)
+            if built.shape != points.shape or np.abs(built - points).max() > 1e-12 * self.radius:
+                raise InvalidInputError(f"points are not the {self.kind} arrangement of param {self.param} "
+                                        f"and radius {self.radius!r}")
 
     @property
     def n(self) -> int:
@@ -128,17 +169,27 @@ class Arrangement:
     @property
     def n_vertices(self) -> int:
         """The polygon's vertex count: 2N+1 for takacs, 2m-1 for gunn, 0 for search."""
-        return _LAYOUTS[self.kind](self.param)[1]
+        return _LAYOUTS[self.kind].derive(self.param)[1]
 
     @property
     def special(self) -> dict:
         """The indices of the layout's special points, as a certificate stores them."""
-        return _LAYOUTS[self.kind](self.param)[2]
+        return _LAYOUTS[self.kind].derive(self.param)[2]
 
     @property
     def budget(self) -> int:
         """The most prototypes a witness may use: N+1 for takacs, m otherwise."""
-        return _LAYOUTS[self.kind](self.param)[3]
+        return _LAYOUTS[self.kind].derive(self.param)[3]
+
+
+def _arranged(kind: str, param: int, radius: float) -> Arrangement:
+    """The ``kind`` arrangement of ``param`` and ``radius``, its points built by the layout.
+
+    ``param`` is checked before the points are built, so a param below the
+    least one is reported as such, not as a polygon of too few vertices.
+    """
+    _check_param(kind, param)
+    return Arrangement(kind=kind, points=_LAYOUTS[kind].points(param, radius), radius=radius, param=param)
 
 
 def _planned(arrangement: Arrangement, key: tuple, build):
@@ -157,11 +208,7 @@ def _planned(arrangement: Arrangement, key: tuple, build):
 
 def takacs_arrangement(n_facets: int, radius: float = 1.0) -> Arrangement:
     """2N+1 equally spaced circle points plus the centre; 2N+2 points total."""
-    if n_facets < 2:
-        raise UnsupportedParametersError(f"need N >= 2 facets, got {n_facets}")
-    circle = regular_polygon_vertices(2 * n_facets + 1, radius)
-    points = np.vstack([circle, np.zeros((1, 2))])
-    return Arrangement(kind="takacs", points=points, radius=radius, param=n_facets)
+    return _arranged("takacs", n_facets, radius)
 
 
 def centre_to_longest_diagonal(n_vertices: int, radius: float = 1.0) -> float:
@@ -199,12 +246,7 @@ def gunn_arrangement(m: int, radius: float = 1.0) -> Arrangement:
     The interior pair sits at (+delta, 0) and (-delta, 0) with delta half
     the centre-to-longest-diagonal distance; 2m+1 points total.
     """
-    if m < 4:
-        raise UnsupportedParametersError(f"need m >= 4, got {m}")
-    verts = regular_polygon_vertices(2 * m - 1, radius, phase=math.pi / 2.0)
-    delta = inner_pair_offset(m, radius)
-    points = np.vstack([verts, [[delta, 0.0], [-delta, 0.0]]])
-    return Arrangement(kind="gunn", points=points, radius=radius, param=m)
+    return _arranged("gunn", m, radius)
 
 
 def polytope_to_prototypes(

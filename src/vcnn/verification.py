@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .classifier import (
     evaluate_margins,
     realisation,
 )
-from .constructions import Arrangement, gunn_arrangement, polytope_to_prototypes, takacs_arrangement
+from .constructions import Arrangement, polytope_to_prototypes
 from .errors import CertificateError, ConstructionInfeasibleError, InvalidInputError
 from .geometry import ConvexPolytope, Halfspace, contains_many
 
@@ -271,12 +271,8 @@ def shatter_coefficient_exhaustive(points, m: int, cfg: SearchConfig) -> int:
 # certificate files
 
 
-def certificate_to_dict(cert: ShatterCertificate, generator: str, meta: dict | None = None) -> dict:
-    """The JSON document of ``cert``: hex bitmask keys, full-precision floats.
-
-    ``meta`` (timestamps, tool version) is stored under ``"meta"`` unless
-    it is None, so the rest of the document is byte-reproducible.
-    """
+def _header(cert: ShatterCertificate, generator: str, meta: dict | None) -> dict:
+    """Every field of ``cert``'s JSON document but ``"witnesses"``."""
     arr = cert.arrangement
     doc = {
         "schema": CERTIFICATE_SCHEMA,
@@ -289,19 +285,26 @@ def certificate_to_dict(cert: ShatterCertificate, generator: str, meta: dict | N
         "min_margin": cert.min_margin if cert.witnesses else None,
         "verified": cert.verified,
         "generator": generator,
-        "witnesses": {
-            format(bits, "#x"): {
-                "prototypes": w.prototypes.tolist(),
-                "labels": w.labels.tolist(),
-            }
-            for bits, w in cert.witnesses.items()
-        },
     }
     if cert.first_failure is not None:
         doc["first_failure"] = format(cert.first_failure, "#x")
         doc["failure_reason"] = cert.failure_reason
     if meta is not None:
         doc["meta"] = meta
+    return doc
+
+
+def certificate_to_dict(cert: ShatterCertificate, generator: str, meta: dict | None = None) -> dict:
+    """The JSON document of ``cert``: hex bitmask keys, full-precision floats.
+
+    ``meta`` (timestamps, tool version) is stored under ``"meta"`` unless
+    it is None, so the rest of the document is byte-reproducible.
+    """
+    doc = _header(cert, generator, meta)
+    doc["witnesses"] = {
+        format(bits, "#x"): {"prototypes": w.prototypes.tolist(), "labels": w.labels.tolist()}
+        for bits, w in cert.witnesses.items()
+    }
     return doc
 
 
@@ -355,16 +358,13 @@ def certificate_json(cert: ShatterCertificate, generator: str, meta: dict | None
 
     The same bytes, built from the prototype arrays: every field but
     ``"witnesses"`` (the last key in sorted order) is ``json.dumps`` of the
-    document ``certificate_to_dict`` builds, so the schema has one
+    header ``certificate_to_dict`` starts from, so the schema has one
     definition; the witness table is filled in from one text template per
     prototype shape, with ``float.__repr__`` (what ``json`` writes) run
     once per distinct coordinate bit pattern of each shape.
     """
-    # one witness is enough for certificate_to_dict to write the recorded min_margin
-    head = replace(cert, witnesses=dict(itertools.islice(cert.witnesses.items(), 1)))
-    doc = certificate_to_dict(head, generator, meta)
-    del doc["witnesses"]
-    prefix = json.dumps(doc, sort_keys=True, indent=2)[: -len("\n}")] + ',\n  "witnesses": '
+    head = json.dumps(_header(cert, generator, meta), sort_keys=True, indent=2)
+    prefix = head[: -len("\n}")] + ',\n  "witnesses": '
     if not cert.witnesses:
         return prefix + "{}\n}\n"
     entries = _witness_entries(cert.witnesses)
@@ -433,16 +433,16 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
     """The certificate stored in a ``certificate_to_dict`` document.
 
     Raises ``CertificateError`` for an unknown schema, a malformed
-    document, an arrangement ``Arrangement`` refuses, a stored ``special``
-    (missing reads as ``{}``) other than the one ``kind`` and ``param``
-    derive, takacs or gunn ``points`` that are not the layout ``kind``,
-    ``param`` and ``radius`` build (same shape, within ``1e-12 * radius``
-    per coordinate), a ``mu``, ``radius`` or coordinate that is not a JSON
-    number, a margin ``mu`` that is not finite and positive, a ``verified`` that is
-    not a JSON boolean, a ``min_margin`` that is not a number (or null when
-    no witness is stored) or is not finite although a stored witness has
-    both labels, a witness label that is not a JSON integer +1 or -1, or a
-    witness key that is not a labelling of the stored points written as
+    document, an arrangement ``Arrangement`` refuses (among them takacs or
+    gunn ``points`` that are not the layout ``kind``, ``param`` and
+    ``radius`` build), a stored ``special`` (missing reads as ``{}``) other
+    than the one ``kind`` and ``param`` derive, a ``mu``, ``radius`` or
+    coordinate that is not a JSON number, a margin ``mu`` that is not
+    finite and positive, a ``verified`` that is not a JSON boolean, a
+    ``min_margin`` that is not a number (or null when no witness is
+    stored) or is not finite although a stored witness has both labels, a
+    witness label that is not a JSON integer +1 or -1, or a witness key
+    that is not a labelling of the stored points written as
     ``format(bits, "#x")``.
     """
     if not isinstance(doc, dict):
@@ -462,13 +462,6 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
         # compared as JSON text, so an index written as 5.0 or true does not pass for 5 or 1
         if json.dumps(special, sort_keys=True) != json.dumps(arr.special, sort_keys=True):
             raise CertificateError(f"special {special!r} is not the {arr.kind} layout {arr.special!r}")
-        # the layout a takacs or gunn file names, rebuilt (search points are their own);
-        # the tolerance allows for cos and sin differing by an ulp between platforms
-        build = {"takacs": takacs_arrangement, "gunn": gunn_arrangement}.get(arr.kind)
-        layout = arr.points if build is None else build(arr.param, arr.radius).points
-        if layout.shape != arr.points.shape or np.abs(layout - arr.points).max() > 1e-12 * arr.radius:
-            raise CertificateError(f"points are not the {arr.kind} arrangement of param {arr.param} "
-                                   f"and radius {arr.radius!r}")
         witnesses = _load_witnesses(doc["witnesses"], arr.n)
         verified = doc["verified"]
         min_margin = float("inf") if recorded is None else float(recorded)

@@ -256,15 +256,36 @@ class TestWitnessAndVerify:
         ("witness", "takacs", "--n", "2", "--radius", "inf"),
         ("witness", "takacs", "--n", "2", "--mu", "inf"),
         ("search", "--d", "2", "--m", "3", "--n", "4", "--mu", "inf"),
+        ("plot-data", "--d", ",", "--m", "3..4"),
+        ("plot-data", "--d", "2,2", "--m", "3..4"),
     ],
     ids=["bounds-non-integer", "witness-zero-radius", "search-beyond-desk-scale",
          "witness-gunn-small-radius", "witness-gunn-large-mu", "witness-gunn-nan-radius",
-         "witness-takacs-inf-radius", "witness-takacs-inf-mu", "search-inf-mu"],
+         "witness-takacs-inf-radius", "witness-takacs-inf-mu", "search-inf-mu",
+         "plot-data-empty-d", "plot-data-repeated-d"],
 )
 def test_bad_input_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bounds", "--d", "2", "--m", "3"),
+        ("witness", "takacs", "--n", "2"),
+        ("witness", "polytope", "--square"),
+        ("plot-data", "--d", "2", "--m", "3..4"),
+        ("search", "--d", "2", "--m", "3", "--n", "4"),
+    ],
+    ids=["bounds", "witness-takacs", "witness-polytope", "plot-data", "search"],
+)
+def test_unwritable_out_is_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out"
+    code, _, err = run_cli(capsys, *argv, "--out", str(path))
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: cannot write {path}:")
 
 
 @pytest.mark.parametrize(

@@ -110,6 +110,33 @@ class TestArrangements:
         with pytest.raises(InvalidInputError, match=match):
             Arrangement(**args)
 
+    @pytest.mark.parametrize(
+        "kind, param, points, error, match",
+        [
+            ("takacs", 2, np.random.default_rng(0).uniform(-1, 1, (6, 2)), InvalidInputError,
+             "points are not the takacs arrangement"),
+            ("gunn", 4, np.random.default_rng(0).uniform(-1, 1, (9, 2)), InvalidInputError,
+             "points are not the gunn arrangement"),
+            ("gunn", 4, gunn_arrangement(4, radius=2.0).points, InvalidInputError,
+             "points are not the gunn arrangement of param 4 and radius 1.0"),
+            ("takacs", 2, np.hstack([takacs_arrangement(2).points, np.zeros((6, 1))]), InvalidInputError,
+             "points are not the takacs arrangement"),
+            ("gunn", 4, np.hstack([gunn_arrangement(4).points, np.zeros((9, 1))]), InvalidInputError,
+             "points are not the gunn arrangement"),
+            ("takacs", 1, np.vstack([regular_polygon_vertices(3), np.zeros((1, 2))]), UnsupportedParametersError,
+             "takacs arrangement needs param >= 2, got 1"),
+            ("gunn", 3, np.vstack([regular_polygon_vertices(5, phase=math.pi / 2.0),
+                                   [[inner_pair_offset(3), 0.0], [-inner_pair_offset(3), 0.0]]]),
+             UnsupportedParametersError, "gunn arrangement needs param >= 4, got 3"),
+        ],
+        ids=["takacs-random", "gunn-random", "gunn-radius-2-labelled-1", "takacs-lifted", "gunn-lifted",
+             "takacs-triangle", "gunn-pentagon"],
+    )
+    def test_points_that_are_not_the_layout_refused(self, kind, param, points, error, match):
+        # each of these, accepted, sent a sweep into a "(bug)" error or a bare NumPy ValueError
+        with pytest.raises(error, match=match):
+            Arrangement(kind=kind, points=points, radius=1.0, param=param)
+
     @pytest.mark.parametrize("radius", [1e-9, 0.99e-6, 1.01e6, 1e155])
     def test_radius_outside_the_tolerances_range_is_refused(self, radius):
         # the constructions' absolute tolerances serve radii in [1e-6, 1e6] only

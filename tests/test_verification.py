@@ -159,11 +159,21 @@ class TestCertificateFiles:
         with pytest.raises(CertificateError, match=f"points are not the {arrangement.kind} arrangement"):
             certificate_from_dict(doc)
 
+    def test_huge_param_refused_by_its_point_count(self):
+        # the count is checked before the layout of 2e9 + 1 vertices would be built
+        doc = certificate_to_dict(verify_shattering(takacs_arrangement(2), takacs_shatter), "takacs_shatter")
+        doc["param"] = 1000000000
+        with pytest.raises(CertificateError, match="param 1000000000 has 2000000002 points, not 6"):
+            certificate_from_dict(doc)
+
     def test_takacs_layout_below_two_facets_refused(self):
-        points = np.vstack([regular_polygon_vertices(3, 1.0), np.zeros((1, 2))])
-        cert = verify_shattering(Arrangement(kind="takacs", points=points, radius=1.0, param=1), takacs_shatter)
-        with pytest.raises(CertificateError, match="need N >= 2 facets"):
-            certificate_from_dict(certificate_to_dict(cert, "takacs_shatter"))
+        # a takacs N=2 file edited by hand into the N=1 layout: a triangle plus its centre
+        doc = certificate_to_dict(verify_shattering(takacs_arrangement(2), takacs_shatter), "takacs_shatter")
+        doc["param"] = 1
+        doc["points"] = np.vstack([regular_polygon_vertices(3, 1.0), np.zeros((1, 2))]).tolist()
+        doc["special"] = {"center_index": 3}
+        with pytest.raises(CertificateError, match="takacs arrangement needs param >= 2, got 1"):
+            certificate_from_dict(doc)
 
     def test_reverify_through_json_without_the_cli(self):
         script = textwrap.dedent(
