@@ -68,8 +68,9 @@ class LabeledPrototypeSet:
     def from_checked_stack(cls, prototypes: np.ndarray, labels: np.ndarray) -> list["LabeledPrototypeSet"]:
         """One set per row of stacks that ``check_prototype_stack`` accepted.
 
-        ``prototypes`` is (k, m, d) float64 and ``labels`` (k, m) int64;
-        each set holds views of its rows, which are not checked again.
+        ``prototypes`` is (k, m, d) float64 and ``labels`` (k, m) int64,
+        or sequences of k such (m, d) and (m,) arrays; each set holds its
+        rows (views of a stack's rows), which are not checked again.
         """
         sets = []
         for protos, labs in zip(prototypes, labels):

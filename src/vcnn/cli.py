@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .bounds import compute_bounds, loose_upper_curve, tight_upper_curve
 from .classifier import DEFAULT_MU
-from .constructions import gunn_arrangement, gunn_shatter, takacs_arrangement, takacs_shatter
+from .constructions import gunn_arrangement, gunn_shatter, point_count, takacs_arrangement, takacs_shatter
 from .errors import (
     CertificateError,
     InvalidInputError,
@@ -47,6 +47,7 @@ from .verification import (
     certificate_from_dict,
     certificate_json,
     certificate_to_dict,  # noqa: F401  (perfbench traces the certificate layer under cli.*)
+    check_exhaustive,
     polytope_witness_to_dict,
     reverify_certificate,
     reverify_polytope_witness,
@@ -192,6 +193,8 @@ def cmd_witness(args) -> int:
         failure = None if doc["verified"] else "witness verification failed: sampled disagreement"
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
+        # refused from the layout's point count, before any of its points is built
+        check_exhaustive(point_count(args.kind, args.param))
         cert = verify_shattering(args.build(args.param, args.radius), args.generator, mu=args.mu)
         failure = None if cert.verified else (
             f"construction failed at labelling {cert.first_failure:#x}: {cert.failure_reason}")

@@ -31,6 +31,13 @@ and the padding facets and parked prototypes by count. Every key fixes
 every input of what it stores, so the witnesses are bit-identical to
 building each one afresh; the chords, which read the labelling's kept
 points, are built per labelling.
+
+Both builders read a labelling only through which points share a label
+with one reference point, so the witness of the complement ``~L`` is the
+witness of ``L`` with every label negated, bit for bit. Each witness is
+therefore built once per complementary pair (``_paired``): the first
+member asked for parks a private copy of its prototypes in the plan
+table, and its complement takes that copy with the labels negated.
 """
 
 from __future__ import annotations
@@ -107,6 +114,15 @@ def _check_param(kind: str, param) -> None:
     least = _LAYOUTS[kind].least
     if param < least:
         raise UnsupportedParametersError(f"a {kind} arrangement needs param >= {least}, got {param}")
+
+
+def point_count(kind: str, param) -> int | None:
+    """The number of points of the ``kind`` arrangement of ``param`` (None for search), building none.
+
+    ``param`` is checked as ``Arrangement`` checks it.
+    """
+    _check_param(kind, param)
+    return _LAYOUTS[kind].derive(param)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,12 +214,41 @@ def _planned(arrangement: Arrangement, key: tuple, build):
     The key must fix every input ``build`` reads beyond the arrangement
     itself, so a table hit returns exactly the value a fresh build would.
     Callers copy what they return into new arrays; nothing hands a tabled
-    array to a witness.
+    array to a witness. The one exception is the pair entry of
+    ``_paired``, whose parked copy is handed to a witness only once it has
+    left the table.
     """
     plans = arrangement._plans
     if key not in plans:
         plans[key] = build()
     return plans[key]
+
+
+def _paired(arrangement: Arrangement, labeling: Labeling, mu: float, build) -> LabeledPrototypeSet:
+    """``build(arrangement, labeling, mu)``, built once per complementary pair ``{L, ~L}``.
+
+    ``build`` must read the labelling only through which points share a
+    label with a reference point, so that its witness of ``~L`` is its
+    witness of ``L`` with every label negated. The first member asked for
+    is built and parks ``(bits, prototypes, negated labels)``, private
+    copies, under ``("pair", min(L, ~L), mu)``. The complement pops the
+    entry and wraps the copy, which no one else holds once it has left the
+    table, without ``check_prototype_stack``: that verdict reads only the
+    prototypes, which passed when the first member was built. The same
+    labelling asked for again is rebuilt, never negated. A build that
+    raises parks nothing.
+    """
+    bits = labeling.bits
+    other = bits ^ ((1 << labeling.size) - 1)
+    key = ("pair", min(bits, other), mu)
+    plans = arrangement._plans
+    entry = plans.get(key)
+    if entry is not None and entry[0] == other:
+        del plans[key]
+        return LabeledPrototypeSet.from_checked_stack([entry[1]], [entry[2]])[0]
+    witness = build(arrangement, labeling, mu)
+    plans[key] = (bits, witness.prototypes.copy(), -witness.labels)
+    return witness
 
 
 def takacs_arrangement(n_facets: int, radius: float = 1.0) -> Arrangement:
@@ -372,11 +417,17 @@ def takacs_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEF
 
     Constant labellings use a single prototype; everything else uses the
     full N-facet polytope around the centre, i.e. N+1 prototypes. The
-    candidate is not checked here; ``verify_shattering`` checks it. ``mu``
-    is unused, but the generator protocol ``(arrangement, labeling, mu)``
-    requires it.
+    candidate is not checked here; ``verify_shattering`` checks it. It is
+    built once per complementary pair of labellings (see ``_paired``).
+    ``mu`` does not change the candidate, but the generator protocol
+    ``(arrangement, labeling, mu)`` requires it.
     """
     _require_kind(arrangement, labeling, "takacs")
+    return _paired(arrangement, labeling, mu, _takacs_witness)
+
+
+def _takacs_witness(arrangement: Arrangement, labeling: Labeling, mu: float) -> LabeledPrototypeSet:
+    """The takacs candidate for ``labeling``, built afresh."""
     labels = labeling.array
     centre = arrangement.special["center_index"]
     if np.all(labels == labels[0]):
@@ -698,7 +749,8 @@ def gunn_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEFAU
     and return the first strip plan (see ``_strip_plans``) that builds;
     ``verify_shattering`` checks the returned candidate. The clearances
     scale with the radius R, so ``mu / R`` above ``_CLEAR_MIN`` is refused
-    as unreachable.
+    as unreachable. The candidate is built once per complementary pair of
+    labellings (see ``_paired``).
     """
     _require_kind(arrangement, labeling, "gunn")
     if mu > _CLEAR_MIN * arrangement.radius:
@@ -706,6 +758,11 @@ def gunn_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEFAU
             f"mu / radius = {mu / arrangement.radius:.3g} exceeds {_CLEAR_MIN:g}, "
             "the largest margin ratio the gunn construction supports"
         )
+    return _paired(arrangement, labeling, mu, _gunn_witness)
+
+
+def _gunn_witness(arrangement: Arrangement, labeling: Labeling, mu: float) -> LabeledPrototypeSet:
+    """The gunn candidate for ``labeling``, built afresh."""
     labels = labeling.array
     i1, i2 = arrangement.special["inner_indices"]
 

@@ -75,6 +75,12 @@ class ShatterCertificate:
     failure_reason: str | None = None
 
 
+def check_exhaustive(n: int) -> None:
+    """Raise ``InvalidInputError`` when the 2^n labellings of n points are too many to sweep."""
+    if n > _MAX_EXHAUSTIVE_N:
+        raise InvalidInputError(f"2^{n} labelings is beyond desk scale")
+
+
 def verify_shattering(arrangement: Arrangement, generator, mu: float = DEFAULT_MU) -> ShatterCertificate:
     """Certify ``arrangement`` with ``generator(arrangement, labeling, mu)`` as the witness source.
 
@@ -125,8 +131,7 @@ def _outcomes(arrangement: Arrangement, mu: float, stream):
     and positive before it reads the stream, which is read only as far as
     the caller reads the outcomes.
     """
-    if arrangement.n > _MAX_EXHAUSTIVE_N:
-        raise InvalidInputError(f"2^{arrangement.n} labelings is beyond desk scale")
+    check_exhaustive(arrangement.n)
     check_mu(mu)
     budget = arrangement.budget
     for labeling, found in stream:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from vcnn import constructions
 from vcnn.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 
 
@@ -226,11 +227,16 @@ class TestWitnessAndVerify:
             (("takacs", "--n", "3"), "6411c87dddad41775cf59b5108c65807887a547d7e6312fcfd8b4dbd856145b8"),
             (("polytope", "--square", "--seed", "0"),
              "a2ec3a5ed625adf1108b3b8a1005b5be790fb3270444a241617f00ad2f905d21"),
+            (("gunn", "--m", "6"), "789e0a2889121ccd7f233a5770fbf2ea31a5f35bcdbdd2634559e80c17caa3fe"),
+            (("takacs", "--n", "4"), "9ff6f0f42e2423d1a8129f4058a633ccd9ab6803931d069814c6713300dc5dbc"),
+            (("takacs", "--n", "5"), "c438d2d9ccfdaeb3532ea84bd109b349aa98de3453b27a050de5d589a8665b28"),
         ],
-        ids=["gunn4", "gunn5", "takacs2", "takacs3", "square"],
+        ids=["gunn4", "gunn5", "takacs2", "takacs3", "square", "gunn6", "takacs4", "takacs5"],
     )
     def test_witness_certificate_bytes_are_frozen(self, capsys, tmp_path, argv, digest):
-        # recorded before the gunn strip and cut geometry moved into per-arrangement tables
+        # the first five were recorded before the gunn strip and cut geometry moved into
+        # per-arrangement tables, the last three before witnesses were built once per
+        # complementary pair of labellings
         path = tmp_path / "witness.json"
         code, _, _ = run_cli(capsys, "witness", *argv, "--no-meta", "--out", str(path))
         assert code == EXIT_OK
@@ -268,6 +274,23 @@ def test_bad_input_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "kind, flag, want",
+    [("gunn", "--m", "2^2000001 labelings is beyond desk scale"),
+     ("takacs", "--n", "2^2000002 labelings is beyond desk scale")],
+    ids=["gunn", "takacs"],
+)
+def test_huge_param_refused_before_any_point_is_built(capsys, monkeypatch, kind, flag, want):
+    def unbuildable(param, radius):
+        raise AssertionError(f"the {kind} layout of param {param} was built")
+
+    layout = constructions._LAYOUTS[kind]
+    monkeypatch.setitem(constructions._LAYOUTS, kind, layout._replace(points=unbuildable))
+    code, _, err = run_cli(capsys, "witness", kind, flag, "1000000")
+    assert code == EXIT_USAGE
+    assert err == f"error: {want}\n"
 
 
 @pytest.mark.parametrize(

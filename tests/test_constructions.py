@@ -477,6 +477,89 @@ class TestGunnPlanTable:
             arr.points[0, 0] = 5.0
 
 
+PAIRED = pytest.mark.parametrize(
+    "build, generator, param",
+    [(gunn_arrangement, gunn_shatter, 4), (gunn_arrangement, gunn_shatter, 5),
+     (takacs_arrangement, takacs_shatter, 2), (takacs_arrangement, takacs_shatter, 3),
+     (takacs_arrangement, takacs_shatter, 4)],
+    ids=["gunn4", "gunn5", "takacs2", "takacs3", "takacs4"],
+)
+
+
+def pair_entries(arrangement):
+    return [key for key in arrangement._plans if key[0] == "pair"]
+
+
+def assert_same(got, want, sign=1):
+    """``got`` has bit-equal prototypes and ``sign`` times the labels of ``want``."""
+    assert np.array_equal(got.prototypes, want.prototypes)
+    assert np.array_equal(got.labels, sign * want.labels)
+
+
+class TestComplementPairs:
+    @PAIRED
+    def test_complement_witness_is_the_negated_witness(self, build, generator, param):
+        # each call is the first of its pair on its arrangement, so both are built afresh
+        low, high = build(param), build(param)
+        n = low.n
+        full = (1 << n) - 1
+        for bits in range(1 << (n - 1)):
+            witness = generator(low, Labeling(bits, n))
+            assert_same(generator(high, Labeling(full ^ bits, n)), witness, sign=-1)
+
+    @PAIRED
+    def test_descending_sweep_matches_ascending(self, build, generator, param):
+        up, down = build(param), build(param)
+        n = up.n
+        ascending = [generator(up, Labeling(bits, n)) for bits in range(1 << n)]
+        descending = [generator(down, Labeling(bits, n)) for bits in reversed(range(1 << n))]
+        for want, got in zip(ascending, reversed(descending)):
+            assert_same(got, want)
+        assert pair_entries(up) == pair_entries(down) == []
+
+    @PAIRED
+    def test_same_labelling_twice_is_rebuilt_not_negated(self, build, generator, param):
+        arr, fresh = build(param), build(param)
+        n = arr.n
+        full = (1 << n) - 1
+        for bits in range(1 << n):
+            first = generator(arr, Labeling(bits, n))
+            assert_same(generator(arr, Labeling(bits, n)), first)
+            assert_same(first, generator(fresh, Labeling(bits, n)))
+        # every labelling was asked for twice in a row: its complement still negates it
+        assert_same(generator(arr, Labeling(full, n)), generator(fresh, Labeling(0, n)), sign=-1)
+
+    @PAIRED
+    def test_scribbled_first_witness_leaves_its_complement(self, build, generator, param):
+        arr, fresh = build(param), build(param)
+        n = arr.n
+        full = (1 << n) - 1
+        for bits in range(1 << (n - 1)):
+            witness = generator(arr, Labeling(bits, n))
+            # a constant witness may view the read-only labelling or arrangement points
+            for array in (witness.prototypes, witness.labels):
+                if array.flags.writeable:
+                    array[:] = 1
+            assert_same(generator(arr, Labeling(full ^ bits, n)),
+                        generator(fresh, Labeling(full ^ bits, n)))
+
+    @PAIRED
+    def test_margins_never_share_an_entry(self, build, generator, param):
+        arr, fresh = build(param), build(param)
+        n = arr.n
+        labeling, complement = Labeling(5, n), Labeling(((1 << n) - 1) ^ 5, n)
+        generator(arr, labeling, 1e-6)
+        got = generator(arr, complement, 1e-4)   # built, not the 1e-6 entry negated
+        assert sorted(pair_entries(arr), key=lambda key: key[2]) == [("pair", 5, 1e-6), ("pair", 5, 1e-4)]
+        assert_same(got, generator(fresh, complement, 1e-4))
+
+    @PAIRED
+    def test_full_sweep_leaves_no_pair_entry(self, build, generator, param):
+        arr = build(param)
+        assert verify_shattering(arr, generator).verified
+        assert pair_entries(arr) == []
+
+
 class TestRandomPolytopeAgreement:
     def test_random_polygons(self, rng):
         from conftest import random_convex_polygon
