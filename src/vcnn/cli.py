@@ -216,7 +216,9 @@ def cmd_verify(args) -> int:
     if isinstance(doc, dict) and doc.get("schema") == POLYTOPE_SCHEMA:
         ok, message = reverify_polytope_witness(doc)
     else:
-        ok, message = reverify_certificate(certificate_from_dict(doc))
+        cert = certificate_from_dict(doc)
+        del doc   # the parsed text is not needed again, and forked re-check workers need not inherit it
+        ok, message = reverify_certificate(cert)
     print(message)
     return EXIT_OK if ok else EXIT_VERIFICATION
 

@@ -431,7 +431,8 @@ def _takacs_witness(arrangement: Arrangement, labeling: Labeling, mu: float) -> 
     labels = labeling.array
     centre = arrangement.special["center_index"]
     if np.all(labels == labels[0]):
-        return LabeledPrototypeSet(arrangement.points[centre][None, :], labels[:1])
+        # copies: a witness owns its arrays, as one sent back by a forked sweep does
+        return LabeledPrototypeSet(arrangement.points[[centre]], labels[:1].copy())
     return _disc_witness(arrangement, labels, int(labels[centre]))
 
 
@@ -767,7 +768,7 @@ def _gunn_witness(arrangement: Arrangement, labeling: Labeling, mu: float) -> La
     i1, i2 = arrangement.special["inner_indices"]
 
     if np.all(labels == labels[0]):
-        return LabeledPrototypeSet(np.zeros((1, 2)), labels[:1])
+        return LabeledPrototypeSet(np.zeros((1, 2)), labels[:1].copy())
 
     if labels[i1] == labels[i2]:
         return _disc_witness(arrangement, labels, int(labels[i1]))

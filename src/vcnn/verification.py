@@ -3,11 +3,16 @@
 One sweep, ``_outcomes``, checks every labelling of an arrangement: it
 reads a stream of ``(labeling, witness or failure reason)`` items in
 bitmask order and accepts a witness with the margin-aware realisation
-test. Three producers feed it: ``verify_shattering`` calls a per-labelling
-generator (the constructions), ``reverify_certificate`` streams a
-certificate's stored witnesses, and the randomized search streams the
-witnesses it finds. The result is a self-contained certificate that can
-be re-verified later without the generator. ``certificate_to_dict`` and
+test. Three producers feed it, each a function of the ascending bitmasks
+it is handed: ``verify_shattering`` calls a per-labelling generator (the
+constructions), ``reverify_certificate`` streams a certificate's stored
+witnesses, and the randomized search streams the witnesses it finds.
+``_certify`` runs the sweep in this process over all 2^n labellings, or,
+from ``_FORK_LABELLINGS`` labellings up on a platform that can fork, in
+one forked worker per CPU, each over its own part of them, and merges
+the parts' outcomes in bitmask order into the same certificate. The
+result is a self-contained certificate that can be re-verified later
+without the generator. ``certificate_to_dict`` and
 ``certificate_from_dict`` are the JSON form of a certificate (schema
 ``vcnn-certificate/1``); ``certificate_json`` writes the same text as
 ``json.dumps`` of that document from the witness arrays, and the loader
@@ -27,9 +32,12 @@ seed, so results depend neither on evaluation order nor on chunking.
 
 from __future__ import annotations
 
+import functools
+import gc
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,10 +96,11 @@ def verify_shattering(arrangement: Arrangement, generator, mu: float = DEFAULT_M
     ``ConstructionInfeasibleError`` when it has no witness; the error's
     text becomes the labelling's failure reason. Each witness must pass
     the sweep's checks (see ``_outcomes``), and the sweep stops at the
-    first labelling that fails.
+    first labelling that fails. Any other exception the generator raises
+    propagates, from a forked worker too (see ``_certify``).
     """
-    def called():
-        for bits in range(1 << arrangement.n):
+    def called(bitmasks):
+        for bits in bitmasks:
             labeling = Labeling(bits, arrangement.n)
             try:
                 found = generator(arrangement, labeling, mu)
@@ -99,31 +108,191 @@ def verify_shattering(arrangement: Arrangement, generator, mu: float = DEFAULT_M
                 found = str(exc)
             yield labeling, found
 
-    return _certify(arrangement, mu, called())
+    return _certify(arrangement, mu, called)
 
 
-def _certify(arrangement: Arrangement, mu: float, stream) -> ShatterCertificate:
-    """The certificate of the sweep over ``stream``.
+# Sweeps of at least this many labellings are split across forked workers.
+# Below it the workers cost more than they save: takacs n=4 (1,024
+# labellings) was no faster in two parts, takacs n=5 (4,096) was.
+_FORK_LABELLINGS = 1 << 12
 
-    Stops at the first failing labelling and records it; failure is data,
-    not an exception.
+
+def _parts(n: int) -> int:
+    """How many parts the sweep of the 2^n labellings of n points is split into.
+
+    One per CPU this process may run on when there are at least
+    ``_FORK_LABELLINGS`` labellings and the platform can fork; 1, an
+    in-process sweep, otherwise.
     """
+    if (1 << n) < _FORK_LABELLINGS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _certify(arrangement: Arrangement, mu: float, produce, keep: bool = True) -> ShatterCertificate:
+    """The certificate of the sweep over ``produce(bitmasks)``.
+
+    ``produce`` maps ascending labelling bitmasks to the sweep's stream
+    of their items (see ``_outcomes``). Stops at the first failing
+    labelling and records it; failure is data, not an exception. The
+    passing witnesses are recorded when ``keep``. Refuses more than
+    ``_MAX_EXHAUSTIVE_N`` points and a ``mu`` that is not finite and
+    positive before any labelling is produced. With more than one part
+    (see ``_parts``) every part is swept in a forked worker; the
+    certificate is the one the in-process sweep makes.
+    """
+    check_exhaustive(arrangement.n)
+    check_mu(mu)
+    parts = _parts(arrangement.n)
+    if parts == 1:
+        outcomes = _outcomes(arrangement, mu, produce(range(1 << arrangement.n)))
+    else:
+        outcomes = _forked(arrangement, mu, produce, parts, keep)
     cert = ShatterCertificate(arrangement=arrangement, mu=mu)
-    for bits, witness, worst, failure in _outcomes(arrangement, mu, stream):
+    for bits, witness, worst, failure in outcomes:
         if failure is not None:
             cert.first_failure, cert.failure_reason = bits, failure
             return cert
-        cert.witnesses[bits] = witness
+        if keep:
+            cert.witnesses[bits] = witness
         cert.min_margin = min(cert.min_margin, worst)
     cert.verified = True
     return cert
 
 
+def _forked(arrangement: Arrangement, mu: float, produce, parts: int, keep: bool):
+    """The sweep's outcomes, in bitmask order up to the first failure, from ``parts`` forked workers.
+
+    Worker ``part`` sweeps part ``part`` of the labellings (see
+    ``_part_outcomes``). An exception a worker raises is raised here, with
+    its type and text, and every worker has been joined before this
+    returns or raises.
+    """
+    import multiprocessing   # only a sweep that forks pays for the import
+
+    context = multiprocessing.get_context("fork")
+    stop = context.Value("q", 1 << arrangement.n)   # the lowest failing bitmask found so far
+    workers = []
+    gc.freeze()   # a worker's collections would otherwise write to, and so copy, the parent's heap
+    try:
+        for part in range(parts):
+            receiver, sender = context.Pipe(duplex=False)
+            worker = context.Process(target=_part_worker, daemon=True,
+                                     args=(sender, arrangement, mu, produce, part, parts, stop, keep))
+            worker.start()
+            sender.close()
+            workers.append((worker, receiver))
+        replies = [_reply(worker, receiver, stop) for worker, receiver in workers]
+    except BaseException:
+        for worker, _ in workers:
+            worker.terminate()
+        raise
+    finally:
+        for worker, receiver in workers:
+            worker.join()
+            receiver.close()
+        gc.unfreeze()
+    for status, value in replies:
+        if status == "error":
+            raise value
+    return _merged([value for _, value in replies], arrangement.n)
+
+
+def _part_worker(sender, arrangement: Arrangement, mu: float, produce, part: int, parts: int, stop,
+                 keep: bool) -> None:
+    """A forked worker's body: send ``("ok", _part_outcomes(...))``, or ``("error", exception)``."""
+    try:
+        reply = "ok", _part_outcomes(arrangement, mu, produce, part, parts, stop, keep)
+    except BaseException as exc:
+        stop.value = -1   # every other part stops at its next labelling
+        reply = "error", exc
+    sender.send(reply)
+    sender.close()
+
+
+def _reply(worker, receiver, stop) -> tuple[str, object]:
+    """The reply of ``worker``; an error stops every other part at its next labelling."""
+    try:
+        reply = receiver.recv()
+    except EOFError:
+        worker.join()
+        reply = "error", RuntimeError(f"a sweep worker exited with code {worker.exitcode} before it replied")
+    if reply[0] == "error":
+        stop.value = -1
+    return reply
+
+
+def _part_outcomes(arrangement: Arrangement, mu: float, produce, part: int, parts: int, stop, keep: bool):
+    """The sweep of one part of the labellings: ``(bits, worst, failure, stacks)``.
+
+    Part ``part`` holds every labelling ``L`` with ``min(L, ~L) % parts ==
+    part``, so both members of a complementary pair fall in one part. Its
+    labellings are produced in ascending order up to its first failure, or
+    up to the first one above ``stop.value``, the lowest failing bitmask
+    any part has found, which this part lowers when it fails. ``bits`` and
+    ``worst`` list the passing labellings and their minimum margins,
+    ``failure`` is ``(bits, reason)`` of the failing one or None, and
+    ``stacks`` maps each witness shape ``(m, d)`` to the ``(bits,
+    prototypes, labels)`` stacks of the passing witnesses of that shape
+    when ``keep`` (empty otherwise).
+    """
+    n = arrangement.n
+    full = (1 << n) - 1
+
+    def bitmasks():
+        for bits in range(1 << n):
+            if min(bits, bits ^ full) % parts == part:
+                if bits > stop.value:
+                    return
+                yield bits
+
+    passed, worsts, failure, kept = [], [], None, {}
+    for bits, witness, worst, reason in _outcomes(arrangement, mu, produce(bitmasks())):
+        if reason is not None:
+            with stop.get_lock():
+                stop.value = min(stop.value, bits)
+            failure = bits, reason
+            break
+        passed.append(bits)
+        worsts.append(worst)
+        if keep:
+            kept.setdefault(witness.prototypes.shape, []).append((bits, witness))
+    stacks = {
+        shape: (np.array([bits for bits, _ in group]), np.stack([w.prototypes for _, w in group]),
+                np.stack([w.labels for _, w in group]))
+        for shape, group in kept.items()
+    }
+    return passed, worsts, failure, stacks
+
+
+def _merged(replies: list, n: int):
+    """The outcomes ``(bits, witness, worst, failure)`` of the parts' ``replies``, in bitmask order.
+
+    Ends at the first failure of any part. Every labelling below it was
+    swept by its part, so the outcomes are those of one in-process sweep;
+    a part's labellings past it are dropped. The witnesses are the rows of
+    the parts' stacks, None when none were kept.
+    """
+    first = min((failure for _, _, failure, _ in replies if failure is not None), default=None)
+    limit = 1 << n if first is None else first[0]
+    witnesses = {}
+    for *_, stacks in replies:
+        for bits, prototypes, labels in stacks.values():
+            witnesses.update(zip(bits.tolist(), LabeledPrototypeSet.from_checked_stack(prototypes, labels)))
+    passed = sorted((bits, worst) for bitmasks, worsts, _, _ in replies
+                    for bits, worst in zip(bitmasks, worsts) if bits < limit)
+    for bits, worst in passed:
+        yield bits, witnesses.get(bits), worst, None
+    if first is not None:
+        yield first[0], None, None, first[1]
+
+
 def _outcomes(arrangement: Arrangement, mu: float, stream):
     """The sweep: ``(bits, witness, worst, failure)`` of every item of ``stream``.
 
-    ``stream`` yields ``(labeling, witness or failure reason)`` for every
-    labelling of the arrangement, in bitmask order. Every witness is
+    ``stream`` yields ``(labeling, witness or failure reason)`` for
+    labellings of the arrangement in ascending bitmask order: all of
+    them, or one part's (see ``_part_outcomes``). Every witness is
     checked here, once: it may use at most ``arrangement.budget``
     prototypes and must realise its labelling at margin ``mu``.
     ``failure`` is None when it does, and says why not otherwise. Refuses
@@ -202,13 +371,13 @@ def _restart_pool(rng: np.random.Generator, points: np.ndarray, target: np.ndarr
 _BATCH_ROWS = 256
 
 
-def _searched(cfg: SearchConfig, ps: int, arrangement: Arrangement):
+def _searched(cfg: SearchConfig, ps: int, arrangement: Arrangement, bitmasks):
     """The sweep's stream for point set ``ps``: ``(labeling, witness or reason)`` found by search.
 
-    Labellings are searched in bitmask-order chunks of about
-    ``_BATCH_ROWS`` rows (labellings x ``cfg.trials``), each chunk in one
-    ``kernels.search_batch`` call made only when the sweep reads its first
-    labelling. Places ``arrangement.budget`` prototypes. Restarts are
+    The labellings of the ascending ``bitmasks`` are searched in chunks of
+    about ``_BATCH_ROWS`` rows (labellings x ``cfg.trials``), each chunk in
+    one ``kernels.search_batch`` call made only when the sweep reads its
+    first labelling. Places ``arrangement.budget`` prototypes. Restarts are
     seeded with ``[rng_seed, ps, bits]``, so a witness depends neither on
     chunk boundaries nor on evaluation order. A labelling no restart
     realises at margin 2 mu gets a failure reason in place of a witness.
@@ -217,8 +386,9 @@ def _searched(cfg: SearchConfig, ps: int, arrangement: Arrangement):
     span = points.max(axis=0) - points.min(axis=0)
     scale = max(float(span.max()), 1e-6)
     chunk = max(1, _BATCH_ROWS // cfg.trials)
-    for start in range(0, 1 << n, chunk):
-        labelings = [Labeling(bits, n) for bits in range(start, min(start + chunk, 1 << n))]
+    bitmasks = iter(bitmasks)
+    while batch := list(itertools.islice(bitmasks, chunk)):
+        labelings = [Labeling(bits, n) for bits in batch]
         pools = [
             _restart_pool(np.random.default_rng([cfg.rng_seed, ps, lab.bits]), points, lab.array,
                           cfg.trials, arrangement.budget, span, scale)
@@ -251,7 +421,7 @@ def search_lower_bound(cfg: SearchConfig):
     for ps in range(cfg.point_sets):
         points = np.random.default_rng([cfg.rng_seed, ps]).uniform(-1.0, 1.0, size=(cfg.n, cfg.d))
         arrangement = Arrangement(kind="search", points=points, radius=1.0, param=cfg.m)
-        cert = _certify(arrangement, cfg.mu, _searched(cfg, ps, arrangement))
+        cert = _certify(arrangement, cfg.mu, functools.partial(_searched, cfg, ps, arrangement))
         if cert.verified:
             return cfg.n, cert
     return 0, None
@@ -268,7 +438,7 @@ def shatter_coefficient_exhaustive(points, m: int, cfg: SearchConfig) -> int:
     arrangement = Arrangement(kind="search", points=points, radius=1.0, param=m)
     if arrangement.n > _MAX_COEFFICIENT_N:
         raise InvalidInputError(f"2^{arrangement.n} labelings is beyond desk scale for counting")
-    outcomes = _outcomes(arrangement, cfg.mu, _searched(cfg, 0, arrangement))
+    outcomes = _outcomes(arrangement, cfg.mu, _searched(cfg, 0, arrangement, range(1 << arrangement.n)))
     return sum(failure is None for *_, failure in outcomes)
 
 
@@ -499,14 +669,17 @@ def reverify_certificate(cert: ShatterCertificate) -> tuple[bool, str]:
     not verified fails even when every stored witness passes.
     """
     n = cert.arrangement.n
-    stored = ((Labeling(bits, n), cert.witnesses.get(bits, "missing from certificate")) for bits in range(1 << n))
-    check = _certify(cert.arrangement, cert.mu, stored)
+
+    def stored(bitmasks):
+        return ((Labeling(bits, n), cert.witnesses.get(bits, "missing from certificate")) for bits in bitmasks)
+
+    check = _certify(cert.arrangement, cert.mu, stored, keep=False)
     if not check.verified:
         return False, f"labelling {check.first_failure:#x}: {check.failure_reason}"
     worst = check.min_margin
     if not np.isclose(worst, cert.min_margin, rtol=1e-12, atol=0):
         return False, f"recorded min margin {cert.min_margin!r} does not match recomputed {worst!r}"
-    message = f"all {len(check.witnesses)} labelings pass at mu {cert.mu:.1e} (min margin {worst:.6g})"
+    message = f"all {1 << n} labelings pass at mu {cert.mu:.1e} (min margin {worst:.6g})"
     if not cert.verified:
         return False, f"recorded verified=False but re-check says True: {message}"
     return True, message

@@ -1,3 +1,7 @@
+import math
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,23 @@ def pytest_runtest_logreport(report):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def sweep_parts(monkeypatch):
+    """``sweep_parts(k)`` makes every later sweep run in k parts: in this process for 1, forked otherwise.
+
+    Sets the fork threshold and the CPU count the sweep reads; once the
+    test is done, no worker process may be left.
+    """
+    from vcnn import verification
+
+    def force(parts: int) -> None:
+        monkeypatch.setattr(verification, "_FORK_LABELLINGS", 1 if parts > 1 else math.inf)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)), raising=False)
+
+    yield force
+    assert multiprocessing.active_children() == []
 
 
 def random_convex_polygon(rng, n_facets, dim=2):

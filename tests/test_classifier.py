@@ -105,11 +105,12 @@ class TestLabeling:
         ids=["takacs", "gunn"],
     )
     def test_witness_cannot_write_through_the_labelling(self, arrangement, generator):
-        lab = Labeling(0, arrangement.n)   # constant: the witness holds a slice of the labels
+        lab = Labeling(0, arrangement.n)   # constant: the witness's one label is the labelling's first
         witness = generator(arrangement, lab)
-        with pytest.raises(ValueError):
-            witness.labels[0] = 1
+        witness.labels[0] = 1              # the witness owns a copy
         assert lab.array.tolist() == [-1] * arrangement.n
+        with pytest.raises(ValueError):
+            lab.array[0] = 1
 
     def test_out_of_range_bits(self):
         with pytest.raises(InvalidInputError):

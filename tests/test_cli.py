@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -525,5 +526,74 @@ class TestSearchCommand:
             capsys, "search", "--d", "2", "--m", "2", "--n", "6",
             "--trials", "4", "--point-sets", "1", "--steps", "30", "--seed", "0",
         )
+        assert code == EXIT_VERIFICATION
+        assert "proves nothing" in out
+
+
+class TestSweepParts:
+    """A sweep in one part (in this process) and in two forked parts: the same bytes, lines and codes."""
+
+    def _in_parts(self, capsys, sweep_parts, *argv):
+        results = []
+        for parts in (1, 2):
+            sweep_parts(parts)
+            results.append(run_cli(capsys, *argv))
+            assert multiprocessing.active_children() == []
+        assert results[0] == results[1]
+        return results[0]
+
+    @pytest.mark.parametrize(
+        "argv, digest, line",
+        [
+            (("gunn", "--m", "6"), "789e0a2889121ccd7f233a5770fbf2ea31a5f35bcdbdd2634559e80c17caa3fe",
+             "all 8192 labelings pass at mu 1.0e-06 (min margin 0.00120418)"),
+            (("takacs", "--n", "5"), "c438d2d9ccfdaeb3532ea84bd109b349aa98de3453b27a050de5d589a8665b28",
+             "all 4096 labelings pass at mu 1.0e-06 (min margin 0.0101786)"),
+        ],
+        ids=["gunn6", "takacs5"],
+    )
+    def test_frozen_bytes_and_verify_line(self, capsys, tmp_path, sweep_parts, argv, digest, line):
+        for parts in (1, 2):
+            sweep_parts(parts)
+            path = tmp_path / f"{parts}.json"
+            assert run_cli(capsys, "witness", *argv, "--no-meta", "--out", str(path))[0] == EXIT_OK
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+            assert run_cli(capsys, "verify", str(path)) == (EXIT_OK, line + "\n", "")
+            assert multiprocessing.active_children() == []
+
+    def test_worker_error_is_the_same_usage_error(self, capsys, sweep_parts):
+        code, _, err = self._in_parts(capsys, sweep_parts, "witness", "gunn", "--m", "6", "--mu", "0.01")
+        assert code == EXIT_USAGE
+        assert err == "error: mu / radius = 0.01 exceeds 0.001, the largest margin ratio the gunn construction supports\n"
+
+    @pytest.mark.parametrize("edit", ["flip", "drop"])
+    def test_broken_certificate_fails_at_the_same_labelling(self, capsys, tmp_path, sweep_parts, edit):
+        path = tmp_path / "takacs5.json"
+        run_cli(capsys, "witness", "takacs", "--n", "5", "--no-meta", "--out", str(path))
+        doc = json.loads(path.read_text())
+        if edit == "flip":   # one label of a witness in the upper half
+            doc["witnesses"]["0xa53"]["labels"][0] *= -1
+        else:
+            del doc["witnesses"]["0xc00"]
+        path.write_text(json.dumps(doc))
+        code, out, _ = self._in_parts(capsys, sweep_parts, "verify", str(path))
+        assert code == EXIT_VERIFICATION
+        assert out.startswith("labelling 0xa53: witness misclassifies" if edit == "flip"
+                              else "labelling 0xc00: missing from certificate")
+
+    def test_search_bytes_are_frozen(self, capsys, tmp_path, sweep_parts):
+        for parts in (1, 2):
+            sweep_parts(parts)
+            path = tmp_path / f"{parts}.json"
+            code, _, _ = run_cli(capsys, "search", "--d", "2", "--m", "3", "--n", "6", "--seed", "0",
+                                 "--no-meta", "--out", str(path))
+            assert code == EXIT_OK
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == "f4093fb7110882186eb710362e31d373ddc5a4962b10c1a5982e95b730b9c5bc"
+            assert multiprocessing.active_children() == []
+
+    def test_search_failure_reports_budget(self, capsys, sweep_parts):
+        code, out, _ = self._in_parts(capsys, sweep_parts, "search", "--d", "2", "--m", "2", "--n", "6",
+                                      "--trials", "4", "--point-sets", "1", "--steps", "30", "--seed", "0")
         assert code == EXIT_VERIFICATION
         assert "proves nothing" in out

@@ -465,8 +465,26 @@ class TestGunnPlanTable:
         # witnesses own their arrays: scribbling over them changes no later sweep
         for witness in first.witnesses.values():
             witness.prototypes[:] = 7.0
+            witness.labels[:] = 1
         same_witnesses(verify_shattering(shared, gunn_shatter, 1e-6),
                        verify_shattering(gunn_arrangement(5), gunn_shatter, 1e-6))
+
+    @pytest.mark.parametrize("build, generator, param",
+                             [(gunn_arrangement, gunn_shatter, 4), (takacs_arrangement, takacs_shatter, 2)],
+                             ids=["gunn4", "takacs2"])
+    def test_constant_witnesses_own_their_arrays(self, build, generator, param):
+        # the constant labellings too: neither the labelling nor the arrangement points are viewed
+        arr, fresh = build(param), build(param)
+        points = arr.points.copy()
+        for bits in (0, (1 << arr.n) - 1):
+            labeling = Labeling(bits, arr.n)
+            witness = generator(arr, labeling)
+            assert witness.prototypes.flags.owndata and witness.labels.flags.owndata
+            witness.prototypes[:] = 7.0
+            witness.labels[:] = -witness.labels
+            assert np.array_equal(arr.points, points)
+            assert np.array_equal(labeling.array, np.full(arr.n, 1 if bits else -1))
+            assert_same(generator(arr, labeling), generator(fresh, labeling))
 
     def test_arrangement_points_are_read_only(self):
         points = gunn_arrangement(4).points.copy()
@@ -536,10 +554,8 @@ class TestComplementPairs:
         full = (1 << n) - 1
         for bits in range(1 << (n - 1)):
             witness = generator(arr, Labeling(bits, n))
-            # a constant witness may view the read-only labelling or arrangement points
-            for array in (witness.prototypes, witness.labels):
-                if array.flags.writeable:
-                    array[:] = 1
+            witness.prototypes[:] = 1
+            witness.labels[:] = 1
             assert_same(generator(arr, Labeling(full ^ bits, n)),
                         generator(fresh, Labeling(full ^ bits, n)))
 

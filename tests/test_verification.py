@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -467,3 +468,132 @@ class TestShatterCoefficient:
         cfg = SearchConfig(d=2, m=2, n=17, trials=1, steps=1)
         with pytest.raises(InvalidInputError):
             shatter_coefficient_exhaustive(pts, 2, cfg)
+
+
+def _failing_at(failing: set[int], generator=takacs_shatter, error=ConstructionInfeasibleError):
+    """``generator``, raising ``error`` at the labellings in ``failing``."""
+    def wrapped(arrangement, labeling, mu):
+        if labeling.bits in failing:
+            raise error(f"no witness for {labeling.bits:#x}")
+        return generator(arrangement, labeling, mu)
+    return wrapped
+
+
+def _producer(arrangement, generator, read=None):
+    """A producer of ``generator``'s witnesses, recording the bitmasks it reads in ``read``."""
+    def produce(bitmasks):
+        for bits in bitmasks:
+            if read is not None:
+                read.append(bits)
+            labeling = Labeling(bits, arrangement.n)
+            try:
+                yield labeling, generator(arrangement, labeling, 1e-6)
+            except ConstructionInfeasibleError as exc:
+                yield labeling, str(exc)
+    return produce
+
+
+def _part_of(bits: int, n: int, parts: int) -> int:
+    return min(bits, bits ^ ((1 << n) - 1)) % parts
+
+
+class TestSweepParts:
+    """One part (in this process) and two forked parts make the same certificate."""
+
+    def _swept(self, sweep_parts, parts, *args, **kwargs):
+        sweep_parts(parts)
+        cert = verify_shattering(*args, **kwargs)
+        assert multiprocessing.active_children() == []
+        return cert
+
+    def _same(self, got, want):
+        assert (got.verified, got.first_failure, got.failure_reason) == (
+            want.verified, want.first_failure, want.failure_reason)
+        assert got.min_margin == want.min_margin
+        assert list(got.witnesses) == list(want.witnesses)   # bitmask order
+        for bits, witness in got.witnesses.items():
+            assert np.array_equal(witness.prototypes, want.witnesses[bits].prototypes)
+            assert np.array_equal(witness.labels, want.witnesses[bits].labels)
+            assert witness.prototypes.flags.writeable and witness.labels.flags.writeable
+
+    @pytest.mark.parametrize("failing, parts_failing", [({0xA53}, 1), ({0xA53, 0xC00}, 2), ({0xA53, 0xC01}, 1)],
+                             ids=["one", "one-per-part", "two-in-one-part"])
+    def test_failure_in_the_upper_half(self, sweep_parts, failing, parts_failing):
+        n = takacs_arrangement(5).n
+        assert len({_part_of(bits, n, 2) for bits in failing}) == parts_failing
+        one = self._swept(sweep_parts, 1, takacs_arrangement(5), _failing_at(failing))
+        two = self._swept(sweep_parts, 2, takacs_arrangement(5), _failing_at(failing))
+        assert one.first_failure == min(failing) and len(one.witnesses) == min(failing)
+        self._same(two, one)
+
+    def test_full_sweeps_agree(self, sweep_parts):
+        one = self._swept(sweep_parts, 1, gunn_arrangement(5), gunn_shatter)
+        two = self._swept(sweep_parts, 2, gunn_arrangement(5), gunn_shatter)
+        assert one.verified
+        self._same(two, one)
+        assert reverify_certificate(two) == reverify_certificate(one)
+
+    def test_three_parts_agree(self, sweep_parts):
+        one = self._swept(sweep_parts, 1, takacs_arrangement(4), _failing_at({0x2F5}))
+        self._same(self._swept(sweep_parts, 3, takacs_arrangement(4), _failing_at({0x2F5})), one)
+
+    def test_worker_exception_is_raised_with_its_type_and_text(self, sweep_parts):
+        sweep_parts(2)
+        with pytest.raises(ValueError, match="^no witness for 0xa53$"):
+            verify_shattering(takacs_arrangement(5), _failing_at({0xA53}, error=ValueError))
+        assert multiprocessing.active_children() == []
+
+    def test_search_agrees(self, sweep_parts):
+        cfg = SearchConfig(d=2, m=3, n=6, rng_seed=0)
+        sweep_parts(1)
+        want = search_lower_bound(cfg)
+        sweep_parts(2)
+        got = search_lower_bound(cfg)
+        assert got[0] == want[0] == 6
+        self._same(got[1], want[1])
+
+    def test_parts_hold_complementary_pairs(self):
+        arr = takacs_arrangement(4)
+        n, full = arr.n, (1 << arr.n) - 1
+        swept = []
+        for part in range(3):
+            stop = multiprocessing.Value("q", 1 << n)
+            bits, worsts, failure, stacks = verification._part_outcomes(
+                arr, 1e-6, _producer(arr, takacs_shatter), part, 3, stop, True)
+            assert failure is None and bits == sorted(bits) and len(worsts) == len(bits)
+            assert {full ^ b for b in bits} == set(bits)   # both members of every pair
+            assert sorted(int(b) for group in stacks.values() for b in group[0]) == bits
+            swept += bits
+        assert sorted(swept) == list(range(1 << n))
+
+    def test_part_reads_nothing_above_the_lowest_failure(self):
+        arr = takacs_arrangement(4)
+        read = []
+        assert _part_of(0x2F5, arr.n, 2) == 0
+        stop = multiprocessing.Value("q", 0x2F5)   # part 0 failed there
+        bits, _, failure, _ = verification._part_outcomes(
+            arr, 1e-6, _producer(arr, takacs_shatter, read), 1, 2, stop, False)
+        assert failure is None and max(read) < 0x2F5 and bits == read
+        stop.value = 1 << arr.n
+        bits, _, failure, stacks = verification._part_outcomes(
+            arr, 1e-6, _producer(arr, _failing_at({0x2F5}), read := []), 0, 2, stop, False)
+        assert failure == (0x2F5, "no witness for 0x2f5") and read[-1] == 0x2F5 and stop.value == 0x2F5
+        assert stacks == {}
+
+    def test_merge_ends_at_the_lowest_failure_of_any_part(self):
+        # part 0 swept past 5 before part 1 failed there; its later outcomes are dropped
+        replies = [([0, 2, 4, 6], [1.0, 0.5, 2.0, 3.0], (8, "late"), {}), ([1, 3], [0.25, 4.0], (5, "early"), {})]
+        assert list(verification._merged(replies, 4)) == [
+            (0, None, 1.0, None), (1, None, 0.25, None), (2, None, 0.5, None), (3, None, 4.0, None),
+            (4, None, 2.0, None), (5, None, None, "early"),
+        ]
+
+    def test_sweep_below_the_threshold_starts_no_process(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("a sweep below the fork threshold forked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert verification._parts(gunn_arrangement(5).n) == 1
+        assert verification._parts(takacs_arrangement(5).n) == 2
+        assert verify_shattering(gunn_arrangement(5), gunn_shatter).verified
