@@ -169,25 +169,51 @@ class Labeling:
         return cls(bits=bits, size=int(labels.size))
 
 
+def summed_distances(squares) -> np.ndarray:
+    """Square root of the sum of ``squares``, one array of squared coordinate differences per coordinate.
+
+    The terms are added in coordinate order, which makes a distance the
+    same whatever shape it is computed in, and lets the search kernel
+    replace one coordinate's term. NumPy's own sum adds fewer than eight
+    terms in this order too (more it groups pairwise), so for d < 8 the
+    result is bit for bit ``np.sqrt(sum(axis=-1))``.
+    """
+    total = squares[0]
+    for square in squares[1:]:
+        total = total + square
+    return np.sqrt(total)
+
+
 def prototype_distances(points, prototypes) -> np.ndarray:
     """Euclidean distances from (n, d) points to (..., m, d) prototypes, shape (..., m, n)."""
     diff = points - prototypes[..., :, None, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    squares = diff * diff
+    return summed_distances([squares[..., c] for c in range(squares.shape[-1])])
 
 
-def nearest_distances(points, target, prototypes, labels, dist=None) -> tuple[np.ndarray, np.ndarray]:
+def split_by_label(target, labels, dist) -> tuple[np.ndarray, np.ndarray]:
+    """``dist`` split into ``(same, other)`` by whether a prototype has the point's label.
+
+    ``dist`` (..., m, n) holds prototype-to-point distances, ``labels``
+    (..., m) the prototype labels and ``target`` (..., n) one label per
+    point. ``same`` keeps the distances to prototypes of the point's label
+    and ``other`` those to the rest; each is +inf where the other keeps
+    the distance. This is the one test of which label a prototype counts as.
+    """
+    same = labels[..., :, None] == target[..., None, :]
+    return np.where(same, dist, np.inf), np.where(same, np.inf, dist)
+
+
+def nearest_distances(points, target, prototypes, labels) -> tuple[np.ndarray, np.ndarray]:
     """Each point's distance to its nearest prototype of label ``target``, and of the other label.
 
     ``target`` (..., n) holds one label per point. ``prototypes``
-    (..., m, d) and ``labels`` (..., m) may carry leading batch axes;
-    ``dist`` is ``prototype_distances(points, prototypes)`` when the
-    caller already holds it. Returns ``(same, other)`` of shape (..., n);
-    +inf where none.
+    (..., m, d) and ``labels`` (..., m) may carry leading batch axes.
+    Returns the minima over the prototype axis of ``split_by_label``,
+    ``(same, other)`` of shape (..., n); +inf where none.
     """
-    if dist is None:
-        dist = prototype_distances(points, prototypes)
-    same = labels[..., :, None] == target[..., None, :]
-    return np.where(same, dist, np.inf).min(axis=-2), np.where(same, np.inf, dist).min(axis=-2)
+    same, other = split_by_label(target, labels, prototype_distances(points, prototypes))
+    return same.min(axis=-2), other.min(axis=-2)
 
 
 def evaluate_margins(s: LabeledPrototypeSet, points) -> tuple[np.ndarray, np.ndarray]:

@@ -317,6 +317,26 @@ def _outcomes(arrangement: Arrangement, mu: float, stream):
 _STEP_INIT = 0.25   # first hill-climb step, as a fraction of the point set's extent
 _STEP_DECAY = 0.5   # step factor after a sweep that improves nothing
 
+# Rows (labellings x restarts) the search climbs in one lockstep batch:
+# enough to spread NumPy's per-call cost, few enough that the sweep's stop
+# at a failing labelling wastes little and the batch stays small in memory.
+_BATCH_ROWS = 256
+
+# The search's largest array is the kernel's coordinate differences of
+# every row, prototype and point of a batch: at most max(trials,
+# _BATCH_ROWS) x m x n x d float64s. A budget past this many elements
+# (512 MiB) is refused before any array is built.
+_MAX_SEARCH_ELEMENTS = 1 << 26
+
+
+def _check_search_size(trials: int, m: int, n: int, d: int) -> None:
+    """Raise ``InvalidInputError`` if a search's largest array would pass ``_MAX_SEARCH_ELEMENTS``."""
+    size = max(trials, _BATCH_ROWS) * m * n * d
+    if size > _MAX_SEARCH_ELEMENTS:
+        raise InvalidInputError(
+            f"a search of {trials} trials with {m} prototypes on {n} points in R^{d} needs arrays of "
+            f"{size} elements, over the limit of {_MAX_SEARCH_ELEMENTS}")
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -324,7 +344,8 @@ class SearchConfig:
 
     Refuses, with ``InvalidInputError``, a count (``d``, ``m``, ``n`` or a
     budget) that is not an integer >= 1, an ``rng_seed`` that is not an
-    integer >= 0 and a ``mu`` that is not finite and positive.
+    integer >= 0, a ``mu`` that is not finite and positive, and a search
+    too large to allocate (see ``_MAX_SEARCH_ELEMENTS``).
     """
 
     d: int
@@ -341,6 +362,7 @@ class SearchConfig:
             check_int(name, getattr(self, name), 1)
         check_int("rng_seed", self.rng_seed, 0)
         check_mu(self.mu)
+        _check_search_size(self.trials, self.m, self.n, self.d)
 
 
 def _restart_pool(rng: np.random.Generator, points: np.ndarray, target: np.ndarray,
@@ -363,12 +385,6 @@ def _restart_pool(rng: np.random.Generator, points: np.ndarray, target: np.ndarr
         inits[-n_uniform:] = rng.uniform(lo, hi, size=(n_uniform, m, d))
         labels[-n_uniform:] = rng.choice(np.array([-1, 1]), size=(n_uniform, m))
     return inits, labels.astype(np.int64)
-
-
-# Rows (labellings x restarts) the search climbs in one lockstep batch:
-# enough to spread NumPy's per-call cost, few enough that the sweep's stop
-# at a failing labelling wastes little and the batch stays small in memory.
-_BATCH_ROWS = 256
 
 
 def _searched(cfg: SearchConfig, ps: int, arrangement: Arrangement, bitmasks):
@@ -432,12 +448,13 @@ def shatter_coefficient_exhaustive(points, m: int, cfg: SearchConfig) -> int:
 
     A lower bound on the shatter coefficient: search failures undercount,
     successes are margin-verified so the count never exceeds the truth.
-    ``m`` and ``points`` that ``Arrangement`` refuses raise
-    ``InvalidInputError``.
+    ``m`` and ``points`` that ``Arrangement`` refuses, and a search too
+    large to allocate, raise ``InvalidInputError``.
     """
     arrangement = Arrangement(kind="search", points=points, radius=1.0, param=m)
     if arrangement.n > _MAX_COEFFICIENT_N:
         raise InvalidInputError(f"2^{arrangement.n} labelings is beyond desk scale for counting")
+    _check_search_size(cfg.trials, m, *arrangement.points.shape)
     outcomes = _outcomes(arrangement, cfg.mu, _searched(cfg, 0, arrangement, range(1 << arrangement.n)))
     return sum(failure is None for *_, failure in outcomes)
 

@@ -12,6 +12,7 @@ from vcnn.classifier import (
     classify,
     evaluate_margins,
     nearest_distances,
+    prototype_distances,
     realisation,
     realizes,
 )
@@ -200,6 +201,13 @@ def argmin_margins(s, pts):
 
 
 class TestNearestDistances:
+    def test_distances_are_numpys_sum_below_eight_coordinates(self, rng):
+        # summed in coordinate order, as NumPy sums fewer than eight terms, so no byte changed
+        for d in range(1, 8):
+            points, protos = rng.uniform(-1, 1, size=(9, d)), rng.uniform(-3, 3, size=(5, 4, d))
+            diff = points - protos[..., :, None, :]
+            assert np.array_equal(prototype_distances(points, protos), np.sqrt((diff * diff).sum(axis=-1)))
+
     def test_one_label_set_has_infinite_margin(self):
         points = np.array([[0.0, 0.0]])
         same, other = nearest_distances(points, np.array([1]), np.array([[0.5, 0.0]]), np.array([1]))

@@ -265,11 +265,16 @@ class TestWitnessAndVerify:
         ("search", "--d", "2", "--m", "3", "--n", "4", "--mu", "inf"),
         ("plot-data", "--d", ",", "--m", "3..4"),
         ("plot-data", "--d", "2,2", "--m", "3..4"),
+        *[("search", *argv, "--point-sets", "1", "--seed", "0")
+          for argv in (("--d", "2", "--m", "3", "--n", "3", "--trials", "1000000000"),
+                       ("--d", "2", "--m", "1000000000", "--n", "3"),
+                       ("--d", "1000000000", "--m", "3", "--n", "3"))],
     ],
     ids=["bounds-non-integer", "witness-zero-radius", "search-beyond-desk-scale",
          "witness-gunn-small-radius", "witness-gunn-large-mu", "witness-gunn-nan-radius",
          "witness-takacs-inf-radius", "witness-takacs-inf-mu", "search-inf-mu",
-         "plot-data-empty-d", "plot-data-repeated-d"],
+         "plot-data-empty-d", "plot-data-repeated-d", "search-huge-trials", "search-huge-m",
+         "search-huge-d"],
 )
 def test_bad_input_is_usage_error(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -512,14 +517,20 @@ class TestSearchCommand:
         code, _, _ = run_cli(capsys, "verify", str(path))
         assert code == EXIT_OK
 
-    def test_search_certificate_bytes_are_frozen(self, capsys, tmp_path):
-        # recorded with the per-restart search; the search is deterministic
+    @pytest.mark.parametrize(
+        "d, n, digest",
+        [("2", "6", "f4093fb7110882186eb710362e31d373ddc5a4962b10c1a5982e95b730b9c5bc"),
+         ("3", "7", "4804ed49a4aa9356e712001a7e79720533e9c06d18cc7c98b938e380b8736778")],
+        ids=["d2", "d3"],
+    )
+    def test_search_certificate_bytes_are_frozen(self, capsys, tmp_path, d, n, digest):
+        # d2 was recorded with the per-restart search, d3 before the kernel scored moves
+        # from cached minima; the search is deterministic
         path = tmp_path / "search.json"
-        code, _, _ = run_cli(capsys, "search", "--d", "2", "--m", "3", "--n", "6", "--seed", "0",
+        code, _, _ = run_cli(capsys, "search", "--d", d, "--m", "3", "--n", n, "--seed", "0",
                              "--no-meta", "--out", str(path))
         assert code == EXIT_OK
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "f4093fb7110882186eb710362e31d373ddc5a4962b10c1a5982e95b730b9c5bc"
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_search_failure_reports_budget(self, capsys):
         code, out, _ = run_cli(

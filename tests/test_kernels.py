@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from vcnn import kernels
 from vcnn.classifier import LabeledPrototypeSet, realisation
@@ -66,6 +67,23 @@ def _reference_search(points, point_labels, inits, init_labels, sweeps, step0, d
         if best_val >= target:
             break
     return best_val, best_protos, best_idx
+
+
+@pytest.mark.parametrize("n, m, d", [(5, 1, 2), (7, 3, 2), (12, 4, 3)], ids=["m1", "m3", "n12-m4-d3"])
+def test_cached_minima_match_a_fresh_score(rng, n, m, d):
+    # after 12 sweeps each restart's margin, scored from cached minima, is the fresh
+    # score of its prototypes, bit for bit; one restart per labelling returns every
+    # restart, and a third of them have one label
+    for _ in range(4):
+        points = rng.uniform(-1, 1, size=(n, d))
+        targets = rng.choice([-1, 1], size=(12, n))
+        labels = rng.choice([-1, 1], size=(12, 1, m))
+        labels[::3] = rng.choice([-1, 1], size=(4, 1, 1))
+        best, protos, _ = kernels.search_batch(
+            points, targets, rng.uniform(-1, 1, size=(12, 1, m, d)), labels, 12, 0.2, 0.5, np.inf, 1e-7)
+        for k in range(12):
+            fresh = _reference_score(points, targets[k], protos[k], labels[k, 0])
+            assert np.float64(best[k]).tobytes() == np.float64(fresh).tobytes()
 
 
 def _random_problem(rng):

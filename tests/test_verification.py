@@ -364,6 +364,16 @@ class TestSearchConfig:
         with pytest.raises(InvalidInputError, match=match):
             SearchConfig(**{"d": 2, "m": 2, "n": 3, **kwargs})
 
+    def test_search_too_large_to_allocate_is_refused(self):
+        for kwargs in ({"trials": 10**9}, {"m": 10**9}, {"d": 10**9}, {"n": 10**9}):
+            with pytest.raises(InvalidInputError, match="over the limit"):
+                SearchConfig(**{"d": 2, "m": 3, "n": 3, **kwargs})
+        with pytest.raises(InvalidInputError, match="over the limit"):
+            shatter_coefficient_exhaustive(np.zeros((3, 2)), 10**9, SearchConfig(d=2, m=3, n=3))
+
+    def test_largest_roadmap_budget_is_accepted(self):
+        SearchConfig(d=4, m=4, n=22, trials=400)
+
 
 class TestSearchLowerBound:
     def test_halfplane_case_shatters_three_points(self):
