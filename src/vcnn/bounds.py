@@ -42,6 +42,16 @@ def _require_grid(d: int, m: int) -> None:
         raise UnsupportedParametersError(f"m={m} outside supported range [{M_MIN}, {M_MAX}]")
 
 
+def require_grid_ends(ds, ms: range) -> None:
+    """Refuse, as ``_require_grid`` does, each d of ``ds`` with either end of the ascending range ``ms``.
+
+    No m between the ends is read, so a range of any length costs the same.
+    """
+    for d in ds:
+        for m in (ms[0], ms[-1]):
+            _require_grid(d, m)
+
+
 def lower_bound(d: int, m: int) -> int:
     """Best constructive lower bound for the VC dimension of 1NN(d, m).
 

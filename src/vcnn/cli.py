@@ -30,7 +30,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .bounds import compute_bounds, loose_upper_curve, tight_upper_curve
+from .bounds import compute_bounds, loose_upper_curve, require_grid_ends, tight_upper_curve
 from .classifier import DEFAULT_MU
 from .constructions import gunn_arrangement, gunn_shatter, point_count, takacs_arrangement, takacs_shatter
 from .errors import (
@@ -72,15 +72,16 @@ def _default_seed() -> int:
     return _parse_int(os.environ.get("VCNN_SEED", "0"))
 
 
-def _parse_range(text: str) -> list[int]:
-    """Parse '3' or '3..6' (inclusive) into a list of ints."""
+def _parse_range(text: str) -> range:
+    """Parse '3' or '3..6' (inclusive) into a range, without expanding it."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = _parse_int(lo), _parse_int(hi)
         if hi < lo:
             raise UnsupportedParametersError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [_parse_int(text)]
+        return range(lo, hi + 1)
+    value = _parse_int(text)
+    return range(value, value + 1)
 
 
 def _parse_list(text: str) -> list[int]:
@@ -123,7 +124,7 @@ def _write_text(text: str, path: str | None) -> None:
 _BOUND_COLUMNS = ["d", "m", "lower", "q", "upper_tight_real", "upper_tight", "upper_loose", "residual"]
 
 
-def _bound_rows(ds: list[int], ms: list[int]) -> list[dict]:
+def _bound_rows(ds: range, ms: range) -> list[dict]:
     reports = [compute_bounds(d, m) for d in ds for m in ms]
     return [
         dict(zip(_BOUND_COLUMNS, (r.d, r.m, r.lower, r.q, r.upper_tight_real, r.upper_tight,
@@ -159,6 +160,7 @@ def _render_csv(rows: list[dict], columns: list[str]) -> str:
 def cmd_bounds(args) -> int:
     ds = _parse_range(args.d)
     ms = _parse_range(args.m)
+    require_grid_ends(ds, ms)   # before any row is solved
     rows = _bound_rows(ds, ms)
     if args.format == "table":
         text = _render_table(rows)
@@ -230,6 +232,7 @@ def cmd_verify(args) -> int:
 def cmd_plot_data(args) -> int:
     ds = _parse_list(args.d)
     ms = _parse_range(args.m)
+    require_grid_ends(ds, ms)   # before any curve is computed
     ms_arr = np.array(ms, dtype=np.float64)
     columns = ["m"]
     series = {}

@@ -7,9 +7,10 @@ batch is one (labelling, restart) problem, and all rows try the same
 coordinate's ``+step`` and ``-step`` moves at once. The distances are
 cached split by label (``classifier.split_by_label``): once per sweep
 and prototype the kernel takes each split tensor's minimum over the
-other prototypes, so a move is scored on (n, rows) arrays from those
-minima and the moved prototype's new column, whose squared coordinate
-differences are cached too. Minima are exact and distances are summed in
+other prototypes, so a coordinate's ``+step`` and ``-step`` moves are
+scored together on (n, 2, rows) arrays from those minima and the moved
+prototype's new column, whose squared coordinate differences are cached
+too. Minima are exact and distances are summed in
 coordinate order, so every score is bit for bit a full recomputation. A
 row's result depends only on its own inputs, so batching changes no
 result. ``search_labeling`` is the one-labelling case.

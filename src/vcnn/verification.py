@@ -7,16 +7,17 @@ test. Three producers feed it, each a function of the ascending bitmasks
 it is handed: ``verify_shattering`` calls a per-labelling generator (the
 constructions), ``reverify_certificate`` streams a certificate's stored
 witnesses, and the randomized search streams the witnesses it finds.
-``_certify`` runs the sweep in this process over all 2^n labellings, or,
-from ``_FORK_LABELLINGS`` labellings up on a platform that can fork, in
-one forked worker per CPU, each over its own part of them, and merges
-the parts' outcomes in bitmask order into the same certificate. The
-result is a self-contained certificate that can be re-verified later
+``_certify`` sweeps the 2^n labellings in parts: one, in this process,
+or, from ``_FORK_LABELLINGS`` labellings up on a platform that can fork,
+one per CPU, each in a forked worker. Every part collects its passing
+witnesses into per-count stacks ``(bits, prototypes, labels)``, and one
+merge puts the parts' stacks in bitmask order into the certificate.
+The result is a self-contained certificate that can be re-verified later
 without the generator. ``certificate_to_dict`` and
 ``certificate_from_dict`` are the JSON form of a certificate (schema
 ``vcnn-certificate/1``); ``certificate_json`` writes the same text as
-``json.dumps`` of that document from the witness arrays, and the loader
-reads the witnesses back as stacked arrays. The polytope witness file
+``json.dumps`` of that document from the stacks, and the loader reads
+the witnesses back into stacks. The polytope witness file
 (schema ``vcnn-polytope-witness/1``) is written and re-verified here as
 well.
 
@@ -69,14 +70,17 @@ _MAX_COEFFICIENT_N = 16
 class ShatterCertificate:
     """Exhaustive evidence that an arrangement is shattered.
 
-    ``witnesses`` maps each labelling bitmask to the prototype set that
-    realises it; ``verified`` is True only when every labelling passed at
-    margin ``mu``. Certificates re-verify from their serialized form alone.
+    ``witnesses`` maps each prototype count m to the stacks ``(bits,
+    prototypes, labels)`` of the witnesses of m prototypes: the ascending
+    bitmasks (k,) of the labellings they realise, coordinates (k, m, d)
+    and labels (k, m); no stack is empty. ``verified`` is True only when
+    every labelling passed at margin ``mu``. Certificates re-verify from
+    their serialized form alone.
     """
 
     arrangement: Arrangement
     mu: float
-    witnesses: dict[int, LabeledPrototypeSet] = field(default_factory=dict)
+    witnesses: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=dict)
     min_margin: float = float("inf")
     verified: bool = False
     first_failure: int | None = None
@@ -137,36 +141,28 @@ def _certify(arrangement: Arrangement, mu: float, produce, keep: bool = True) ->
     labelling and records it; failure is data, not an exception. The
     passing witnesses are recorded when ``keep``. Refuses more than
     ``_MAX_EXHAUSTIVE_N`` points and a ``mu`` that is not finite and
-    positive before any labelling is produced. With more than one part
-    (see ``_parts``) every part is swept in a forked worker; the
-    certificate is the one the in-process sweep makes.
+    positive before any labelling is produced. The sweep runs in one part
+    in this process or, with more parts (see ``_parts``), in one forked
+    worker per part; either way ``_merged`` makes the certificate.
     """
     check_exhaustive(arrangement.n)
     check_mu(mu)
     parts = _parts(arrangement.n)
     if parts == 1:
-        outcomes = _outcomes(arrangement, mu, produce(range(1 << arrangement.n)))
+        replies = [_collected(arrangement, mu, produce(range(1 << arrangement.n)), keep)]
     else:
-        outcomes = _forked(arrangement, mu, produce, parts, keep)
-    cert = ShatterCertificate(arrangement=arrangement, mu=mu)
-    for bits, witness, worst, failure in outcomes:
-        if failure is not None:
-            cert.first_failure, cert.failure_reason = bits, failure
-            return cert
-        if keep:
-            cert.witnesses[bits] = witness
-        cert.min_margin = min(cert.min_margin, worst)
-    cert.verified = True
-    return cert
+        replies = _forked(arrangement, mu, produce, parts, keep)
+    witnesses, min_margin, failure = _merged(replies)
+    first, reason = failure or (None, None)
+    return ShatterCertificate(arrangement=arrangement, mu=mu, witnesses=witnesses, min_margin=min_margin,
+                              verified=failure is None, first_failure=first, failure_reason=reason)
 
 
-def _forked(arrangement: Arrangement, mu: float, produce, parts: int, keep: bool):
-    """The sweep's outcomes, in bitmask order up to the first failure, from ``parts`` forked workers.
+def _forked(arrangement: Arrangement, mu: float, produce, parts: int, keep: bool) -> list:
+    """The ``_collected`` replies of ``parts`` forked workers, one per part (see ``_part_worker``).
 
-    Worker ``part`` sweeps part ``part`` of the labellings (see
-    ``_part_outcomes``). An exception a worker raises is raised here, with
-    its type and text, and every worker has been joined before this
-    returns or raises.
+    An exception a worker raises is raised here, with its type and text,
+    and every worker has been joined before this returns or raises.
     """
     import multiprocessing   # only a sweep that forks pays for the import
 
@@ -195,14 +191,34 @@ def _forked(arrangement: Arrangement, mu: float, produce, parts: int, keep: bool
     for status, value in replies:
         if status == "error":
             raise value
-    return _merged([value for _, value in replies], arrangement.n)
+    return [value for _, value in replies]
 
 
 def _part_worker(sender, arrangement: Arrangement, mu: float, produce, part: int, parts: int, stop,
                  keep: bool) -> None:
-    """A forked worker's body: send ``("ok", _part_outcomes(...))``, or ``("error", exception)``."""
+    """A forked worker's body: send ``("ok", _collected(...))`` of its part, or ``("error", exception)``.
+
+    Part ``part`` holds every labelling ``L`` with ``min(L, ~L) % parts ==
+    part``, so both members of a complementary pair fall in one part. Its
+    labellings are produced in ascending order up to its first failure, or
+    up to the first one above ``stop.value``, the lowest failing bitmask
+    any part has found, which this part lowers when it fails.
+    """
+    full = (1 << arrangement.n) - 1
+
+    def bitmasks():
+        for bits in range(full + 1):
+            if min(bits, bits ^ full) % parts == part:
+                if bits > stop.value:
+                    return
+                yield bits
+
     try:
-        reply = "ok", _part_outcomes(arrangement, mu, produce, part, parts, stop, keep)
+        reply = "ok", _collected(arrangement, mu, produce(bitmasks()), keep)
+        failure = reply[1][2]
+        if failure is not None:
+            with stop.get_lock():
+                stop.value = min(stop.value, failure[0])
     except BaseException as exc:
         stop.value = -1   # every other part stops at its next labelling
         reply = "error", exc
@@ -222,69 +238,52 @@ def _reply(worker, receiver, stop) -> tuple[str, object]:
     return reply
 
 
-def _part_outcomes(arrangement: Arrangement, mu: float, produce, part: int, parts: int, stop, keep: bool):
-    """The sweep of one part of the labellings: ``(bits, worst, failure, stacks)``.
+def _collected(arrangement: Arrangement, mu: float, stream, keep: bool):
+    """The sweep of ``stream`` up to its first failure: ``(bits, worsts, failure, stacks)``.
 
-    Part ``part`` holds every labelling ``L`` with ``min(L, ~L) % parts ==
-    part``, so both members of a complementary pair fall in one part. Its
-    labellings are produced in ascending order up to its first failure, or
-    up to the first one above ``stop.value``, the lowest failing bitmask
-    any part has found, which this part lowers when it fails. ``bits`` and
-    ``worst`` list the passing labellings and their minimum margins,
-    ``failure`` is ``(bits, reason)`` of the failing one or None, and
-    ``stacks`` maps each witness shape ``(m, d)`` to the ``(bits,
-    prototypes, labels)`` stacks of the passing witnesses of that shape
-    when ``keep`` (empty otherwise).
+    ``bits`` and ``worsts`` are arrays of the passing labellings and their
+    minimum margins, ``failure`` is ``(bits, reason)`` of the failing one
+    or None, and ``stacks`` holds the passing witnesses as a certificate
+    does (see ``ShatterCertificate``) when ``keep``, and is empty otherwise.
     """
-    n = arrangement.n
-    full = (1 << n) - 1
-
-    def bitmasks():
-        for bits in range(1 << n):
-            if min(bits, bits ^ full) % parts == part:
-                if bits > stop.value:
-                    return
-                yield bits
-
     passed, worsts, failure, kept = [], [], None, {}
-    for bits, witness, worst, reason in _outcomes(arrangement, mu, produce(bitmasks())):
+    for bits, witness, worst, reason in _outcomes(arrangement, mu, stream):
         if reason is not None:
-            with stop.get_lock():
-                stop.value = min(stop.value, bits)
             failure = bits, reason
             break
         passed.append(bits)
         worsts.append(worst)
         if keep:
-            kept.setdefault(witness.prototypes.shape, []).append((bits, witness))
+            kept.setdefault(witness.m, []).append((bits, witness))
     stacks = {
-        shape: (np.array([bits for bits, _ in group]), np.stack([w.prototypes for _, w in group]),
-                np.stack([w.labels for _, w in group]))
-        for shape, group in kept.items()
+        m: (np.array([bits for bits, _ in group], dtype=np.int64), np.stack([w.prototypes for _, w in group]),
+            np.stack([w.labels for _, w in group]))
+        for m, group in kept.items()
     }
-    return passed, worsts, failure, stacks
+    return np.array(passed, dtype=np.int64), np.array(worsts, dtype=np.float64), failure, stacks
 
 
-def _merged(replies: list, n: int):
-    """The outcomes ``(bits, witness, worst, failure)`` of the parts' ``replies``, in bitmask order.
+def _merged(replies: list):
+    """The certificate's ``(witnesses, min_margin, failure)`` from the ``_collected`` replies of its parts.
 
-    Ends at the first failure of any part. Every labelling below it was
-    swept by its part, so the outcomes are those of one in-process sweep;
-    a part's labellings past it are dropped. The witnesses are the rows of
-    the parts' stacks, None when none were kept.
+    ``failure`` is the first failure of any part. Every labelling below it
+    was swept by its part, so the stacks, merged in bitmask order and cut
+    below it, and their least margin are those of one sweep in bitmask
+    order; a part's labellings past it are dropped.
     """
-    first = min((failure for _, _, failure, _ in replies if failure is not None), default=None)
-    limit = 1 << n if first is None else first[0]
+    failure = min((failure for _, _, failure, _ in replies if failure is not None), default=None)
+    limit = math.inf if failure is None else failure[0]
+    min_margin = min((float(worsts[bits < limit].min(initial=math.inf)) for bits, worsts, _, _ in replies),
+                     default=math.inf)
     witnesses = {}
-    for *_, stacks in replies:
-        for bits, prototypes, labels in stacks.values():
-            witnesses.update(zip(bits.tolist(), LabeledPrototypeSet.from_checked_stack(prototypes, labels)))
-    passed = sorted((bits, worst) for bitmasks, worsts, _, _ in replies
-                    for bits, worst in zip(bitmasks, worsts) if bits < limit)
-    for bits, worst in passed:
-        yield bits, witnesses.get(bits), worst, None
-    if first is not None:
-        yield first[0], None, None, first[1]
+    for m in sorted({m for *_, stacks in replies for m in stacks}):
+        bits, prototypes, labels = (np.concatenate(column) for column in
+                                    zip(*(stacks[m] for *_, stacks in replies if m in stacks)))
+        order = np.argsort(bits)
+        order = order[bits[order] < limit]
+        if len(order):
+            witnesses[m] = bits[order], prototypes[order], labels[order]
+    return witnesses, min_margin, failure
 
 
 def _outcomes(arrangement: Arrangement, mu: float, stream):
@@ -292,7 +291,7 @@ def _outcomes(arrangement: Arrangement, mu: float, stream):
 
     ``stream`` yields ``(labeling, witness or failure reason)`` for
     labellings of the arrangement in ascending bitmask order: all of
-    them, or one part's (see ``_part_outcomes``). Every witness is
+    them, or one part's (see ``_part_worker``). Every witness is
     checked here, once: it may use at most ``arrangement.budget``
     prototypes and must realise its labelling at margin ``mu``.
     ``failure`` is None when it does, and says why not otherwise. Refuses
@@ -448,8 +447,11 @@ def shatter_coefficient_exhaustive(points, m: int, cfg: SearchConfig) -> int:
 
     A lower bound on the shatter coefficient: search failures undercount,
     successes are margin-verified so the count never exceeds the truth.
-    ``m`` and ``points`` that ``Arrangement`` refuses, and a search too
-    large to allocate, raise ``InvalidInputError``.
+    Of ``cfg`` only ``trials``, ``steps``, ``rng_seed`` and ``mu`` are
+    read; its ``d``, ``m`` and ``n`` are not, and the size cap is checked
+    again here with the real m, n and d. ``m`` and ``points`` that
+    ``Arrangement`` refuses, and a search too large to allocate, raise
+    ``InvalidInputError``.
     """
     arrangement = Arrangement(kind="search", points=points, radius=1.0, param=m)
     if arrangement.n > _MAX_COEFFICIENT_N:
@@ -494,8 +496,9 @@ def certificate_to_dict(cert: ShatterCertificate, generator: str, meta: dict | N
     """
     doc = _header(cert, generator, meta)
     doc["witnesses"] = {
-        format(bits, "#x"): {"prototypes": w.prototypes.tolist(), "labels": w.labels.tolist()}
-        for bits, w in cert.witnesses.items()
+        format(b, "#x"): {"prototypes": p, "labels": l}
+        for bits, protos, labels in cert.witnesses.values()
+        for b, p, l in zip(bits.tolist(), protos.tolist(), labels.tolist())
     }
     return doc
 
@@ -523,26 +526,20 @@ def _entry_template(m: int, d: int) -> str:
     )
 
 
-def _witness_entries(witnesses: dict[int, LabeledPrototypeSet]) -> list[str]:
-    """The text of every witness entry, in the order of their JSON keys."""
-    keyed = sorted(((format(bits, "#x"), w) for bits, w in witnesses.items()), key=lambda kw: kw[0])
-    groups: dict[tuple[int, int], list[int]] = {}
-    for pos, (_, w) in enumerate(keyed):
-        groups.setdefault(w.prototypes.shape, []).append(pos)
-    entries = [""] * len(keyed)
-    for (m, d), pos in groups.items():
-        k = len(pos)
-        protos = np.stack([keyed[p][1].prototypes for p in pos])
-        labels = np.stack([keyed[p][1].labels for p in pos])
+def _witness_entries(witnesses: dict) -> list[str]:
+    """The text of every witness entry of the stacks ``witnesses``, in the order of their JSON keys."""
+    keyed = []
+    for m, (bits, protos, labels) in witnesses.items():
+        k, _, d = protos.shape
         fields = np.concatenate([
-            np.array([keyed[p][0] for p in pos], dtype=object).reshape(k, 1),
+            np.array([format(b, "#x") for b in bits.tolist()], dtype=object).reshape(k, 1),
             _rendered(labels.ravel(), int.__repr__).reshape(k, m),
             _rendered(protos.ravel(), float.__repr__).reshape(k, m * d),
         ], axis=1)
         template = _entry_template(m, d)
-        for p, row in zip(pos, fields.tolist()):
-            entries[p] = template.format(*row)
-    return entries
+        keyed += [(row[0], template.format(*row)) for row in fields.tolist()]
+    keyed.sort(key=lambda entry: entry[0])
+    return [text for _, text in keyed]
 
 
 def certificate_json(cert: ShatterCertificate, generator: str, meta: dict | None = None) -> str:
@@ -582,19 +579,19 @@ def _require_json_types(values, types: tuple, message: str) -> None:
 _LOAD_ROWS = 4096
 
 
-def _load_witnesses(entries: dict, n: int) -> dict[int, LabeledPrototypeSet]:
-    """The witnesses of a certificate's ``"witnesses"`` table over n points.
+def _load_witnesses(entries: dict, n: int, d: int) -> dict:
+    """The witness stacks (see ``ShatterCertificate``) of a ``"witnesses"`` table over n points in R^d.
 
-    Entries are grouped by prototype count; each group is stacked, up to
-    ``_LOAD_ROWS`` entries at a time, into one (k, m, d) coordinate and one
-    (k, m) label array, checked once with ``check_prototype_stack`` and
-    wrapped row by row. Labels must be JSON integers and coordinates JSON
-    numbers. Raises ``CertificateError`` for a key that is not a labelling of n points
-    written as ``format(bits, "#x")``, and lets NumPy's and the stack
+    Entries are grouped by prototype count and sorted by bitmask; each
+    group is parsed, up to ``_LOAD_ROWS`` entries at a time, into its (k,
+    m, d) coordinate and (k, m) label stacks, checked a block at a time
+    with ``check_prototype_stack``. Labels must be JSON integers and
+    coordinates JSON numbers. Raises ``CertificateError`` for a key that
+    is not a labelling of n points written as ``format(bits, "#x")`` and
+    for prototypes that are not in R^d, and lets NumPy's and the stack
     check's errors through for a malformed entry.
     """
     groups: dict[int, list[tuple[int, dict]]] = {}
-    witnesses: dict[int, LabeledPrototypeSet | None] = {}   # keys in the document's order
     for key, val in entries.items():
         bits = int(key, 16)
         if key != format(bits, "#x"):
@@ -602,8 +599,10 @@ def _load_witnesses(entries: dict, n: int) -> dict[int, LabeledPrototypeSet]:
         if not 0 <= bits < 1 << n:
             raise CertificateError(f"witness key {bits:#x} is not a labelling of {n} points")
         groups.setdefault(len(val["prototypes"]), []).append((bits, val))
-        witnesses[bits] = None
-    for group in groups.values():
+    witnesses = {}
+    for m, group in sorted(groups.items()):
+        group.sort(key=lambda entry: entry[0])
+        protos, labels = np.empty((len(group), m, d)), np.empty((len(group), m), dtype=np.int64)
         # a block of rows at a time bounds the temporaries of parsing and checking
         for lo in range(0, len(group), _LOAD_ROWS):
             block = group[lo : lo + _LOAD_ROWS]
@@ -613,11 +612,14 @@ def _load_witnesses(entries: dict, n: int) -> dict[int, LabeledPrototypeSet]:
                                 "witness labels must be JSON integers +1 or -1")
             _require_json_types(itertools.chain.from_iterable(itertools.chain.from_iterable(proto_rows)),
                                 (int, float), "witness coordinates must be JSON numbers")
-            protos = np.array(proto_rows, dtype=np.float64)
-            labels = np.array(label_rows, dtype=np.int64)
-            check_prototype_stack(protos, labels)
-            for (bits, _), w in zip(block, LabeledPrototypeSet.from_checked_stack(protos, labels)):
-                witnesses[bits] = w
+            dims = set(map(len, itertools.chain.from_iterable(proto_rows))) - {d}
+            if dims:
+                raise CertificateError(f"witness prototypes are in R^{min(dims)}, not in R^{d} with the points")
+            block_protos = np.array(proto_rows, dtype=np.float64)
+            block_labels = np.array(label_rows, dtype=np.int64)
+            check_prototype_stack(block_protos, block_labels)
+            protos[lo : lo + len(block)], labels[lo : lo + len(block)] = block_protos, block_labels
+        witnesses[m] = np.array([bits for bits, _ in group], dtype=np.int64), protos, labels
     return witnesses
 
 
@@ -654,7 +656,7 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
         # compared as JSON text, so an index written as 5.0 or true does not pass for 5 or 1
         if json.dumps(special, sort_keys=True) != json.dumps(arr.special, sort_keys=True):
             raise CertificateError(f"special {special!r} is not the {arr.kind} layout {arr.special!r}")
-        witnesses = _load_witnesses(doc["witnesses"], arr.n)
+        witnesses = _load_witnesses(doc["witnesses"], *arr.points.shape)
         verified = doc["verified"]
         min_margin = float("inf") if recorded is None else float(recorded)
         check_mu(mu)
@@ -668,7 +670,7 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
         raise CertificateError("min_margin must be a number when witnesses are stored, got null")
     # the sweep records +inf exactly when no stored witness has both labels
     if witnesses and not math.isfinite(min_margin) and not (
-        min_margin == math.inf and all(w.labels.min() == w.labels.max() for w in witnesses.values())
+        min_margin == math.inf and all((labels == labels[:, :1]).all() for *_, labels in witnesses.values())
     ):
         raise CertificateError(
             f"min_margin must be finite when a stored witness has both labels, got {recorded!r}"
@@ -686,9 +688,12 @@ def reverify_certificate(cert: ShatterCertificate) -> tuple[bool, str]:
     not verified fails even when every stored witness passes.
     """
     n = cert.arrangement.n
+    witnesses = {}
+    for bits, prototypes, labels in cert.witnesses.values():
+        witnesses.update(zip(bits.tolist(), LabeledPrototypeSet.from_checked_stack(prototypes, labels)))
 
     def stored(bitmasks):
-        return ((Labeling(bits, n), cert.witnesses.get(bits, "missing from certificate")) for bits in bitmasks)
+        return ((Labeling(bits, n), witnesses.get(bits, "missing from certificate")) for bits in bitmasks)
 
     check = _certify(cert.arrangement, cert.mu, stored, keep=False)
     if not check.verified:

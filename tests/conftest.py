@@ -35,6 +35,20 @@ def sweep_parts(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def stored_bits(cert) -> list[int]:
+    """The labelling bitmasks of every witness ``cert`` stores, in ascending order."""
+    return sorted(int(bits) for stack, _, _ in cert.witnesses.values() for bits in stack)
+
+
+def witness_rows(cert) -> list:
+    """``(bits, LabeledPrototypeSet)`` of every witness ``cert`` stores, in ascending bitmask order."""
+    from vcnn.classifier import LabeledPrototypeSet
+
+    rows = [(int(bits), LabeledPrototypeSet(protos, labels)) for stacks in cert.witnesses.values()
+            for bits, protos, labels in zip(*stacks)]
+    return sorted(rows, key=lambda row: row[0])
+
+
 def random_convex_polygon(rng, n_facets, dim=2):
     """n halfspaces with jittered-regular outward normals, all containing the origin.
 

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_convex_polygon, random_simplex
+from conftest import random_convex_polygon, random_simplex, stored_bits
 from vcnn.bounds import (
     LN2,
     chatzigeorgiou_seed,
@@ -55,8 +55,8 @@ def test_c1_planar_lower_bound_exhaustive_m4_m5():
         arrangement = gunn_arrangement(m, radius=1.0)
         cert = verify_shattering(arrangement, gunn_shatter, mu=MU)
         assert cert.verified, (m, cert.first_failure, cert.failure_reason)
-        assert len(cert.witnesses) == 2 ** (2 * m + 1)
-        assert all(w.m <= m for w in cert.witnesses.values())
+        assert stored_bits(cert) == list(range(2 ** (2 * m + 1)))
+        assert max(cert.witnesses) <= m
         assert cert.min_margin >= MU
     assert time.time() - started < 60.0
 
@@ -67,8 +67,8 @@ def test_c2_circle_arrangement_exhaustive_and_search_negative():
     for n_facets in (2, 3, 4, 5):
         cert = verify_shattering(takacs_arrangement(n_facets), takacs_shatter, mu=MU)
         assert cert.verified, (n_facets, cert.first_failure, cert.failure_reason)
-        assert len(cert.witnesses) == 2 ** (2 * n_facets + 2)
-        assert all(w.m <= n_facets + 1 for w in cert.witnesses.values())
+        assert stored_bits(cert) == list(range(2 ** (2 * n_facets + 2)))
+        assert max(cert.witnesses) <= n_facets + 1
 
     # the matching positive search: three prototypes shatter six points
     found_n, cert6 = search_lower_bound(

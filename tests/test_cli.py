@@ -6,7 +6,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from vcnn import constructions
+from vcnn import cli, constructions
 from vcnn.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 
 
@@ -47,6 +47,15 @@ class TestBoundsCommand:
         code, _, err = run_cli(capsys, "bounds", "--d", "1", "--m", "3")
         assert code == EXIT_USAGE
         assert "error" in err
+
+    @pytest.mark.parametrize("d, m", [("2", "999990..1000001"), ("2..65", "3..4"), ("64..65", "3")],
+                             ids=["m-end", "d-end", "d-range"])
+    def test_range_off_the_grid_is_refused_before_any_row(self, capsys, monkeypatch, d, m):
+        calls = []
+        monkeypatch.setattr(cli, "compute_bounds", lambda *args: calls.append(args))
+        code, out, err = run_cli(capsys, "bounds", "--d", d, "--m", m)
+        assert (code, out, calls) == (EXIT_USAGE, "", [])
+        assert err.startswith("error:") and "outside supported range" in err
 
 
 class TestWitnessAndVerify:
@@ -488,6 +497,15 @@ class TestPlotData:
         code, _, _ = run_cli(capsys, "plot-data", "--d", "1,2", "--m", "3..10")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("d, m", [("2,3", "999990..1000001"), ("2,65", "3..50")], ids=["m-end", "d-last"])
+    def test_off_the_grid_is_refused_before_any_curve(self, capsys, monkeypatch, d, m):
+        calls = []
+        for name in ("tight_upper_curve", "loose_upper_curve"):
+            monkeypatch.setattr(cli, name, lambda *args: calls.append(args))
+        code, out, err = run_cli(capsys, "plot-data", "--d", d, "--m", m)
+        assert (code, out, calls) == (EXIT_USAGE, "", [])
+        assert err.startswith("error:") and "outside supported range" in err
+
     def test_columns_and_ordering(self, capsys):
         code, out, _ = run_cli(capsys, "plot-data", "--d", "2,3", "--m", "3..50")
         assert code == EXIT_OK
@@ -554,22 +572,26 @@ class TestSweepParts:
         return results[0]
 
     @pytest.mark.parametrize(
-        "argv, digest, line",
+        "argv, code, digest, line",
         [
-            (("gunn", "--m", "6"), "789e0a2889121ccd7f233a5770fbf2ea31a5f35bcdbdd2634559e80c17caa3fe",
+            (("gunn", "--m", "6"), EXIT_OK, "789e0a2889121ccd7f233a5770fbf2ea31a5f35bcdbdd2634559e80c17caa3fe",
              "all 8192 labelings pass at mu 1.0e-06 (min margin 0.00120418)"),
-            (("takacs", "--n", "5"), "c438d2d9ccfdaeb3532ea84bd109b349aa98de3453b27a050de5d589a8665b28",
+            (("takacs", "--n", "5"), EXIT_OK, "c438d2d9ccfdaeb3532ea84bd109b349aa98de3453b27a050de5d589a8665b28",
              "all 4096 labelings pass at mu 1.0e-06 (min margin 0.0101786)"),
+            # cut at its first failure, 0x3f, with the 63 witnesses below it
+            (("takacs", "--n", "5", "--mu", "0.011", "--force"), EXIT_VERIFICATION,
+             "6a5b78dedf81748a4b33d37910b0ea33c878d990c126b8690548e6c9eb54b04b",
+             "labelling 0x3f: missing from certificate"),
         ],
-        ids=["gunn6", "takacs5"],
+        ids=["gunn6", "takacs5", "takacs5-partial"],
     )
-    def test_frozen_bytes_and_verify_line(self, capsys, tmp_path, sweep_parts, argv, digest, line):
+    def test_frozen_bytes_and_verify_line(self, capsys, tmp_path, sweep_parts, argv, code, digest, line):
         for parts in (1, 2):
             sweep_parts(parts)
             path = tmp_path / f"{parts}.json"
-            assert run_cli(capsys, "witness", *argv, "--no-meta", "--out", str(path))[0] == EXIT_OK
+            assert run_cli(capsys, "witness", *argv, "--no-meta", "--out", str(path))[0] == code
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-            assert run_cli(capsys, "verify", str(path)) == (EXIT_OK, line + "\n", "")
+            assert run_cli(capsys, "verify", str(path)) == (code, line + "\n", "")
             assert multiprocessing.active_children() == []
 
     def test_worker_error_is_the_same_usage_error(self, capsys, sweep_parts):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import witness_rows
 from vcnn.classifier import Labeling, evaluate_margins
 from vcnn.constructions import (
     Arrangement,
@@ -357,8 +358,7 @@ class TestTakacsShatter:
     def test_exhaustive_small_case(self):
         cert = verify_shattering(takacs_arrangement(2), takacs_shatter)
         assert cert.verified
-        sizes = {w.m for w in cert.witnesses.values()}
-        assert sizes == {1, 3}
+        assert set(cert.witnesses) == {1, 3}
 
     def test_wrong_kind_rejected(self):
         arr = gunn_arrangement(4)
@@ -412,8 +412,8 @@ class TestGunnShatter:
         arr = gunn_arrangement(4)
         cert = verify_shattering(arr, gunn_shatter)
         assert cert.verified
-        for bits, witness in cert.witnesses.items():
-            assert witness.m <= 4
+        assert max(cert.witnesses) <= 4
+        for bits, witness in witness_rows(cert):
             lab = Labeling(bits, arr.n).to_array()
             if lab[7] != lab[8]:
                 # strip core first, its two reflections last: all inside
@@ -424,7 +424,7 @@ class TestGunnShatter:
     def test_exhaustive_m6(self):
         cert = verify_shattering(gunn_arrangement(6), gunn_shatter)
         assert cert.verified
-        assert all(w.m <= 6 for w in cert.witnesses.values())
+        assert max(cert.witnesses) <= 6
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -444,9 +444,9 @@ def same_witnesses(got, want):
     assert got.verified and want.verified
     assert got.min_margin == want.min_margin
     assert got.witnesses.keys() == want.witnesses.keys()
-    for bits, witness in got.witnesses.items():
-        assert np.array_equal(witness.prototypes, want.witnesses[bits].prototypes)
-        assert np.array_equal(witness.labels, want.witnesses[bits].labels)
+    for m, stacks in got.witnesses.items():
+        for got_stack, want_stack in zip(stacks, want.witnesses[m], strict=True):
+            assert np.array_equal(got_stack, want_stack)
 
 
 class TestGunnPlanTable:
@@ -463,9 +463,9 @@ class TestGunnPlanTable:
                        verify_shattering(gunn_arrangement(5, radius=2.0), gunn_shatter, 1e-6))
 
         # witnesses own their arrays: scribbling over them changes no later sweep
-        for witness in first.witnesses.values():
-            witness.prototypes[:] = 7.0
-            witness.labels[:] = 1
+        for _, prototypes, labels in first.witnesses.values():
+            prototypes[:] = 7.0
+            labels[:] = 1
         same_witnesses(verify_shattering(shared, gunn_shatter, 1e-6),
                        verify_shattering(gunn_arrangement(5), gunn_shatter, 1e-6))
 

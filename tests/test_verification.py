@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import vcnn
+from conftest import stored_bits, witness_rows
 from vcnn import kernels, verification
 from vcnn.classifier import LabeledPrototypeSet, Labeling, evaluate_margins
 from vcnn.constructions import (
@@ -106,7 +107,7 @@ class TestVerifyShattering:
         assert cert.verified
         margins = [
             float(evaluate_margins(w, cert.arrangement.points)[1].min())
-            for w in cert.witnesses.values()
+            for _, w in witness_rows(cert)
         ]
         assert cert.min_margin == pytest.approx(min(margins))
 
@@ -138,14 +139,14 @@ class TestCertificateFiles:
         assert message.startswith("recorded verified=False but re-check says True: all 64 labelings pass")
 
     def test_reverify_reports_first_defect_in_bitmask_order(self):
-        cert = verify_shattering(takacs_arrangement(2), takacs_shatter)
-        del cert.witnesses[0x2a]
-        cert.witnesses[0x05] = LabeledPrototypeSet(cert.witnesses[0x05].prototypes, -cert.witnesses[0x05].labels)
-        ok, message = reverify_certificate(cert)
+        doc = certificate_to_dict(verify_shattering(takacs_arrangement(2), takacs_shatter), "takacs_shatter")
+        del doc["witnesses"]["0x2a"]
+        doc["witnesses"]["0x5"]["labels"] = [-label for label in doc["witnesses"]["0x5"]["labels"]]
+        ok, message = reverify_certificate(certificate_from_dict(doc))
         assert not ok
         assert message.startswith("labelling 0x5:")
-        del cert.witnesses[0x03]
-        assert reverify_certificate(cert) == (False, "labelling 0x3: missing from certificate")
+        del doc["witnesses"]["0x3"]
+        assert reverify_certificate(certificate_from_dict(doc)) == (False, "labelling 0x3: missing from certificate")
 
     @pytest.mark.parametrize(
         "arrangement, generator",
@@ -209,16 +210,17 @@ def _no_witness(_arrangement, _labeling, _mu):
 def _hand_built_certificate() -> ShatterCertificate:
     """Witnesses of 1, 2 and 3 prototypes whose coordinates stress float text.
 
-    Keys 0x10 and 0x2 sort as strings, not as numbers.
+    Keys sort as strings, not as numbers: 0x10 before 0x2, and among the
+    witnesses of two prototypes 0x1b before 0x7.
     """
     points = np.array([[0.0, 1.0], [-0.0, 2.0], [0.5, 0.25], [1.0, 1.0], [-1.0, 0.5]])
     arr = Arrangement(kind="search", points=points, radius=1.0, param=3)
     witnesses = {
-        0x2: LabeledPrototypeSet(np.array([[0.0, -0.0], [5e-324, 1e16], [1e-05, 0.1]]),
-                                 np.array([1, -1, 1])),
-        0x10: LabeledPrototypeSet(np.array([[-1e22, -0.0]]), np.array([-1])),
-        0x7: LabeledPrototypeSet(np.array([[-0.0, 0.0], [0.1, 1e-05]]), np.array([-1, 1])),
-        0x0: LabeledPrototypeSet(np.array([[0.1, -0.0], [-0.0, 0.1]]), np.array([1, 1])),
+        1: (np.array([0x10]), np.array([[[-1e22, -0.0]]]), np.array([[-1]])),
+        2: (np.array([0x0, 0x7, 0x1b]),
+            np.array([[[0.1, -0.0], [-0.0, 0.1]], [[-0.0, 0.0], [0.1, 1e-05]], [[2.5, -1e-300], [0.0, 3.0]]]),
+            np.array([[1, 1], [-1, 1], [1, -1]])),
+        3: (np.array([0x2]), np.array([[[0.0, -0.0], [5e-324, 1e16], [1e-05, 0.1]]]), np.array([[1, -1, 1]])),
     }
     return ShatterCertificate(arrangement=arr, mu=1e-6, witnesses=witnesses,
                               min_margin=0.125, verified=False, first_failure=0x3,
@@ -269,7 +271,7 @@ class TestCertificateJson:
         cert = _hand_built_certificate()
         text = certificate_json(cert, "hand")
         assert text == _dumped(cert, "hand")
-        assert text.index('"0x10"') < text.index('"0x2"') < text.index('"0x7"')
+        assert text.index('"0x10"') < text.index('"0x1b"') < text.index('"0x2"') < text.index('"0x7"')
         assert "-0.0" in text and "5e-324" in text and "-1e+22" in text
 
 
@@ -289,24 +291,55 @@ def _late_key(doc: dict, m: int) -> str:
     return keys[-1]
 
 
+def _same_stacks(got: dict, want: dict) -> None:
+    """``got`` and ``want`` hold the same witness stacks, row for row, bit for bit and dtype for dtype."""
+    assert got.keys() == want.keys()
+    for m, stacks in got.items():
+        for got_stack, want_stack in zip(stacks, want[m], strict=True):
+            assert got_stack.dtype == want_stack.dtype and got_stack.shape == want_stack.shape
+            assert got_stack.tobytes() == want_stack.tobytes()
+
+
 class TestWitnessLoader:
     @pytest.fixture(scope="class")
-    def gunn4_doc(self):
-        cert = verify_shattering(gunn_arrangement(4), gunn_shatter)
-        return json.loads(certificate_json(cert, "gunn_shatter"))
+    def gunn4_cert(self):
+        return verify_shattering(gunn_arrangement(4), gunn_shatter)
 
-    def test_stacked_load_equals_per_witness_load(self, gunn4_doc):
+    @pytest.fixture(scope="class")
+    def gunn4_doc(self, gunn4_cert):
+        return json.loads(certificate_json(gunn4_cert, "gunn_shatter"))
+
+    def test_stacked_load_equals_per_witness_load(self, gunn4_cert, gunn4_doc):
         loaded = certificate_from_dict(gunn4_doc).witnesses
         want = _per_witness(gunn4_doc)
-        assert list(loaded) == list(want)
-        assert {w.m for w in loaded.values()} == {1, 4}
+        assert set(loaded) == {1, 4}
+        rows = {int(b): (p, l) for bits, protos, labels in loaded.values() for b, p, l in zip(bits, protos, labels)}
+        assert rows.keys() == want.keys()
         for bits, w in want.items():
-            got = loaded[bits]
-            assert got.prototypes.dtype == w.prototypes.dtype == np.float64
-            assert got.labels.dtype == w.labels.dtype == np.int64
-            assert got.prototypes.shape == w.prototypes.shape
-            assert got.prototypes.tobytes() == w.prototypes.tobytes()
-            assert got.labels.tobytes() == w.labels.tobytes()
+            protos, labels = rows[bits]
+            assert protos.dtype == w.prototypes.dtype == np.float64
+            assert labels.dtype == w.labels.dtype == np.int64
+            assert protos.shape == w.prototypes.shape
+            assert protos.tobytes() == w.prototypes.tobytes()
+            assert labels.tobytes() == w.labels.tobytes()
+        # a round trip gives back the written stacks row for row, in ascending bitmask order,
+        # although the file lists its keys in text order
+        for cert in (gunn4_cert, _hand_built_certificate()):
+            _same_stacks(certificate_from_dict(json.loads(certificate_json(cert, "x"))).witnesses, cert.witnesses)
+        for bits, _, _ in loaded.values():
+            assert np.all(np.diff(bits) > 0)
+
+    def test_witness_not_in_the_points_space_refused(self, gunn4_doc):
+        doc = json.loads(json.dumps(gunn4_doc))
+        for witness in doc["witnesses"].values():
+            witness["prototypes"] = [row + [0.0] for row in witness["prototypes"]]
+        with pytest.raises(CertificateError, match=r"in R\^3, not in R\^2"):
+            certificate_from_dict(doc)
+        doc = json.loads(json.dumps(gunn4_doc))
+        late = doc["witnesses"][_late_key(doc, 4)]
+        late["prototypes"][1] = late["prototypes"][1] + [0.0]   # one row of one witness
+        with pytest.raises(CertificateError, match=r"in R\^3, not in R\^2"):
+            certificate_from_dict(doc)
 
     @pytest.mark.parametrize(
         "defect",
@@ -381,7 +414,7 @@ class TestSearchLowerBound:
         n_found, cert = search_lower_bound(cfg)
         assert n_found == 3
         assert cert is not None and cert.verified
-        assert len(cert.witnesses) == 8
+        assert stored_bits(cert) == list(range(8))
 
     def test_reproducible_bit_for_bit(self):
         cfg = SearchConfig(d=2, m=2, n=3, trials=8, point_sets=1, steps=40, rng_seed=7)
@@ -390,10 +423,10 @@ class TestSearchLowerBound:
         assert r1[0] == r2[0]
         if r1[1] is not None:
             assert r1[1].min_margin == r2[1].min_margin
-            for bits in r1[1].witnesses:
-                assert np.array_equal(
-                    r1[1].witnesses[bits].prototypes, r2[1].witnesses[bits].prototypes
-                )
+            assert r1[1].witnesses.keys() == r2[1].witnesses.keys()
+            for m, stacks in r1[1].witnesses.items():
+                for got, want in zip(stacks, r2[1].witnesses[m], strict=True):
+                    assert np.array_equal(got, want)
 
     def test_sweep_searches_no_chunk_after_the_first_failure(self, monkeypatch):
         # one prototype realises only the constant labellings, so labelling 0x1 fails first
@@ -412,7 +445,7 @@ class TestSearchLowerBound:
     def test_witnesses_reverify_without_generator(self):
         cfg = SearchConfig(d=2, m=2, n=3, trials=16, point_sets=2, steps=80, rng_seed=0)
         _, cert = search_lower_bound(cfg)
-        for bits, witness in cert.witnesses.items():
+        for bits, witness in witness_rows(cert):
             got, margins = evaluate_margins(witness, cert.arrangement.points)
             assert np.all(got == Labeling(bits, 3).to_array())
             assert np.all(margins >= cert.mu)
@@ -507,6 +540,25 @@ def _part_of(bits: int, n: int, parts: int) -> int:
     return min(bits, bits ^ ((1 << n) - 1)) % parts
 
 
+class _Sender:
+    """Stands in for the sending end of a worker's pipe: keeps the reply sent."""
+
+    def send(self, reply):
+        self.reply = reply
+
+    def close(self):
+        pass
+
+
+def _part_reply(arrangement, produce, part: int, parts: int, stop, keep: bool):
+    """The ``_collected`` reply that ``_part_worker`` sends for part ``part``, run in this process."""
+    sender = _Sender()
+    verification._part_worker(sender, arrangement, 1e-6, produce, part, parts, stop, keep)
+    status, reply = sender.reply
+    assert status == "ok"
+    return reply
+
+
 class TestSweepParts:
     """One part (in this process) and two forked parts make the same certificate."""
 
@@ -520,11 +572,9 @@ class TestSweepParts:
         assert (got.verified, got.first_failure, got.failure_reason) == (
             want.verified, want.first_failure, want.failure_reason)
         assert got.min_margin == want.min_margin
-        assert list(got.witnesses) == list(want.witnesses)   # bitmask order
-        for bits, witness in got.witnesses.items():
-            assert np.array_equal(witness.prototypes, want.witnesses[bits].prototypes)
-            assert np.array_equal(witness.labels, want.witnesses[bits].labels)
-            assert witness.prototypes.flags.writeable and witness.labels.flags.writeable
+        _same_stacks(got.witnesses, want.witnesses)   # bitmask order
+        for stacks in got.witnesses.values():
+            assert all(stack.flags.writeable for stack in stacks)
 
     @pytest.mark.parametrize("failing, parts_failing", [({0xA53}, 1), ({0xA53, 0xC00}, 2), ({0xA53, 0xC01}, 1)],
                              ids=["one", "one-per-part", "two-in-one-part"])
@@ -533,7 +583,7 @@ class TestSweepParts:
         assert len({_part_of(bits, n, 2) for bits in failing}) == parts_failing
         one = self._swept(sweep_parts, 1, takacs_arrangement(5), _failing_at(failing))
         two = self._swept(sweep_parts, 2, takacs_arrangement(5), _failing_at(failing))
-        assert one.first_failure == min(failing) and len(one.witnesses) == min(failing)
+        assert one.first_failure == min(failing) and stored_bits(one) == list(range(min(failing)))
         self._same(two, one)
 
     def test_full_sweeps_agree(self, sweep_parts):
@@ -568,8 +618,8 @@ class TestSweepParts:
         swept = []
         for part in range(3):
             stop = multiprocessing.Value("q", 1 << n)
-            bits, worsts, failure, stacks = verification._part_outcomes(
-                arr, 1e-6, _producer(arr, takacs_shatter), part, 3, stop, True)
+            bits, worsts, failure, stacks = _part_reply(arr, _producer(arr, takacs_shatter), part, 3, stop, True)
+            bits = bits.tolist()
             assert failure is None and bits == sorted(bits) and len(worsts) == len(bits)
             assert {full ^ b for b in bits} == set(bits)   # both members of every pair
             assert sorted(int(b) for group in stacks.values() for b in group[0]) == bits
@@ -581,22 +631,30 @@ class TestSweepParts:
         read = []
         assert _part_of(0x2F5, arr.n, 2) == 0
         stop = multiprocessing.Value("q", 0x2F5)   # part 0 failed there
-        bits, _, failure, _ = verification._part_outcomes(
-            arr, 1e-6, _producer(arr, takacs_shatter, read), 1, 2, stop, False)
-        assert failure is None and max(read) < 0x2F5 and bits == read
+        bits, _, failure, _ = _part_reply(arr, _producer(arr, takacs_shatter, read), 1, 2, stop, False)
+        assert failure is None and max(read) < 0x2F5 and bits.tolist() == read
         stop.value = 1 << arr.n
-        bits, _, failure, stacks = verification._part_outcomes(
-            arr, 1e-6, _producer(arr, _failing_at({0x2F5}), read := []), 0, 2, stop, False)
+        bits, _, failure, stacks = _part_reply(arr, _producer(arr, _failing_at({0x2F5}), read := []), 0, 2, stop,
+                                               False)
         assert failure == (0x2F5, "no witness for 0x2f5") and read[-1] == 0x2F5 and stop.value == 0x2F5
         assert stacks == {}
 
     def test_merge_ends_at_the_lowest_failure_of_any_part(self):
-        # part 0 swept past 5 before part 1 failed there; its later outcomes are dropped
-        replies = [([0, 2, 4, 6], [1.0, 0.5, 2.0, 3.0], (8, "late"), {}), ([1, 3], [0.25, 4.0], (5, "early"), {})]
-        assert list(verification._merged(replies, 4)) == [
-            (0, None, 1.0, None), (1, None, 0.25, None), (2, None, 0.5, None), (3, None, 4.0, None),
-            (4, None, 2.0, None), (5, None, None, "early"),
+        # part 0 swept past 5 before part 1 failed there; its later witnesses and margins are dropped
+        def stacks(bits, m):   # witness b of m prototypes has every coordinate b
+            bits = np.array(bits, dtype=np.int64)
+            return bits, np.ones((len(bits), m, 2)) * bits[:, None, None], np.ones((len(bits), m), dtype=np.int64)
+
+        replies = [
+            (np.array([0, 2, 4, 6]), np.array([1.0, 0.5, 2.0, 0.125]), (8, "late"),
+             {1: stacks([0, 4], 1), 2: stacks([2], 2), 3: stacks([6], 3)}),
+            (np.array([1, 3]), np.array([0.25, 4.0]), (5, "early"), {1: stacks([1, 3], 1)}),
         ]
+        witnesses, min_margin, failure = verification._merged(replies)
+        assert failure == (5, "early") and min_margin == 0.25
+        _same_stacks(witnesses, {1: stacks([0, 1, 3, 4], 1), 2: stacks([2], 2)})
+        _, min_margin, failure = verification._merged([(np.array([0, 1]), np.array([1.0, math.inf]), None, {})])
+        assert failure is None and min_margin == 1.0
 
     def test_sweep_below_the_threshold_starts_no_process(self, monkeypatch):
         def no_fork():
