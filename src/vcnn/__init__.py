@@ -11,6 +11,7 @@ randomized search certifier.
 from .bounds import (
     BoundsReport,
     compute_bounds,
+    compute_bounds_range,
     lambert_wm1,
     lower_bound,
     sample_size_estimate,
@@ -72,6 +73,7 @@ __all__ = [
     "ShatterCertificate",
     "classify",
     "compute_bounds",
+    "compute_bounds_range",
     "contains",
     "evaluate_margins",
     "gunn_arrangement",

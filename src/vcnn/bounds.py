@@ -156,28 +156,33 @@ def tight_upper_curve(d: int, ms) -> np.ndarray:
     return _tight_upper_real_array(d, _grid_curve(d, ms))
 
 
-def _solve_tight(d: int, m: int) -> tuple[float, int, float]:
-    """``upper_bound_tight`` plus the residual of its defining equation."""
-    _require_grid(d, m)
-    q = shatter_q(d, m)
-    n_star = float(_tight_upper_real_array(d, np.array([m], dtype=np.float64))[0])
-    resid = abs(m + q * math.log2(n_star) - n_star) / n_star
-    if resid > _TIGHT_RTOL:
-        raise NumericalError(
-            f"tight upper bound residual {resid:.3e} exceeds {_TIGHT_RTOL:.0e} at (d={d}, m={m})"
-        )
+def _solve_tight(d: int, ms: list[int]) -> list[tuple[float, int, float]]:
+    """``upper_bound_tight`` plus the residual of its defining equation, for each m of ``ms``.
 
-    def crossing(n: int) -> bool:
-        return m + q * math.log2(n) >= n
+    Every m is solved in one ``tight_upper_curve`` call; the residual and
+    integer-crossing checks stay per m.
+    """
+    rows = []
+    for m, n_star in zip(ms, tight_upper_curve(d, ms).tolist()):
+        q = shatter_q(d, m)
+        resid = abs(m + q * math.log2(n_star) - n_star) / n_star
+        if resid > _TIGHT_RTOL:
+            raise NumericalError(
+                f"tight upper bound residual {resid:.3e} exceeds {_TIGHT_RTOL:.0e} at (d={d}, m={m})"
+            )
 
-    n_int = math.floor(n_star)
-    if crossing(n_int + 1):
-        n_int += 1
-    elif not crossing(n_int):
-        n_int -= 1
-    if not (crossing(n_int) and not crossing(n_int + 1)):
-        raise NumericalError(f"integer crossing inconsistent at (d={d}, m={m})")
-    return n_star, n_int, resid
+        def crossing(n: int) -> bool:
+            return m + q * math.log2(n) >= n
+
+        n_int = math.floor(n_star)
+        if crossing(n_int + 1):
+            n_int += 1
+        elif not crossing(n_int):
+            n_int -= 1
+        if not (crossing(n_int) and not crossing(n_int + 1)):
+            raise NumericalError(f"integer crossing inconsistent at (d={d}, m={m})")
+        rows.append((n_star, n_int, resid))
+    return rows
 
 
 def upper_bound_tight(d: int, m: int) -> tuple[float, int]:
@@ -189,7 +194,8 @@ def upper_bound_tight(d: int, m: int) -> tuple[float, int]:
     equation to 1e-9 relative in base-2 log space and that floor(n_star)
     is the largest integer crossing.
     """
-    n_star, n_int, _ = _solve_tight(d, m)
+    _require_grid(d, m)
+    n_star, n_int, _ = _solve_tight(d, [m])[0]
     return n_star, n_int
 
 
@@ -271,14 +277,25 @@ class BoundsReport:
 
 def compute_bounds(d: int, m: int) -> BoundsReport:
     """Evaluate every bound at one (d, m) and cross-check their ordering."""
-    n_star, n_int, resid = _solve_tight(d, m)
-    return BoundsReport(
-        d=d,
-        m=m,
-        lower=lower_bound(d, m),
-        q=shatter_q(d, m),
-        upper_tight_real=n_star,
-        upper_tight=n_int,
-        upper_loose=upper_bound_loose(d, m),
-        solver_residual=resid,
-    )
+    return compute_bounds_range(d, [m])[0]
+
+
+def compute_bounds_range(d: int, ms) -> list[BoundsReport]:
+    """``compute_bounds(d, m)`` for each m of ``ms``, with one solver call per bound curve.
+
+    The rows are bit-identical to solving each m alone: the Halley loop
+    runs until every element has converged, and a converged element is an
+    exact fixed point (its step is below one ulp), so the further steps
+    the others need leave it unchanged.
+    """
+    ms = list(ms)
+    for m in ms:
+        _require_grid(d, m)
+    if not ms:
+        return []
+    loose = loose_upper_curve(d, ms).tolist()
+    return [
+        BoundsReport(d=d, m=m, lower=lower_bound(d, m), q=shatter_q(d, m), upper_tight_real=n_star,
+                     upper_tight=n_int, upper_loose=upper_loose, solver_residual=resid)
+        for m, (n_star, n_int, resid), upper_loose in zip(ms, _solve_tight(d, ms), loose)
+    ]

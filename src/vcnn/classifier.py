@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,6 +125,11 @@ def check_prototype_stack(prototypes: np.ndarray, labels: np.ndarray) -> None:
             raise InvalidInputError("prototypes must be pairwise distinct")
 
 
+# The label of a clear bit and of a set bit.
+_BIT_LABELS = np.array([-1, 1], dtype=np.int64)
+_BIT_LABELS.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class Labeling:
     """A binary labelling of an indexed point sequence, stored as a bitmask.
@@ -135,6 +141,7 @@ class Labeling:
     size: int
 
     def __post_init__(self):
+        object.__setattr__(self, "bits", operator.index(self.bits))   # a NumPy integer becomes an int
         if self.size < 1:
             raise InvalidInputError("labelling size must be >= 1")
         if not 0 <= self.bits < (1 << self.size):
@@ -150,9 +157,9 @@ class Labeling:
 
     @functools.cached_property
     def array(self) -> np.ndarray:
-        """The labels as a read-only int64 array, built once."""
-        bits = (self.bits >> np.arange(self.size)) & 1
-        labels = np.where(bits == 1, 1, -1).astype(np.int64)
+        """The labels as a read-only int64 array, built once, for a labelling of any size."""
+        raw = np.frombuffer(self.bits.to_bytes((self.size + 7) // 8, "little"), np.uint8)
+        labels = _BIT_LABELS[np.unpackbits(raw, count=self.size, bitorder="little")]
         labels.setflags(write=False)
         return labels
 

@@ -30,7 +30,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .bounds import compute_bounds, loose_upper_curve, require_grid_ends, tight_upper_curve
+from .bounds import compute_bounds_range, loose_upper_curve, require_grid_ends, tight_upper_curve
 from .classifier import DEFAULT_MU
 from .constructions import gunn_arrangement, gunn_shatter, point_count, takacs_arrangement, takacs_shatter
 from .errors import (
@@ -125,7 +125,7 @@ _BOUND_COLUMNS = ["d", "m", "lower", "q", "upper_tight_real", "upper_tight", "up
 
 
 def _bound_rows(ds: range, ms: range) -> list[dict]:
-    reports = [compute_bounds(d, m) for d in ds for m in ms]
+    reports = [report for d in ds for report in compute_bounds_range(d, ms)]
     return [
         dict(zip(_BOUND_COLUMNS, (r.d, r.m, r.lower, r.q, r.upper_tight_real, r.upper_tight,
                                   r.upper_loose, r.solver_residual)))

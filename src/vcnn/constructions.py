@@ -25,12 +25,23 @@ All free placements are fixed deterministically with explicit clearances
 so the verification margins stay fat.
 
 What depends only on the arrangement is built once per ``Arrangement``,
-in its private plan table (``_planned``): the gunn strips keyed by the
-indices they hold, the cut prototypes by strip, vertex group and ``mu``,
-and the padding facets and parked prototypes by count. Every key fixes
-every input of what it stores, so the witnesses are bit-identical to
-building each one afresh; the chords, which read the labelling's kept
-points, are built per labelling.
+in its private plan table (``_planned``), and a witness is assembled from
+its rows. The disc construction tables the origin's reflections across
+the chords of each maximal run of cut-off polygon vertices under
+``("run", first, length)``, split chords included and slack-checked once,
+and the padding reflections by count. A run's chords depend on the run
+alone: each chord's outward direction ``u`` points into the run, so of
+all points outside the run the largest ``x @ u`` is at one of the run's
+two neighbours (or at a point off the polygon), which every labelling
+with that maximal run keeps. The gunn strips are tabled by the indices
+they hold, the cut prototypes by strip, vertex group and ``mu``, the cut
+groups by the vertex set they split, the strip partners by vertex and
+minority interior point, the vertex nearest each interior point, and the
+parked prototypes by count. Every key fixes every input of what it
+stores, so the witnesses are bit-identical to building each one afresh.
+A (2m-1)-gon has at most (2m-1)(2m-2) + 1 maximal runs: 157 at gunn m=7,
+all of which its sweep tables, beside 54 strips, 670 cuts and 1,329
+cut-group splits.
 
 Both builders read a labelling only through which points share a label
 with one reference point, so the witness of the complement ``~L`` is the
@@ -325,29 +336,23 @@ def polytope_to_prototypes(
 # chord machinery shared by the circle constructions
 
 
-def _circular_runs(mask: list[bool]) -> list[list[int]]:
-    """Maximal runs of True in circular index order."""
+def _circular_runs(mask: list[bool]) -> list[tuple[int, int]]:
+    """Maximal runs of True in circular index order, as ``(first, length)`` by ascending ``first``.
+
+    A run may wrap past the last index; all True is the one run ``(0, n)``.
+    """
     n = len(mask)
-    if not any(mask):
-        return []
-    if all(mask):
-        return [list(range(n))]
-    # start scanning just past a run boundary
-    start = 0
-    while not (mask[start] and not mask[start - 1]):
-        start += 1
-    runs: list[list[int]] = []
-    current: list[int] = []
-    for k in range(n):
-        i = (start + k) % n
-        if mask[i]:
-            current.append(i)
-        elif current:
-            runs.append(current)
-            current = []
-    if current:
-        runs.append(current)
-    return runs
+    starts = [i for i in range(n) if mask[i] and not mask[i - 1]]
+    if not starts:
+        return [(0, n)] if mask[0] else []
+    ends = [i for i in range(n) if mask[i] and not mask[i + 1 - n]]
+    if mask[0] and mask[-1]:
+        ends = ends[1:] + ends[:1]   # the run that wraps starts last and ends first
+    return [(first, (last - first) % n + 1) for first, last in zip(starts, ends)]
+
+
+def _run_indices(first: int, length: int, n: int) -> list[int]:
+    return [(first + k) % n for k in range(length)]
 
 
 def _outward(vertices: np.ndarray, run: list[int]) -> np.ndarray:
@@ -373,6 +378,27 @@ def _run_chords(circle: np.ndarray, run: list[int], kept: np.ndarray, radius: fl
     )
 
 
+def _origin_reflections(facets) -> np.ndarray:
+    """The origin reflected across each of ``facets``, one row each, after the strict-interiority check."""
+    if not facets:
+        return np.empty((0, 2))
+    return polytope_to_prototypes(ConvexPolytope(tuple(facets)), np.zeros(2), 1).prototypes[1:]
+
+
+def _run_reflections(arrangement: Arrangement, first: int, length: int) -> np.ndarray:
+    """The origin's reflections across the chords of the maximal run ``(first, length)`` of polygon vertices.
+
+    The chords keep every point outside the run; the largest projection
+    of those on a chord's direction is at a neighbour of the run or off
+    the polygon, both kept by any labelling whose maximal run this is, so
+    the rows are those of every such labelling.
+    """
+    n_v = arrangement.n_vertices
+    run = _run_indices(first, length, n_v)
+    outside = np.vstack([np.delete(arrangement.points, run, axis=0), np.zeros((1, 2))])
+    return _origin_reflections(_run_chords(arrangement.points[:n_v], run, outside, arrangement.radius))
+
+
 def _pad_facets(count: int, radius: float) -> tuple[Halfspace, ...]:
     """``count`` far redundant facets, spread by the golden angle."""
     golden = 2.399963229728653
@@ -386,23 +412,25 @@ def _pad_facets(count: int, radius: float) -> tuple[Halfspace, ...]:
 def _disc_witness(arrangement: Arrangement, labels: np.ndarray, inside_label: int) -> LabeledPrototypeSet:
     """The origin reflected across chords cutting off the polygon vertices not labelled ``inside_label``.
 
-    Every point off the polygon must carry ``inside_label``. The chords are
-    padded to ``budget - 1`` facets.
+    Every point off the polygon must carry ``inside_label``. The
+    reflections come from the plan table, run by run in circular order,
+    and are padded to ``budget - 1``.
     """
-    radius = arrangement.radius
     n_v = arrangement.n_vertices
-    circle = arrangement.points[:n_v]
-    mask = labels[:n_v] != inside_label
-    kept = np.vstack([circle[~mask], arrangement.points[n_v:], np.zeros((1, 2))])
-    facets: list[Halfspace] = []
-    for run in _circular_runs(mask.tolist()):
-        facets.extend(_run_chords(circle, run, kept, radius))
+    rows = [np.zeros((1, 2))]
+    for first, length in _circular_runs((labels[:n_v] != inside_label).tolist()):
+        rows.append(_planned(arrangement, ("run", first, length),
+                             lambda: _run_reflections(arrangement, first, length)))
     # pad with far redundant facets: every non-constant labelling uses the
     # full budget, so the prototype count depends only on the labelling
     # being constant or not
-    pad = arrangement.budget - 1 - len(facets)
-    facets.extend(_planned(arrangement, ("pad", pad), lambda: _pad_facets(pad, radius)))
-    return polytope_to_prototypes(ConvexPolytope(tuple(facets)), np.zeros(2), inside_label)
+    pad = arrangement.budget - sum(map(len, rows))
+    rows.append(_planned(arrangement, ("pad", pad),
+                         lambda: _origin_reflections(_pad_facets(pad, arrangement.radius))))
+    prototypes = np.vstack(rows)
+    witness_labels = np.full(prototypes.shape[0], -inside_label)
+    witness_labels[0] = inside_label
+    return LabeledPrototypeSet(prototypes, witness_labels)
 
 
 def _require_kind(arrangement: Arrangement, labeling: Labeling, kind: str) -> None:
@@ -410,6 +438,10 @@ def _require_kind(arrangement: Arrangement, labeling: Labeling, kind: str) -> No
         raise InvalidInputError(f"expected a {kind} arrangement, got {arrangement.kind!r}")
     if labeling.size != arrangement.n:
         raise InvalidInputError("labelling size must match the arrangement")
+
+
+def _constant(labeling: Labeling) -> bool:
+    return labeling.bits in (0, (1 << labeling.size) - 1)
 
 
 def takacs_shatter(arrangement: Arrangement, labeling: Labeling, mu: float = DEFAULT_MU) -> LabeledPrototypeSet:
@@ -430,7 +462,7 @@ def _takacs_witness(arrangement: Arrangement, labeling: Labeling, mu: float) -> 
     """The takacs candidate for ``labeling``, built afresh."""
     labels = labeling.array
     centre = arrangement.special["center_index"]
-    if np.all(labels == labels[0]):
+    if _constant(labeling):
         # copies: a witness owns its arrays, as one sent back by a forked sweep does
         return LabeledPrototypeSet(arrangement.points[[centre]], labels[:1].copy())
     return _disc_witness(arrangement, labels, int(labels[centre]))
@@ -605,14 +637,14 @@ def _partners(vertices: np.ndarray, d_idx: int, b_point: np.ndarray) -> tuple[in
     raise ConstructionInfeasibleError("no longest diagonal on the inner point's side (bug)")
 
 
-def _pair_groups(indices: list[int], n_v: int) -> list[tuple[int, ...]]:
-    """Split minority vertices into cut groups: adjacent pairs, then singles."""
-    chosen = set(indices)
+def _pair_groups(vertices: int, n_v: int) -> tuple[tuple[int, ...], ...]:
+    """Split the minority vertices, the set bits of ``vertices``, into cut groups: adjacent pairs, then singles."""
     groups: list[tuple[int, ...]] = []
-    for run in _circular_runs([v in chosen for v in range(n_v)]):
-        for i in range(0, len(run), 2):
+    for first, length in _circular_runs([bool(vertices >> v & 1) for v in range(n_v)]):
+        run = _run_indices(first, length, n_v)
+        for i in range(0, length, 2):
             groups.append(tuple(run[i : i + 2]))
-    return groups
+    return tuple(groups)
 
 
 def _strip_plans(arrangement: Arrangement, labels: list[int], black: int):
@@ -624,7 +656,8 @@ def _strip_plans(arrangement: Arrangement, labels: list[int], black: int):
     point, every other minority vertex cut alone. Then, for any minority
     class, the strip holds the interior point and at most one vertex, the
     remaining minority vertices cut in adjacent pairs and any unused
-    budget parked far away.
+    budget parked far away. The partners, the vertex nearest the majority
+    interior point and the cut groups come from the plan table.
     """
     pts = arrangement.points
     n_v = arrangement.n_vertices
@@ -634,11 +667,14 @@ def _strip_plans(arrangement: Arrangement, labels: list[int], black: int):
     spare = arrangement.budget - 3  # beyond the strip's core and its two reflections
 
     if len(black_vertices) + 1 == arrangement.param:
-        c_idx = int(np.argmin(prototype_distances(pts[:n_v], pts[[w_idx]])[0]))
+        c_idx = _planned(arrangement, ("nearest", w_idx),
+                         lambda: int(np.argmin(prototype_distances(pts[:n_v], pts[[w_idx]])[0])))
         for p_idx in black_vertices:
             if p_idx == c_idx:
                 continue
-            for partner in _partners(pts[:n_v], p_idx, pts[b_idx]):
+            partners = _planned(arrangement, ("partners", p_idx, b_idx),
+                                lambda: _partners(pts[:n_v], p_idx, pts[b_idx]))
+            for partner in partners:
                 if labels[partner] != black:
                     continue
                 remaining = sorted(set(black_vertices) - {p_idx, partner})
@@ -647,10 +683,11 @@ def _strip_plans(arrangement: Arrangement, labels: list[int], black: int):
     if not black_vertices:
         yield (b_idx,), [], spare
         return
-    groups_after = {
-        v_star: _pair_groups([v for v in black_vertices if v != v_star], n_v)
-        for v_star in black_vertices
-    }
+    black_mask = sum(1 << v for v in black_vertices)
+    groups_after = {}
+    for v_star in black_vertices:
+        rest = black_mask & ~(1 << v_star)
+        groups_after[v_star] = _planned(arrangement, ("groups", rest), lambda: _pair_groups(rest, n_v))
     for v_star in sorted(black_vertices, key=lambda v: (len(groups_after[v]), v)):
         groups = groups_after[v_star]
         if len(groups) > spare:
@@ -767,7 +804,7 @@ def _gunn_witness(arrangement: Arrangement, labeling: Labeling, mu: float) -> La
     labels = labeling.array
     i1, i2 = arrangement.special["inner_indices"]
 
-    if np.all(labels == labels[0]):
+    if _constant(labeling):
         return LabeledPrototypeSet(np.zeros((1, 2)), labels[:1].copy())
 
     if labels[i1] == labels[i2]:
@@ -775,7 +812,7 @@ def _gunn_witness(arrangement: Arrangement, labeling: Labeling, mu: float) -> La
 
     # interior labels differ: "black" is the minority class (2m+1 is odd,
     # so there is no tie), and the black interior point is in it
-    black = 1 if int((labels == 1).sum()) < int((labels == -1).sum()) else -1
+    black = 1 if 2 * labeling.bits.bit_count() < labeling.size else -1
     for plan in _strip_plans(arrangement, labels.tolist(), black):
         s = _strip_witness(arrangement, black, *plan, mu)
         if s is not None:

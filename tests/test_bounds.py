@@ -7,6 +7,7 @@ from vcnn.bounds import (
     BoundsReport,
     chatzigeorgiou_seed,
     compute_bounds,
+    compute_bounds_range,
     lambert_wm1,
     loose_upper_curve,
     lower_bound,
@@ -209,6 +210,18 @@ class TestBoundsReport:
         assert rep.q == 9
         assert rep.upper_tight == 55
         assert rep.solver_residual <= 1e-9
+
+    def test_range_rows_equal_single_rows_on_the_cli_grid(self):
+        # one solve per d gives every row bit for bit as solving its m alone
+        for d in range(2, 11):
+            assert compute_bounds_range(d, range(3, 51)) == [compute_bounds(d, m) for m in range(3, 51)]
+
+    def test_range_refuses_an_m_off_the_grid(self):
+        with pytest.raises(UnsupportedParametersError):
+            compute_bounds_range(2, [3, 4, 2])
+        with pytest.raises(UnsupportedParametersError, match="integers"):
+            compute_bounds_range(2, [3, 4.5])
+        assert compute_bounds_range(2, []) == []
 
     def test_inconsistent_report_rejected(self):
         import vcnn.errors as err

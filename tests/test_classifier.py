@@ -117,6 +117,29 @@ class TestLabeling:
         with pytest.raises(InvalidInputError):
             Labeling(8, 3)
 
+    @pytest.mark.parametrize("size", [1, 15, 22, 64, 80])
+    def test_array_matches_the_bit_by_bit_reference(self, size):
+        rng = np.random.default_rng(size)
+        masks = {0, (1 << size) - 1, 1 << (size - 1)}
+        masks |= {int.from_bytes(rng.bytes(10), "little") % (1 << size) for _ in range(40)}
+        for bits in masks:
+            array = Labeling(bits, size).array
+            assert array.dtype == np.int64 and not array.flags.writeable
+            assert array.tolist() == [1 if bits >> i & 1 else -1 for i in range(size)]
+
+    def test_realizes_a_labelling_past_63_bits(self):
+        # 80 points on a line, +1 from x = 40 on: bit 79 is set
+        points = np.column_stack([np.arange(80.0), np.zeros(80)])
+        labeling = Labeling.from_array(np.where(np.arange(80) < 40, -1, 1))
+        assert labeling.bits >= 2**63
+        s = LabeledPrototypeSet(np.array([[19.5, 0.0], [59.5, 0.0]]), np.array([-1, 1]))
+        assert realizes(s, points, labeling)
+        assert not realizes(s, points, Labeling(labeling.bits ^ 1 << 79, 80))
+
+    def test_numpy_integer_bits_are_stored_as_int(self):
+        lab = Labeling(np.int64(5), 3)
+        assert type(lab.bits) is int and lab.array.tolist() == [1, -1, 1]
+
 
 class TestClassify:
     def test_basic_margin(self):

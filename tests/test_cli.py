@@ -52,7 +52,7 @@ class TestBoundsCommand:
                              ids=["m-end", "d-end", "d-range"])
     def test_range_off_the_grid_is_refused_before_any_row(self, capsys, monkeypatch, d, m):
         calls = []
-        monkeypatch.setattr(cli, "compute_bounds", lambda *args: calls.append(args))
+        monkeypatch.setattr(cli, "compute_bounds_range", lambda *args: calls.append(args))
         code, out, err = run_cli(capsys, "bounds", "--d", d, "--m", m)
         assert (code, out, calls) == (EXIT_USAGE, "", [])
         assert err.startswith("error:") and "outside supported range" in err

@@ -8,7 +8,9 @@ from vcnn.classifier import Labeling, evaluate_margins
 from vcnn.constructions import (
     Arrangement,
     _build_strip,
+    _pad_facets,
     _partners,
+    _run_chords,
     centre_to_longest_diagonal,
     gunn_arrangement,
     gunn_shatter,
@@ -493,6 +495,88 @@ class TestGunnPlanTable:
         assert arr.points[0, 0] != 5.0
         with pytest.raises(ValueError):
             arr.points[0, 0] = 5.0
+
+
+def circular_runs_oracle(mask):
+    """Maximal runs of True in circular index order, each a list of indices, as the disc witness found them."""
+    n = len(mask)
+    if not any(mask):
+        return []
+    if all(mask):
+        return [list(range(n))]
+    start = 0
+    while not (mask[start] and not mask[start - 1]):
+        start += 1
+    runs, current = [], []
+    for k in range(n):
+        i = (start + k) % n
+        if mask[i]:
+            current.append(i)
+        elif current:
+            runs.append(current)
+            current = []
+    if current:
+        runs.append(current)
+    return runs
+
+
+def disc_witness_oracle(arrangement, labels, inside_label):
+    """The disc witness built per labelling: chords against this labelling's kept points, then pads.
+
+    Returns the witness and, per run ``(first, length)``, its reflection
+    rows and its chord count.
+    """
+    n_v = arrangement.n_vertices
+    circle = arrangement.points[:n_v]
+    mask = labels[:n_v] != inside_label
+    kept = np.vstack([circle[~mask], arrangement.points[n_v:], np.zeros((1, 2))])
+    facets, spans = [], {}
+    for run in circular_runs_oracle(mask.tolist()):
+        chords = _run_chords(circle, run, kept, arrangement.radius)
+        spans[run[0], len(run)] = (len(facets) + 1, len(chords))
+        facets.extend(chords)
+    facets.extend(_pad_facets(arrangement.budget - 1 - len(facets), arrangement.radius))
+    witness = polytope_to_prototypes(ConvexPolytope(tuple(facets)), np.zeros(2), inside_label)
+    rows = {key: (witness.prototypes[at : at + count], count) for key, (at, count) in spans.items()}
+    return witness, rows
+
+
+class TestRunTable:
+    @pytest.mark.parametrize("radius", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("build, generator, param",
+                             [(gunn_arrangement, gunn_shatter, 4), (gunn_arrangement, gunn_shatter, 5),
+                              (gunn_arrangement, gunn_shatter, 6), (takacs_arrangement, takacs_shatter, 2),
+                              (takacs_arrangement, takacs_shatter, 3), (takacs_arrangement, takacs_shatter, 4)],
+                             ids=["gunn4", "gunn5", "gunn6", "takacs2", "takacs3", "takacs4"])
+    def test_every_run_entry_is_the_per_labelling_recipe(self, build, generator, param, radius):
+        # every cut-off vertex mask, the points off the polygon labelled +1: each run's
+        # tabled rows, whichever labelling built them, are this labelling's own chords
+        arr = build(param, radius)
+        n_v = arr.n_vertices
+        off_polygon = sum(1 << i for i in range(n_v, arr.n))
+        splits = 0
+        for mask in range(1, 1 << n_v):
+            bits = ((1 << n_v) - 1 - mask) | off_polygon
+            labeling = Labeling(bits, arr.n)
+            witness = generator(arr, labeling, 1e-6 * radius)
+            want, rows = disc_witness_oracle(arr, labeling.array, 1)
+            assert_same(witness, want)
+            for (first, length), (reflections, count) in rows.items():
+                entry = arr._plans["run", first, length]
+                assert entry.tobytes() == reflections.tobytes()
+                splits += count > 1
+        assert splits > 0
+
+    @pytest.mark.parametrize("build, generator, param",
+                             [(gunn_arrangement, gunn_shatter, 5), (takacs_arrangement, takacs_shatter, 4)],
+                             ids=["gunn5", "takacs4"])
+    def test_full_sweep_tables_at_most_one_entry_per_run(self, build, generator, param):
+        arr = build(param)
+        assert verify_shattering(arr, generator).verified
+        n_v = arr.n_vertices
+        runs = [key for key in arr._plans if key[0] == "run"]
+        # n_v starts times n_v - 1 lengths, plus the whole polygon
+        assert 0 < len(runs) <= n_v * (n_v - 1) + 1
 
 
 PAIRED = pytest.mark.parametrize(

@@ -417,16 +417,17 @@ class TestSearchLowerBound:
         assert stored_bits(cert) == list(range(8))
 
     def test_reproducible_bit_for_bit(self):
-        cfg = SearchConfig(d=2, m=2, n=3, trials=8, point_sets=1, steps=40, rng_seed=7)
-        r1 = search_lower_bound(cfg)
-        r2 = search_lower_bound(cfg)
-        assert r1[0] == r2[0]
-        if r1[1] is not None:
-            assert r1[1].min_margin == r2[1].min_margin
-            assert r1[1].witnesses.keys() == r2[1].witnesses.keys()
-            for m, stacks in r1[1].witnesses.items():
-                for got, want in zip(stacks, r2[1].witnesses[m], strict=True):
-                    assert np.array_equal(got, want)
+        # the halfplane budget certifies n=3, so a witness and a margin are compared
+        cfg = SearchConfig(d=2, m=2, n=3, trials=16, point_sets=2, steps=80, rng_seed=0)
+        (n1, c1), (n2, c2) = search_lower_bound(cfg), search_lower_bound(cfg)
+        assert n1 == n2 == 3
+        assert c1 is not None and c2 is not None
+        assert np.array_equal(c1.arrangement.points, c2.arrangement.points)
+        assert c1.min_margin == c2.min_margin
+        assert c1.witnesses.keys() == c2.witnesses.keys()
+        for m, stacks in c1.witnesses.items():
+            for got, want in zip(stacks, c2.witnesses[m], strict=True):
+                assert np.array_equal(got, want)
 
     def test_sweep_searches_no_chunk_after_the_first_failure(self, monkeypatch):
         # one prototype realises only the constant labellings, so labelling 0x1 fails first
