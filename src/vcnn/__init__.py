@@ -48,6 +48,7 @@ from .geometry import (
     regular_polygon_vertices,
 )
 from .verification import (
+    SearchBudget,
     SearchConfig,
     ShatterCertificate,
     search_lower_bound,
@@ -69,6 +70,7 @@ __all__ = [
     "LabeledPrototypeSet",
     "Labeling",
     "OUTSIDE",
+    "SearchBudget",
     "SearchConfig",
     "ShatterCertificate",
     "classify",

@@ -46,8 +46,8 @@ def check_int(name: str, value, least: int) -> None:
 
 
 def check_mu(mu) -> None:
-    """Raise ``InvalidInputError`` unless the decision margin ``mu`` is finite and positive."""
-    if not 0 < mu < math.inf:
+    """Raise ``InvalidInputError`` unless the decision margin ``mu`` is finite and positive; a bool is refused."""
+    if isinstance(mu, (bool, np.bool_)) or not 0 < mu < math.inf:
         raise InvalidInputError(f"mu must be finite and positive, got {mu!r}")
 
 

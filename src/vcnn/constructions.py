@@ -143,32 +143,38 @@ class Arrangement:
     ``_LAYOUTS[kind]`` defines the kind once: its least param, what
     ``param`` derives (point count, None for any; polygon vertex count;
     ``special`` indices; prototype ``budget``) and the points ``(param,
-    radius)`` build. takacs N >= 2 is the (2N+1)-gon then the centre, N+1
-    prototypes; gunn m >= 4 the (2m-1)-gon from its apex then the interior
-    pair, m prototypes; search any points, m >= 1 prototypes. Checked once
-    here: a known kind, a radius in ``[1e-6, 1e6]``, an integer param no
-    less than the kind's least (``UnsupportedParametersError`` below it),
-    points forming a finite, non-empty (n, d) array of the layout's point
-    count, and takacs or gunn points that are the layout's (same shape,
-    every coordinate within ``1e-12 * radius``, as ``cos`` and ``sin`` may
-    differ by an ulp between platforms).
+    radius)`` build. The derivation runs once, here, and its last three
+    values are stored as fields. takacs N >= 2 is the (2N+1)-gon then the
+    centre, N+1 prototypes; gunn m >= 4 the (2m-1)-gon from its apex then
+    the interior pair, m prototypes; search any points, m >= 1 prototypes.
+    Checked once here: a known kind, a radius in ``[1e-6, 1e6]`` that is
+    not a bool (stored as a float), an integer param no less than the
+    kind's least (``UnsupportedParametersError`` below it), points forming
+    a finite, non-empty (n, d) array of the layout's point count, and
+    takacs or gunn points that are the layout's (same shape, every
+    coordinate within ``1e-12 * radius``, as ``cos`` and ``sin`` may differ
+    by an ulp between platforms).
     """
 
     kind: str             # "takacs" | "gunn" | "search"
     points: np.ndarray    # (n, d)
     radius: float
     param: int            # N for takacs, m for gunn and search
+    n_vertices: int = field(init=False, repr=False)   # polygon vertices: 2N+1 takacs, 2m-1 gunn, 0 search
+    special: dict = field(init=False, repr=False)     # special point indices; shared, so never mutate it
+    budget: int = field(init=False, repr=False)       # most prototypes a witness may use: N+1 takacs, else m
     # arrangement-determined construction geometry, filled lazily (see _planned)
     _plans: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in _LAYOUTS:
             raise InvalidInputError(f"unknown arrangement kind {self.kind!r}")
-        if not _RADIUS_MIN <= self.radius <= _RADIUS_MAX:
+        if isinstance(self.radius, (bool, np.bool_)) or not _RADIUS_MIN <= self.radius <= _RADIUS_MAX:
             raise InvalidInputError(
                 f"radius must be in [{_RADIUS_MIN:.0e}, {_RADIUS_MAX:.0e}], got {self.radius!r}")
         _check_param(self.kind, self.param)
-        object.__setattr__(self, "param", int(self.param))   # a certificate writes it as JSON
+        object.__setattr__(self, "radius", float(self.radius))   # a certificate writes both as JSON
+        object.__setattr__(self, "param", int(self.param))
         # a private read-only copy: the plan table is only valid for fixed points
         points = np.array(self.points, dtype=np.float64)
         if points.ndim != 2 or 0 in points.shape or not np.isfinite(points).all():
@@ -178,7 +184,9 @@ class Arrangement:
         # the budget is read from param, so param must be the one the points were built for;
         # the count is checked first, so a huge param is refused before its layout is built
         layout = _LAYOUTS[self.kind]
-        size = layout.derive(self.param)[0]
+        size, *derived = layout.derive(self.param)
+        for name, value in zip(("n_vertices", "special", "budget"), derived, strict=True):
+            object.__setattr__(self, name, value)
         if size not in (None, self.n):
             raise InvalidInputError(
                 f"a {self.kind} arrangement with param {self.param} has {size} points, not {self.n}"
@@ -193,21 +201,6 @@ class Arrangement:
     def n(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def n_vertices(self) -> int:
-        """The polygon's vertex count: 2N+1 for takacs, 2m-1 for gunn, 0 for search."""
-        return _LAYOUTS[self.kind].derive(self.param)[1]
-
-    @property
-    def special(self) -> dict:
-        """The indices of the layout's special points, as a certificate stores them."""
-        return _LAYOUTS[self.kind].derive(self.param)[2]
-
-    @property
-    def budget(self) -> int:
-        """The most prototypes a witness may use: N+1 for takacs, m otherwise."""
-        return _LAYOUTS[self.kind].derive(self.param)[3]
-
 
 def _arranged(kind: str, param: int, radius: float) -> Arrangement:
     """The ``kind`` arrangement of ``param`` and ``radius``, its points built by the layout.
@@ -216,7 +209,8 @@ def _arranged(kind: str, param: int, radius: float) -> Arrangement:
     least one is reported as such, not as a polygon of too few vertices.
     """
     _check_param(kind, param)
-    return Arrangement(kind=kind, points=_LAYOUTS[kind].points(param, radius), radius=radius, param=param)
+    # built from the float the arrangement stores, not at a NumPy scalar's own precision
+    return Arrangement(kind=kind, points=_LAYOUTS[kind].points(param, float(radius)), radius=radius, param=param)
 
 
 def _planned(arrangement: Arrangement, key: tuple, build):

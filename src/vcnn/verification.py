@@ -29,6 +29,8 @@ the lower bound for that n; not finding one proves nothing and is always
 reported as a budget-limited negative, never as impossibility.
 Deterministic for a fixed seed: every labelling derives its own child
 seed, so results depend neither on evaluation order nor on chunking.
+``shatter_coefficient_exhaustive`` reads only a ``SearchBudget``;
+``search_lower_bound`` takes a ``SearchConfig``, a budget plus what it samples.
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ def _certify(arrangement: Arrangement, mu: float, produce, keep: bool = True) ->
         replies = _forked(arrangement, mu, produce, parts, keep)
     witnesses, min_margin, failure = _merged(replies)
     first, reason = failure or (None, None)
-    return ShatterCertificate(arrangement=arrangement, mu=mu, witnesses=witnesses, min_margin=min_margin,
+    return ShatterCertificate(arrangement=arrangement, mu=float(mu), witnesses=witnesses, min_margin=min_margin,
                               verified=failure is None, first_failure=first, failure_reason=reason)
 
 
@@ -337,30 +339,45 @@ def _check_search_size(trials: int, m: int, n: int, d: int) -> None:
             f"{size} elements, over the limit of {_MAX_SEARCH_ELEMENTS}")
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Budget and seeding for the randomized lower-bound search.
+@dataclass(frozen=True, kw_only=True)
+class SearchBudget:
+    """Budget, seeding and margin of one search. Keyword-only, as is ``SearchConfig``.
 
-    Refuses, with ``InvalidInputError``, a count (``d``, ``m``, ``n`` or a
-    budget) that is not an integer >= 1, an ``rng_seed`` that is not an
-    integer >= 0, a ``mu`` that is not finite and positive, and a search
-    too large to allocate (see ``_MAX_SEARCH_ELEMENTS``).
+    Refuses, with ``InvalidInputError``, a ``trials`` or ``steps`` that is
+    not an integer >= 1, an ``rng_seed`` that is not an integer >= 0 and a
+    ``mu`` that is not finite and positive.
     """
 
-    d: int
-    m: int
-    n: int
     trials: int = 24          # prototype restarts per labelling
-    point_sets: int = 3       # independently sampled point sets
     steps: int = 120          # hill-climb sweeps per restart
     rng_seed: int = 0
     mu: float = DEFAULT_MU
 
     def __post_init__(self):
-        for name in ("d", "m", "n", "trials", "point_sets", "steps"):
+        for name in ("trials", "steps"):
             check_int(name, getattr(self, name), 1)
         check_int("rng_seed", self.rng_seed, 0)
         check_mu(self.mu)
+
+
+@dataclass(frozen=True, kw_only=True)
+class SearchConfig(SearchBudget):
+    """A ``SearchBudget`` plus what ``search_lower_bound`` samples: ``point_sets`` sets of n points in R^d.
+
+    Also refuses a ``d``, ``m``, ``n`` or ``point_sets`` that is not an
+    integer >= 1, and a search too large to allocate (see
+    ``_MAX_SEARCH_ELEMENTS``) before any point set is sampled.
+    """
+
+    d: int
+    m: int
+    n: int
+    point_sets: int = 3       # independently sampled point sets
+
+    def __post_init__(self):
+        for name in ("d", "m", "n", "point_sets"):
+            check_int(name, getattr(self, name), 1)
+        super().__post_init__()
         _check_search_size(self.trials, self.m, self.n, self.d)
 
 
@@ -386,33 +403,33 @@ def _restart_pool(rng: np.random.Generator, points: np.ndarray, target: np.ndarr
     return inits, labels.astype(np.int64)
 
 
-def _searched(cfg: SearchConfig, ps: int, arrangement: Arrangement, bitmasks):
+def _searched(budget: SearchBudget, ps: int, arrangement: Arrangement, bitmasks):
     """The sweep's stream for point set ``ps``: ``(labeling, witness or reason)`` found by search.
 
     The labellings of the ascending ``bitmasks`` are searched in chunks of
-    about ``_BATCH_ROWS`` rows (labellings x ``cfg.trials``), each chunk in
+    about ``_BATCH_ROWS`` rows (labellings x ``budget.trials``), each chunk in
     one ``kernels.search_batch`` call made only when the sweep reads its
     first labelling. Places ``arrangement.budget`` prototypes. Restarts are
     seeded with ``[rng_seed, ps, bits]``, so a witness depends neither on
     chunk boundaries nor on evaluation order. A labelling no restart
     realises at margin 2 mu gets a failure reason in place of a witness.
     """
-    points, n, mu = arrangement.points, arrangement.n, cfg.mu
+    points, n, mu = arrangement.points, arrangement.n, budget.mu
     span = points.max(axis=0) - points.min(axis=0)
     scale = max(float(span.max()), 1e-6)
-    chunk = max(1, _BATCH_ROWS // cfg.trials)
+    chunk = max(1, _BATCH_ROWS // budget.trials)
     bitmasks = iter(bitmasks)
     while batch := list(itertools.islice(bitmasks, chunk)):
         labelings = [Labeling(bits, n) for bits in batch]
         pools = [
-            _restart_pool(np.random.default_rng([cfg.rng_seed, ps, lab.bits]), points, lab.array,
-                          cfg.trials, arrangement.budget, span, scale)
+            _restart_pool(np.random.default_rng([budget.rng_seed, ps, lab.bits]), points, lab.array,
+                          budget.trials, arrangement.budget, span, scale)
             for lab in labelings
         ]
         init_labels = np.stack([labels for _, labels in pools])
         best, protos, ridx = kernels.search_batch(
             points, np.array([lab.array for lab in labelings]), np.stack([inits for inits, _ in pools]),
-            init_labels, cfg.steps, _STEP_INIT * scale, _STEP_DECAY, 2.0 * mu, 1e-6 * scale,
+            init_labels, budget.steps, _STEP_INIT * scale, _STEP_DECAY, 2.0 * mu, 1e-6 * scale,
         )
         labels = init_labels[np.arange(len(labelings)), ridx]
         for labeling, margin, witness_protos, witness_labels in zip(labelings, best, protos, labels):
@@ -442,22 +459,20 @@ def search_lower_bound(cfg: SearchConfig):
     return 0, None
 
 
-def shatter_coefficient_exhaustive(points, m: int, cfg: SearchConfig) -> int:
+def shatter_coefficient_exhaustive(points, m: int, budget: SearchBudget) -> int:
     """Count the labelings of ``points`` the search can realise with m prototypes.
 
     A lower bound on the shatter coefficient: search failures undercount,
     successes are margin-verified so the count never exceeds the truth.
-    Of ``cfg`` only ``trials``, ``steps``, ``rng_seed`` and ``mu`` are
-    read; its ``d``, ``m`` and ``n`` are not, and the size cap is checked
-    again here with the real m, n and d. ``m`` and ``points`` that
-    ``Arrangement`` refuses, and a search too large to allocate, raise
-    ``InvalidInputError``.
+    The size cap is checked once, here, with ``m`` and the points' own n
+    and d. ``m`` and ``points`` that ``Arrangement`` refuses, and a search
+    too large to allocate, raise ``InvalidInputError``.
     """
     arrangement = Arrangement(kind="search", points=points, radius=1.0, param=m)
     if arrangement.n > _MAX_COEFFICIENT_N:
         raise InvalidInputError(f"2^{arrangement.n} labelings is beyond desk scale for counting")
-    _check_search_size(cfg.trials, m, *arrangement.points.shape)
-    outcomes = _outcomes(arrangement, cfg.mu, _searched(cfg, 0, arrangement, range(1 << arrangement.n)))
+    _check_search_size(budget.trials, m, *arrangement.points.shape)
+    outcomes = _outcomes(arrangement, budget.mu, _searched(budget, 0, arrangement, range(1 << arrangement.n)))
     return sum(failure is None for *_, failure in outcomes)
 
 
@@ -675,7 +690,7 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
         raise CertificateError(
             f"min_margin must be finite when a stored witness has both labels, got {recorded!r}"
         )
-    return ShatterCertificate(arrangement=arr, mu=mu, witnesses=witnesses, min_margin=min_margin,
+    return ShatterCertificate(arrangement=arr, mu=float(mu), witnesses=witnesses, min_margin=min_margin,
                               verified=verified)
 
 

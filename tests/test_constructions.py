@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import witness_rows
+from vcnn import constructions
 from vcnn.classifier import Labeling, evaluate_margins
 from vcnn.constructions import (
     Arrangement,
@@ -97,6 +98,7 @@ class TestArrangements:
             ({"radius": -1.0}, "radius"),
             ({"radius": math.nan, "points": np.full((3, 2), math.nan)}, "radius"),
             ({"radius": math.inf}, "radius"),
+            ({"radius": True}, "radius"),
             ({"param": 0}, "param"),
             ({"param": 2.5}, "param"),
             ({"param": True}, "param"),
@@ -104,7 +106,7 @@ class TestArrangements:
             ({"points": [0.0, 1.0, 2.0]}, "non-empty"),
             ({"points": np.zeros((0, 2))}, "non-empty"),
         ],
-        ids=["radius-0", "radius-negative", "radius-nan", "radius-inf", "param-0", "param-2.5",
+        ids=["radius-0", "radius-negative", "radius-nan", "radius-inf", "radius-true", "param-0", "param-2.5",
              "param-true", "nan-point", "1d-points", "empty-points"],
     )
     def test_invalid_arrangement_refused(self, kwargs, match):
@@ -155,6 +157,27 @@ class TestArrangements:
     def test_numpy_integer_param_is_stored_as_int(self):
         arr = Arrangement(kind="search", points=np.zeros((3, 2)), radius=1.0, param=np.int64(3))
         assert type(arr.param) is int
+
+    @pytest.mark.parametrize("build", [takacs_arrangement, gunn_arrangement])
+    def test_numpy_float_radius_is_stored_as_float(self, build):
+        # the points are built from the float, so the stored file's layout check passes on load
+        arr = build(4, np.float32(1.5))
+        assert type(arr.radius) is float and arr.radius == 1.5
+        assert np.array_equal(arr.points, build(4, 1.5).points)
+
+    def test_layout_is_derived_once_per_arrangement(self, monkeypatch):
+        layout, calls = constructions._LAYOUTS["gunn"], []
+
+        def derive(param):
+            calls.append(param)
+            return layout.derive(param)
+
+        monkeypatch.setitem(constructions._LAYOUTS, "gunn", layout._replace(derive=derive))
+        arr = gunn_arrangement(4)
+        assert verify_shattering(arr, gunn_shatter).verified   # reads n_vertices, special and budget
+        assert calls == [4]
+        Arrangement(kind="gunn", points=arr.points, radius=1.0, param=4)
+        assert calls == [4, 4]
 
     def test_special_is_derived_from_kind_and_param(self):
         assert takacs_arrangement(3).special == {"center_index": 7}

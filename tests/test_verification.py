@@ -23,6 +23,7 @@ from vcnn.constructions import (
 from vcnn.errors import CertificateError, ConstructionInfeasibleError, InvalidInputError
 from vcnn.geometry import DEFAULT_TOL, regular_polygon_vertices
 from vcnn.verification import (
+    SearchBudget,
     SearchConfig,
     ShatterCertificate,
     certificate_from_dict,
@@ -125,6 +126,23 @@ class TestCertificateFiles:
         doc["mu"] = math.inf
         with pytest.raises(CertificateError, match="finite"):
             certificate_from_dict(doc)
+
+    @pytest.mark.parametrize("kwargs", [{"radius": True}, {"mu": True}], ids=["radius", "mu"])
+    def test_bool_radius_or_mu_refused(self, kwargs):
+        # both were accepted and written as JSON true, which the loader refuses
+        with pytest.raises(InvalidInputError):
+            verify_shattering(takacs_arrangement(2, kwargs.get("radius", 1.0)), takacs_shatter,
+                              mu=kwargs.get("mu", 1e-6))
+
+    @pytest.mark.parametrize("build, param, generator", [(takacs_arrangement, 2, takacs_shatter),
+                                                         (gunn_arrangement, 4, gunn_shatter)],
+                             ids=["takacs", "gunn"])
+    def test_numpy_scalar_radius_and_mu_round_trip(self, build, param, generator):
+        cert = verify_shattering(build(param, np.float32(1.5)), generator, mu=np.float32(1e-6))
+        assert cert.verified and type(cert.mu) is float
+        doc = json.loads(certificate_json(cert, generator.__name__))
+        assert doc["radius"] == 1.5 and doc["mu"] == float(np.float32(1e-6))
+        assert reverify_certificate(certificate_from_dict(doc))[0]
 
     def test_non_object_document_rejected(self):
         with pytest.raises(CertificateError, match="JSON object"):
@@ -367,6 +385,16 @@ class TestWitnessLoader:
             certificate_from_dict(doc)
 
 
+_BUDGET_CASES = [
+    ({"trials": 2.5}, "trials must be an integer >= 1"),
+    ({"steps": True}, "steps must be an integer >= 1"),
+    ({"rng_seed": -1}, "rng_seed must be an integer >= 0"),
+    ({"rng_seed": 1.0}, "rng_seed must be an integer >= 0"),
+    ({"mu": True}, "mu must be finite and positive"),
+]
+_BUDGET_IDS = ["trials-fraction", "steps-true", "seed-negative", "seed-float", "mu-true"]
+
+
 class TestSearchConfig:
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -384,25 +412,35 @@ class TestSearchConfig:
             ({"n": 3.5}, "n must be an integer >= 1"),
             ({"d": 2.5}, "d must be an integer >= 1"),
             ({"m": True}, "m must be an integer >= 1"),
-            ({"trials": 2.5}, "trials must be an integer >= 1"),
             ({"point_sets": 1.5}, "point_sets must be an integer >= 1"),
-            ({"steps": True}, "steps must be an integer >= 1"),
-            ({"rng_seed": -1}, "rng_seed must be an integer >= 0"),
-            ({"rng_seed": 1.0}, "rng_seed must be an integer >= 0"),
+            *_BUDGET_CASES,
         ],
-        ids=["n-fraction", "d-fraction", "m-true", "trials-fraction", "point-sets-fraction", "steps-true",
-             "seed-negative", "seed-float"],
+        ids=["n-fraction", "d-fraction", "m-true", "point-sets-fraction", *_BUDGET_IDS],
     )
     def test_count_or_seed_that_is_not_an_integer_is_refused(self, kwargs, match):
         with pytest.raises(InvalidInputError, match=match):
             SearchConfig(**{"d": 2, "m": 2, "n": 3, **kwargs})
 
+    @pytest.mark.parametrize("kwargs, match", _BUDGET_CASES, ids=_BUDGET_IDS)
+    def test_budget_refuses_what_the_config_refuses(self, kwargs, match):
+        with pytest.raises(InvalidInputError, match=match):
+            SearchBudget(**kwargs)
+
+    @pytest.mark.parametrize("cls, args", [(SearchConfig, (2, 3, 3)), (SearchBudget, (24,))],
+                             ids=["config", "budget"])
+    def test_positional_arguments_are_refused(self, cls, args):
+        with pytest.raises(TypeError):
+            cls(*args)
+
     def test_search_too_large_to_allocate_is_refused(self):
         for kwargs in ({"trials": 10**9}, {"m": 10**9}, {"d": 10**9}, {"n": 10**9}):
             with pytest.raises(InvalidInputError, match="over the limit"):
                 SearchConfig(**{"d": 2, "m": 3, "n": 3, **kwargs})
-        with pytest.raises(InvalidInputError, match="over the limit"):
-            shatter_coefficient_exhaustive(np.zeros((3, 2)), 10**9, SearchConfig(d=2, m=3, n=3))
+        for m, budget in ((10**9, SearchConfig(d=2, m=3, n=3)), (10**9, SearchBudget()),
+                          (3, SearchBudget(trials=10**9))):
+            # a bare budget has no size to check; the count checks it with m and the points' shape
+            with pytest.raises(InvalidInputError, match="over the limit"):
+                shatter_coefficient_exhaustive(np.zeros((3, 2)), m, budget)
 
     def test_largest_roadmap_budget_is_accepted(self):
         SearchConfig(d=4, m=4, n=22, trials=400)
@@ -469,17 +507,26 @@ class TestShatterCoefficient:
         cfg = SearchConfig(d=2, m=3, n=4, trials=8, steps=40, rng_seed=5)
         assert shatter_coefficient_exhaustive(pts, 3, cfg) <= 16
 
-    def test_counts_of_the_c8_draw_are_frozen(self):
+    @pytest.mark.parametrize("budget", [SearchConfig(d=2, m=3, n=3, trials=4, steps=24, rng_seed=1),
+                                        SearchBudget(trials=4, steps=24, rng_seed=1)], ids=["config", "budget"])
+    def test_counts_of_the_c8_draw_are_frozen(self, budget):
         # one point set per (n, m, d), n 3..8, m 3..4, d 2..3, drawn as test c8
         # draws them; the counts were recorded with the per-restart search
         draw = np.random.default_rng(99)
-        cfg = SearchConfig(d=2, m=3, n=3, trials=4, steps=24, rng_seed=1)
         counts = [
-            shatter_coefficient_exhaustive(draw.uniform(-1.0, 1.0, size=(n, d)), m, cfg)
+            shatter_coefficient_exhaustive(draw.uniform(-1.0, 1.0, size=(n, d)), m, budget)
             for n in range(3, 9) for m in (3, 4) for d in (2, 3)
         ]
         assert counts == [8, 8, 8, 8, 15, 16, 15, 16, 29, 31, 31, 32,
                           43, 62, 53, 64, 74, 113, 111, 125, 116, 178, 155, 243]
+
+    def test_config_counts_with_the_points_own_size(self):
+        # the call shape of the benchmark's count child: a config's d, m and n are not read
+        pts = np.random.default_rng(7).uniform(-1.0, 1.0, size=(8, 3))
+        cfg = SearchConfig(d=2, m=3, n=3, trials=4, steps=24, rng_seed=1)
+        count = shatter_coefficient_exhaustive(pts, 4, cfg)
+        assert count == shatter_coefficient_exhaustive(pts, 4, SearchBudget(trials=4, steps=24, rng_seed=1))
+        assert 16 < count <= 256
 
     def test_counts_do_not_depend_on_batch_size(self, monkeypatch):
         pts = np.random.default_rng(99).uniform(-1.0, 1.0, size=(6, 2))
