@@ -119,6 +119,12 @@ _LAYOUTS = {
 }
 
 
+def _check_radius(radius) -> None:
+    """Raise unless ``radius`` is a number in ``[_RADIUS_MIN, _RADIUS_MAX]`` that is not a bool."""
+    if isinstance(radius, (bool, np.bool_)) or not _RADIUS_MIN <= radius <= _RADIUS_MAX:
+        raise InvalidInputError(f"radius must be in [{_RADIUS_MIN:.0e}, {_RADIUS_MAX:.0e}], got {radius!r}")
+
+
 def _check_param(kind: str, param) -> None:
     """Raise unless ``param`` is an integer >= 1 and no less than the least param of ``kind``."""
     check_int("param", param, 1)
@@ -169,9 +175,7 @@ class Arrangement:
     def __post_init__(self):
         if self.kind not in _LAYOUTS:
             raise InvalidInputError(f"unknown arrangement kind {self.kind!r}")
-        if isinstance(self.radius, (bool, np.bool_)) or not _RADIUS_MIN <= self.radius <= _RADIUS_MAX:
-            raise InvalidInputError(
-                f"radius must be in [{_RADIUS_MIN:.0e}, {_RADIUS_MAX:.0e}], got {self.radius!r}")
+        _check_radius(self.radius)
         _check_param(self.kind, self.param)
         object.__setattr__(self, "radius", float(self.radius))   # a certificate writes both as JSON
         object.__setattr__(self, "param", int(self.param))
@@ -205,9 +209,11 @@ class Arrangement:
 def _arranged(kind: str, param: int, radius: float) -> Arrangement:
     """The ``kind`` arrangement of ``param`` and ``radius``, its points built by the layout.
 
-    ``param`` is checked before the points are built, so a param below the
-    least one is reported as such, not as a polygon of too few vertices.
+    ``radius`` and ``param`` are checked as ``Arrangement`` checks them
+    before the points are built, so a radius or param out of range is
+    reported as such, not as a polygon it cannot build.
     """
+    _check_radius(radius)
     _check_param(kind, param)
     # built from the float the arrangement stores, not at a NumPy scalar's own precision
     return Arrangement(kind=kind, points=_LAYOUTS[kind].points(param, float(radius)), radius=radius, param=param)

@@ -9,11 +9,12 @@ constructions), ``reverify_certificate`` streams a certificate's stored
 witnesses, and the randomized search streams the witnesses it finds.
 ``_certify`` sweeps the 2^n labellings in parts: one, in this process,
 or, from ``_FORK_LABELLINGS`` labellings up on a platform that can fork,
-one per CPU, each in a forked worker. Every part collects its passing
-witnesses into per-count stacks ``(bits, prototypes, labels)``, and one
-merge puts the parts' stacks in bitmask order into the certificate.
-The result is a self-contained certificate that can be re-verified later
-without the generator. ``certificate_to_dict`` and
+one per CPU, in the standard library's process pool with forked
+workers. Every part collects its passing witnesses into per-count stacks
+``(bits, prototypes, labels)``, and one merge puts the parts' stacks in
+bitmask order into the certificate. The result is a self-contained
+certificate that can be re-verified later without the generator.
+``certificate_to_dict`` and
 ``certificate_from_dict`` are the JSON form of a certificate (schema
 ``vcnn-certificate/1``); ``certificate_json`` writes the same text as
 ``json.dumps`` of that document from the stacks, and the loader reads
@@ -144,8 +145,9 @@ def _certify(arrangement: Arrangement, mu: float, produce, keep: bool = True) ->
     passing witnesses are recorded when ``keep``. Refuses more than
     ``_MAX_EXHAUSTIVE_N`` points and a ``mu`` that is not finite and
     positive before any labelling is produced. The sweep runs in one part
-    in this process or, with more parts (see ``_parts``), in one forked
-    worker per part; either way ``_merged`` makes the certificate.
+    in this process or, with more parts (see ``_parts``), in a pool of
+    forked workers, one per part (see ``_forked``); either way ``_merged``
+    makes the certificate.
     """
     check_exhaustive(arrangement.n)
     check_mu(mu)
@@ -161,51 +163,54 @@ def _certify(arrangement: Arrangement, mu: float, produce, keep: bool = True) ->
 
 
 def _forked(arrangement: Arrangement, mu: float, produce, parts: int, keep: bool) -> list:
-    """The ``_collected`` replies of ``parts`` forked workers, one per part (see ``_part_worker``).
+    """The ``_collected`` replies of ``parts`` parts, swept in a pool of forked workers (see ``_part``).
 
-    An exception a worker raises is raised here, with its type and text,
-    and every worker has been joined before this returns or raises.
+    An exception a part raises is raised here, with its type and text; a
+    worker that dies raises ``BrokenProcessPool``. Every worker has exited
+    before this returns or raises.
     """
-    import multiprocessing   # only a sweep that forks pays for the import
+    import multiprocessing   # only a sweep that forks pays for the imports
+    from concurrent.futures import ProcessPoolExecutor
 
     context = multiprocessing.get_context("fork")
     stop = context.Value("q", 1 << arrangement.n)   # the lowest failing bitmask found so far
-    workers = []
     gc.freeze()   # a worker's collections would otherwise write to, and so copy, the parent's heap
     try:
-        for part in range(parts):
-            receiver, sender = context.Pipe(duplex=False)
-            worker = context.Process(target=_part_worker, daemon=True,
-                                     args=(sender, arrangement, mu, produce, part, parts, stop, keep))
-            worker.start()
-            sender.close()
-            workers.append((worker, receiver))
-        replies = [_reply(worker, receiver, stop) for worker, receiver in workers]
-    except BaseException:
-        for worker, _ in workers:
-            worker.terminate()
-        raise
+        # forked workers inherit the initializer's arguments, so they are not pickled
+        with ProcessPoolExecutor(parts, mp_context=context, initializer=_start_worker,
+                                 initargs=(arrangement, mu, produce, parts, stop, keep)) as pool:
+            try:
+                return list(pool.map(_part, range(parts)))
+            except BaseException:
+                stop.value = -1   # every part stops at its next labelling before the pool shuts down
+                raise
     finally:
-        for worker, receiver in workers:
-            worker.join()
-            receiver.close()
         gc.unfreeze()
-    for status, value in replies:
-        if status == "error":
-            raise value
-    return [value for _, value in replies]
 
 
-def _part_worker(sender, arrangement: Arrangement, mu: float, produce, part: int, parts: int, stop,
-                 keep: bool) -> None:
-    """A forked worker's body: send ``("ok", _collected(...))`` of its part, or ``("error", exception)``.
+# The sweep ``(arrangement, mu, produce, parts, stop, keep)`` whose parts a
+# forked worker sweeps; set only in a worker, by ``_start_worker``.
+_worker_sweep = None
+
+
+def _start_worker(*sweep) -> None:
+    """A forked worker's initializer: hold the sweep whose parts it is handed (see ``_part``)."""
+    global _worker_sweep
+    _worker_sweep = sweep
+
+
+def _part(part: int):
+    """The ``_collected`` reply of part ``part`` of the sweep ``_start_worker`` holds.
 
     Part ``part`` holds every labelling ``L`` with ``min(L, ~L) % parts ==
     part``, so both members of a complementary pair fall in one part. Its
     labellings are produced in ascending order up to its first failure, or
     up to the first one above ``stop.value``, the lowest failing bitmask
-    any part has found, which this part lowers when it fails.
+    any part has found, which this part lowers when it fails. An exception
+    sets ``stop.value`` to -1, so every other part stops at its next
+    labelling, and is raised again.
     """
+    arrangement, mu, produce, parts, stop, keep = _worker_sweep
     full = (1 << arrangement.n) - 1
 
     def bitmasks():
@@ -216,27 +221,14 @@ def _part_worker(sender, arrangement: Arrangement, mu: float, produce, part: int
                 yield bits
 
     try:
-        reply = "ok", _collected(arrangement, mu, produce(bitmasks()), keep)
-        failure = reply[1][2]
-        if failure is not None:
-            with stop.get_lock():
-                stop.value = min(stop.value, failure[0])
-    except BaseException as exc:
-        stop.value = -1   # every other part stops at its next labelling
-        reply = "error", exc
-    sender.send(reply)
-    sender.close()
-
-
-def _reply(worker, receiver, stop) -> tuple[str, object]:
-    """The reply of ``worker``; an error stops every other part at its next labelling."""
-    try:
-        reply = receiver.recv()
-    except EOFError:
-        worker.join()
-        reply = "error", RuntimeError(f"a sweep worker exited with code {worker.exitcode} before it replied")
-    if reply[0] == "error":
+        reply = _collected(arrangement, mu, produce(bitmasks()), keep)
+    except BaseException:
         stop.value = -1
+        raise
+    failure = reply[2]
+    if failure is not None:
+        with stop.get_lock():
+            stop.value = min(stop.value, failure[0])
     return reply
 
 
@@ -293,16 +285,14 @@ def _outcomes(arrangement: Arrangement, mu: float, stream):
 
     ``stream`` yields ``(labeling, witness or failure reason)`` for
     labellings of the arrangement in ascending bitmask order: all of
-    them, or one part's (see ``_part_worker``). Every witness is
-    checked here, once: it may use at most ``arrangement.budget``
-    prototypes and must realise its labelling at margin ``mu``.
-    ``failure`` is None when it does, and says why not otherwise. Refuses
-    more than ``_MAX_EXHAUSTIVE_N`` points and a ``mu`` that is not finite
-    and positive before it reads the stream, which is read only as far as
-    the caller reads the outcomes.
+    them, or one part's (see ``_part``). Every witness is checked here,
+    once: it may use at most ``arrangement.budget`` prototypes and must
+    realise its labelling at margin ``mu``. ``failure`` is None when it
+    does, and says why not otherwise. The stream is read only as far as
+    the caller reads the outcomes. The size and ``mu`` are the callers' to
+    check: ``_certify`` checks both, ``shatter_coefficient_exhaustive``
+    its own size cap, and a ``SearchBudget`` its ``mu``.
     """
-    check_exhaustive(arrangement.n)
-    check_mu(mu)
     budget = arrangement.budget
     for labeling, found in stream:
         if isinstance(found, str):

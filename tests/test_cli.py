@@ -308,6 +308,35 @@ def test_huge_param_refused_before_any_point_is_built(capsys, monkeypatch, kind,
     assert err == f"error: {want}\n"
 
 
+_RADIUS_CASES = [(kind, flag, radius) for kind, flag in (("takacs", "--n"), ("gunn", "--m"))
+                 for radius in ("0", "nan", "inf", "-1")]
+
+
+@pytest.mark.parametrize(
+    "argv, got",
+    [*[(("witness", kind, flag, "4", "--radius", radius), repr(float(radius))) for kind, flag, radius in _RADIUS_CASES],
+     (("verify",), "-1.0")],
+    ids=[*[f"witness-{kind}-{radius}" for kind, _, radius in _RADIUS_CASES], "certificate"],
+)
+def test_radius_out_of_range_has_one_message_and_builds_no_point(capsys, tmp_path, monkeypatch, argv, got):
+    if argv == ("verify",):
+        path = tmp_path / "takacs.json"
+        run_cli(capsys, "witness", "takacs", "--n", "2", "--no-meta", "--out", str(path))
+        doc = json.loads(path.read_text())
+        doc["radius"] = -1.0
+        path.write_text(json.dumps(doc))
+        argv = (*argv, str(path))
+
+    def unbuildable(param, radius):
+        raise AssertionError(f"a layout of radius {radius} was built")
+
+    for kind in ("takacs", "gunn"):
+        monkeypatch.setitem(constructions._LAYOUTS, kind, constructions._LAYOUTS[kind]._replace(points=unbuildable))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.endswith(f"radius must be in [1e-06, 1e+06], got {got}\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -588,23 +589,13 @@ def _part_of(bits: int, n: int, parts: int) -> int:
     return min(bits, bits ^ ((1 << n) - 1)) % parts
 
 
-class _Sender:
-    """Stands in for the sending end of a worker's pipe: keeps the reply sent."""
-
-    def send(self, reply):
-        self.reply = reply
-
-    def close(self):
-        pass
-
-
 def _part_reply(arrangement, produce, part: int, parts: int, stop, keep: bool):
-    """The ``_collected`` reply that ``_part_worker`` sends for part ``part``, run in this process."""
-    sender = _Sender()
-    verification._part_worker(sender, arrangement, 1e-6, produce, part, parts, stop, keep)
-    status, reply = sender.reply
-    assert status == "ok"
-    return reply
+    """The ``_collected`` reply that a forked worker returns for part ``part``, run in this process."""
+    verification._start_worker(arrangement, 1e-6, produce, parts, stop, keep)
+    try:
+        return verification._part(part)
+    finally:
+        verification._worker_sweep = None
 
 
 class TestSweepParts:
@@ -650,6 +641,35 @@ class TestSweepParts:
         with pytest.raises(ValueError, match="^no witness for 0xa53$"):
             verify_shattering(takacs_arrangement(5), _failing_at({0xA53}, error=ValueError))
         assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_is_an_error_and_leaves_no_process(self, sweep_parts):
+        def exits(arrangement, labeling, mu):
+            if labeling.bits == 0xA53:
+                os._exit(3)
+            return takacs_shatter(arrangement, labeling, mu)
+
+        sweep_parts(2)
+        with pytest.raises(RuntimeError):
+            verify_shattering(takacs_arrangement(5), exits)
+        assert multiprocessing.active_children() == []
+
+    def test_an_exception_stops_the_other_part(self, sweep_parts):
+        # part 1 raises at its first labelling, 0x1; part 0 is slowed so that it cannot finish first
+        arr = takacs_arrangement(5)
+        read = multiprocessing.Value("q", 0)   # labellings part 0 was asked for
+
+        def raising(arrangement, labeling, mu):
+            if _part_of(labeling.bits, arrangement.n, 2) == 1:
+                raise ValueError("first labelling of part 1")
+            with read.get_lock():
+                read.value += 1
+            time.sleep(1e-3)
+            return takacs_shatter(arrangement, labeling, mu)
+
+        sweep_parts(2)
+        with pytest.raises(ValueError, match="^first labelling of part 1$"):
+            verify_shattering(arr, raising)
+        assert read.value < (1 << arr.n) // 4   # under half of part 0's 2^(n-1) labellings
 
     def test_search_agrees(self, sweep_parts):
         cfg = SearchConfig(d=2, m=3, n=6, rng_seed=0)
