@@ -7,13 +7,14 @@ test. Three producers feed it, each a function of the ascending bitmasks
 it is handed: ``verify_shattering`` calls a per-labelling generator (the
 constructions), ``reverify_certificate`` streams a certificate's stored
 witnesses, and the randomized search streams the witnesses it finds.
-``_certify`` sweeps the 2^n labellings in parts: one, in this process,
-or, from ``_FORK_LABELLINGS`` labellings up on a platform that can fork,
-one per CPU, in the standard library's process pool with forked
-workers. Every part collects its passing witnesses into per-count stacks
-``(bits, prototypes, labels)``, and one merge puts the parts' stacks in
-bitmask order into the certificate. The result is a self-contained
-certificate that can be re-verified later without the generator.
+``_swept`` sweeps the 2^n labellings in parts: one, in this process,
+or, for a large enough sweep on a platform that can fork (see
+``_parts``), one per CPU, in the standard library's process pool with
+forked workers. ``_certify`` collects every part's passing witnesses
+into per-count stacks ``(bits, prototypes, labels)``, and one merge puts
+the parts' stacks in bitmask order into the certificate. The result is a
+self-contained certificate that can be re-verified later without the
+generator.
 ``certificate_to_dict`` and
 ``certificate_from_dict`` are the JSON form of a certificate (schema
 ``vcnn-certificate/1``); ``certificate_json`` writes the same text as
@@ -29,8 +30,10 @@ batch, a chunk only when the sweep reaches it. Finding a certificate proves
 the lower bound for that n; not finding one proves nothing and is always
 reported as a budget-limited negative, never as impossibility.
 Deterministic for a fixed seed: every labelling derives its own child
-seed, so results depend neither on evaluation order nor on chunking.
-``shatter_coefficient_exhaustive`` reads only a ``SearchBudget``;
+seed, so results depend neither on evaluation order nor on chunking, and
+so neither on the number of parts. ``shatter_coefficient_exhaustive``
+counts the labellings one sweep of the search realises, in parts too,
+and reads only a ``SearchBudget``;
 ``search_lower_bound`` takes a ``SearchConfig``, a budget plus what it samples.
 """
 
@@ -120,23 +123,28 @@ def verify_shattering(arrangement: Arrangement, generator, mu: float = DEFAULT_M
 
 # Sweeps of at least this many labellings are split across forked workers.
 # Below it the workers cost more than they save: takacs n=4 (1,024
-# labellings) was no faster in two parts, takacs n=5 (4,096) was.
+# labellings) was no faster in two parts, takacs n=5 (4,096) was. A search
+# sweep splits from one kernel chunk of rows up instead (see ``_parts``).
 _FORK_LABELLINGS = 1 << 12
 
 
-def _parts(n: int) -> int:
+def _parts(n: int, trials: int | None = None) -> int:
     """How many parts the sweep of the 2^n labellings of n points is split into.
 
-    One per CPU this process may run on when there are at least
-    ``_FORK_LABELLINGS`` labellings and the platform can fork; 1, an
-    in-process sweep, otherwise.
+    One per CPU this process may run on when the sweep is large enough
+    and the platform can fork; 1, an in-process sweep, otherwise. A
+    search sweep of ``trials`` restarts per labelling is large enough
+    once its ``2^n * trials`` rows fill one ``_BATCH_ROWS`` kernel chunk,
+    any other sweep from ``_FORK_LABELLINGS`` labellings up.
     """
-    if (1 << n) < _FORK_LABELLINGS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    size, least = (1 << n, _FORK_LABELLINGS) if trials is None else ((1 << n) * trials, _BATCH_ROWS)
+    if size < least or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
 
-def _certify(arrangement: Arrangement, mu: float, produce, keep: bool = True) -> ShatterCertificate:
+def _certify(arrangement: Arrangement, mu: float, produce, keep: bool = True,
+             trials: int | None = None) -> ShatterCertificate:
     """The certificate of the sweep over ``produce(bitmasks)``.
 
     ``produce`` maps ascending labelling bitmasks to the sweep's stream
@@ -144,30 +152,40 @@ def _certify(arrangement: Arrangement, mu: float, produce, keep: bool = True) ->
     labelling and records it; failure is data, not an exception. The
     passing witnesses are recorded when ``keep``. Refuses more than
     ``_MAX_EXHAUSTIVE_N`` points and a ``mu`` that is not finite and
-    positive before any labelling is produced. The sweep runs in one part
-    in this process or, with more parts (see ``_parts``), in a pool of
-    forked workers, one per part (see ``_forked``); either way ``_merged``
-    makes the certificate.
+    positive before any labelling is produced. ``trials`` is the restarts
+    per labelling of a search sweep, None for any other (see ``_parts``).
+    The parts' ``_collected`` replies (see ``_swept``) make the
+    certificate in ``_merged``.
     """
     check_exhaustive(arrangement.n)
     check_mu(mu)
-    parts = _parts(arrangement.n)
-    if parts == 1:
-        replies = [_collected(arrangement, mu, produce(range(1 << arrangement.n)), keep)]
-    else:
-        replies = _forked(arrangement, mu, produce, parts, keep)
+    replies = _swept(arrangement, mu, produce, functools.partial(_collected, keep=keep), trials)
     witnesses, min_margin, failure = _merged(replies)
     first, reason = failure or (None, None)
     return ShatterCertificate(arrangement=arrangement, mu=float(mu), witnesses=witnesses, min_margin=min_margin,
                               verified=failure is None, first_failure=first, failure_reason=reason)
 
 
-def _forked(arrangement: Arrangement, mu: float, produce, parts: int, keep: bool) -> list:
-    """The ``_collected`` replies of ``parts`` parts, swept in a pool of forked workers (see ``_part``).
+def _swept(arrangement: Arrangement, mu: float, produce, tally, trials: int | None = None) -> list:
+    """``tally(arrangement, mu, stream, stop)`` of every part of the sweep over ``produce(bitmasks)``.
 
-    An exception a part raises is raised here, with its type and text; a
-    worker that dies raises ``BrokenProcessPool``. Every worker has exited
-    before this returns or raises.
+    With one part (see ``_parts``) the stream is all 2^n labellings, swept
+    in this process, and ``stop`` is None; with more, the parts are swept
+    by ``_forked``.
+    """
+    parts = _parts(arrangement.n, trials)
+    if parts == 1:
+        return [tally(arrangement, mu, produce(range(1 << arrangement.n)), None)]
+    return _forked(arrangement, mu, produce, parts, tally)
+
+
+def _forked(arrangement: Arrangement, mu: float, produce, parts: int, tally) -> list:
+    """The tallies of ``parts`` parts, swept in a pool of forked workers (see ``_part``).
+
+    Every tally is handed the one shared ``stop`` value. An exception a
+    part raises is raised here, with its type and text; a worker that
+    dies raises ``BrokenProcessPool``. Every worker has exited before this
+    returns or raises.
     """
     import multiprocessing   # only a sweep that forks pays for the imports
     from concurrent.futures import ProcessPoolExecutor
@@ -178,7 +196,7 @@ def _forked(arrangement: Arrangement, mu: float, produce, parts: int, keep: bool
     try:
         # forked workers inherit the initializer's arguments, so they are not pickled
         with ProcessPoolExecutor(parts, mp_context=context, initializer=_start_worker,
-                                 initargs=(arrangement, mu, produce, parts, stop, keep)) as pool:
+                                 initargs=(arrangement, mu, produce, parts, stop, tally)) as pool:
             try:
                 return list(pool.map(_part, range(parts)))
             except BaseException:
@@ -188,7 +206,7 @@ def _forked(arrangement: Arrangement, mu: float, produce, parts: int, keep: bool
         gc.unfreeze()
 
 
-# The sweep ``(arrangement, mu, produce, parts, stop, keep)`` whose parts a
+# The sweep ``(arrangement, mu, produce, parts, stop, tally)`` whose parts a
 # forked worker sweeps; set only in a worker, by ``_start_worker``.
 _worker_sweep = None
 
@@ -200,17 +218,17 @@ def _start_worker(*sweep) -> None:
 
 
 def _part(part: int):
-    """The ``_collected`` reply of part ``part`` of the sweep ``_start_worker`` holds.
+    """The tally of part ``part`` of the sweep ``_start_worker`` holds.
 
     Part ``part`` holds every labelling ``L`` with ``min(L, ~L) % parts ==
     part``, so both members of a complementary pair fall in one part. Its
-    labellings are produced in ascending order up to its first failure, or
-    up to the first one above ``stop.value``, the lowest failing bitmask
-    any part has found, which this part lowers when it fails. An exception
-    sets ``stop.value`` to -1, so every other part stops at its next
-    labelling, and is raised again.
+    labellings are produced in ascending order for as long as the tally
+    reads them, up to the first one above ``stop.value``, the lowest
+    failing bitmask any part has found. An exception sets ``stop.value``
+    to -1, so every other part stops at its next labelling, and is raised
+    again.
     """
-    arrangement, mu, produce, parts, stop, keep = _worker_sweep
+    arrangement, mu, produce, parts, stop, tally = _worker_sweep
     full = (1 << arrangement.n) - 1
 
     def bitmasks():
@@ -221,24 +239,21 @@ def _part(part: int):
                 yield bits
 
     try:
-        reply = _collected(arrangement, mu, produce(bitmasks()), keep)
+        return tally(arrangement, mu, produce(bitmasks()), stop)
     except BaseException:
         stop.value = -1
         raise
-    failure = reply[2]
-    if failure is not None:
-        with stop.get_lock():
-            stop.value = min(stop.value, failure[0])
-    return reply
 
 
-def _collected(arrangement: Arrangement, mu: float, stream, keep: bool):
+def _collected(arrangement: Arrangement, mu: float, stream, stop, keep: bool):
     """The sweep of ``stream`` up to its first failure: ``(bits, worsts, failure, stacks)``.
 
     ``bits`` and ``worsts`` are arrays of the passing labellings and their
     minimum margins, ``failure`` is ``(bits, reason)`` of the failing one
     or None, and ``stacks`` holds the passing witnesses as a certificate
     does (see ``ShatterCertificate``) when ``keep``, and is empty otherwise.
+    In a forked part, once the witnesses are stacked, a failure lowers
+    the shared ``stop`` to its bitmask, so the other parts stop past it.
     """
     passed, worsts, failure, kept = [], [], None, {}
     for bits, witness, worst, reason in _outcomes(arrangement, mu, stream):
@@ -254,7 +269,18 @@ def _collected(arrangement: Arrangement, mu: float, stream, keep: bool):
             np.stack([w.labels for _, w in group]))
         for m, group in kept.items()
     }
+    if failure is not None and stop is not None:
+        with stop.get_lock():
+            stop.value = min(stop.value, failure[0])
     return np.array(passed, dtype=np.int64), np.array(worsts, dtype=np.float64), failure, stacks
+
+
+def _realised(arrangement: Arrangement, mu: float, stream, stop) -> int:
+    """How many items of ``stream`` pass the sweep's checks.
+
+    Reads every item, past any failure, so it never lowers ``stop``.
+    """
+    return sum(failure is None for *_, failure in _outcomes(arrangement, mu, stream))
 
 
 def _merged(replies: list):
@@ -311,12 +337,16 @@ _STEP_DECAY = 0.5   # step factor after a sweep that improves nothing
 # Rows (labellings x restarts) the search climbs in one lockstep batch:
 # enough to spread NumPy's per-call cost, few enough that the sweep's stop
 # at a failing labelling wastes little and the batch stays small in memory.
-_BATCH_ROWS = 256
+# A search sweep of fewer rows runs in process (see ``_parts``), so only a
+# forked part climbs a full chunk: on two CPUs, each part of a count of 8
+# points at 4 trials (128 labellings) is one kernel call.
+_BATCH_ROWS = 512
 
 # The search's largest array is the kernel's coordinate differences of
 # every row, prototype and point of a batch: at most max(trials,
 # _BATCH_ROWS) x m x n x d float64s. A budget past this many elements
-# (512 MiB) is refused before any array is built.
+# (512 MiB) is refused before any array is built: up to 512 trials, at
+# most m * n * d = 2^17.
 _MAX_SEARCH_ELEMENTS = 1 << 26
 
 
@@ -372,12 +402,13 @@ class SearchConfig(SearchBudget):
 
 
 def _restart_pool(rng: np.random.Generator, points: np.ndarray, target: np.ndarray,
-                  trials: int, m: int, span: np.ndarray, scale: float):
+                  trials: int, m: int, box: tuple, scale: float):
     """Initial positions and labels of m prototypes for each of ``trials`` restarts.
 
     Half the restarts start from jittered sample points carrying the
     target labels (a condensing-style initializer), the rest are uniform
-    in the twice-inflated bounding box with random labels.
+    in the twice-inflated bounding box with random labels: ``box`` is
+    ``(lo, hi, signs)``, the box's corners and the labels ``[-1, 1]``.
     """
     n, d = points.shape
     idx = rng.integers(0, n, size=(trials, m))
@@ -385,11 +416,9 @@ def _restart_pool(rng: np.random.Generator, points: np.ndarray, target: np.ndarr
     labels = target[idx]
     n_uniform = trials // 2
     if n_uniform:
-        centre = 0.5 * (points.max(axis=0) + points.min(axis=0))
-        lo = centre - span
-        hi = centre + span
+        lo, hi, signs = box
         inits[-n_uniform:] = rng.uniform(lo, hi, size=(n_uniform, m, d))
-        labels[-n_uniform:] = rng.choice(np.array([-1, 1]), size=(n_uniform, m))
+        labels[-n_uniform:] = rng.choice(signs, size=(n_uniform, m))
     return inits, labels.astype(np.int64)
 
 
@@ -403,17 +432,21 @@ def _searched(budget: SearchBudget, ps: int, arrangement: Arrangement, bitmasks)
     seeded with ``[rng_seed, ps, bits]``, so a witness depends neither on
     chunk boundaries nor on evaluation order. A labelling no restart
     realises at margin 2 mu gets a failure reason in place of a witness.
+    The restarts' bounding box is computed once per point set.
     """
     points, n, mu = arrangement.points, arrangement.n, budget.mu
-    span = points.max(axis=0) - points.min(axis=0)
+    high, low = points.max(axis=0), points.min(axis=0)
+    span = high - low
     scale = max(float(span.max()), 1e-6)
+    centre = 0.5 * (high + low)
+    box = centre - span, centre + span, np.array([-1, 1])
     chunk = max(1, _BATCH_ROWS // budget.trials)
     bitmasks = iter(bitmasks)
     while batch := list(itertools.islice(bitmasks, chunk)):
         labelings = [Labeling(bits, n) for bits in batch]
         pools = [
             _restart_pool(np.random.default_rng([budget.rng_seed, ps, lab.bits]), points, lab.array,
-                          budget.trials, arrangement.budget, span, scale)
+                          budget.trials, arrangement.budget, box, scale)
             for lab in labelings
         ]
         init_labels = np.stack([labels for _, labels in pools])
@@ -443,7 +476,7 @@ def search_lower_bound(cfg: SearchConfig):
     for ps in range(cfg.point_sets):
         points = np.random.default_rng([cfg.rng_seed, ps]).uniform(-1.0, 1.0, size=(cfg.n, cfg.d))
         arrangement = Arrangement(kind="search", points=points, radius=1.0, param=cfg.m)
-        cert = _certify(arrangement, cfg.mu, functools.partial(_searched, cfg, ps, arrangement))
+        cert = _certify(arrangement, cfg.mu, functools.partial(_searched, cfg, ps, arrangement), trials=cfg.trials)
         if cert.verified:
             return cfg.n, cert
     return 0, None
@@ -456,14 +489,15 @@ def shatter_coefficient_exhaustive(points, m: int, budget: SearchBudget) -> int:
     successes are margin-verified so the count never exceeds the truth.
     The size cap is checked once, here, with ``m`` and the points' own n
     and d. ``m`` and ``points`` that ``Arrangement`` refuses, and a search
-    too large to allocate, raise ``InvalidInputError``.
+    too large to allocate, raise ``InvalidInputError``. The sweep reads
+    every labelling, in parts as a search does (see ``_parts``).
     """
     arrangement = Arrangement(kind="search", points=points, radius=1.0, param=m)
     if arrangement.n > _MAX_COEFFICIENT_N:
         raise InvalidInputError(f"2^{arrangement.n} labelings is beyond desk scale for counting")
     _check_search_size(budget.trials, m, *arrangement.points.shape)
-    outcomes = _outcomes(arrangement, budget.mu, _searched(budget, 0, arrangement, range(1 << arrangement.n)))
-    return sum(failure is None for *_, failure in outcomes)
+    produce = functools.partial(_searched, budget, 0, arrangement)
+    return sum(_swept(arrangement, budget.mu, produce, _realised, budget.trials))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,4 @@
-import math
 import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -22,14 +20,14 @@ def rng():
 def sweep_parts(monkeypatch):
     """``sweep_parts(k)`` makes every later sweep run in k parts: in this process for 1, forked otherwise.
 
-    Sets the fork threshold and the CPU count the sweep reads; once the
+    Sets the part count the sweep reads, for construction, re-verification
+    and search sweeps and counts alike, whatever their size; once the
     test is done, no worker process may be left.
     """
     from vcnn import verification
 
     def force(parts: int) -> None:
-        monkeypatch.setattr(verification, "_FORK_LABELLINGS", 1 if parts > 1 else math.inf)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)), raising=False)
+        monkeypatch.setattr(verification, "_parts", lambda n, trials=None: parts)
 
     yield force
     assert multiprocessing.active_children() == []

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import multiprocessing
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -446,6 +448,20 @@ class TestSearchConfig:
     def test_largest_roadmap_budget_is_accepted(self):
         SearchConfig(d=4, m=4, n=22, trials=400)
 
+    def test_size_limit_is_the_largest_chunk(self):
+        # up to _BATCH_ROWS trials a chunk holds _BATCH_ROWS rows, so m * n * d may reach 2^26 / 512
+        assert verification._BATCH_ROWS == 512
+        limit = 1 << 17
+        verification._check_search_size(512, 1, limit, 1)
+        SearchConfig(d=2, m=2, n=limit // 4, trials=1)
+        for trials, n in ((1, limit + 1), (512, limit + 1), (513, limit)):
+            with pytest.raises(InvalidInputError, match="over the limit"):
+                verification._check_search_size(trials, 1, n, 1)
+        # past _BATCH_ROWS trials, one labelling's restarts are the largest chunk
+        SearchConfig(d=2, m=2, n=16, trials=1 << 20)
+        with pytest.raises(InvalidInputError, match="over the limit"):
+            SearchConfig(d=2, m=2, n=16, trials=(1 << 20) + 1)
+
 
 class TestSearchLowerBound:
     def test_halfplane_case_shatters_three_points(self):
@@ -468,19 +484,38 @@ class TestSearchLowerBound:
             for got, want in zip(stacks, c2.witnesses[m], strict=True):
                 assert np.array_equal(got, want)
 
-    def test_sweep_searches_no_chunk_after_the_first_failure(self, monkeypatch):
-        # one prototype realises only the constant labellings, so labelling 0x1 fails first
-        search_batch, searched = kernels.search_batch, []
+    # one prototype realises only the constant labellings, so labelling 0x1 fails first
+    _ONE_PROTOTYPE = SearchConfig(d=2, m=1, n=4, trials=4, point_sets=1, steps=10)
 
-        def recording(points, targets, *rest):
-            searched.append([Labeling.from_array(target).bits for target in targets])
+    def _chunks_searched(self, monkeypatch, tmp_path, sweep_parts, parts) -> list[list[int]]:
+        """The labellings of every ``search_batch`` call of the one-prototype search in ``parts`` parts."""
+        search_batch, log = kernels.search_batch, tmp_path / "searched.txt"
+
+        def recording(points, targets, *rest):   # one appended line per call, from any process
+            with open(log, "a") as fh:
+                fh.write(" ".join(str(Labeling.from_array(target).bits) for target in targets) + "\n")
             return search_batch(points, targets, *rest)
 
-        cfg = SearchConfig(d=2, m=1, n=4, trials=4, point_sets=1, steps=10)
-        monkeypatch.setattr(verification, "_BATCH_ROWS", cfg.trials)   # one labelling per chunk
+        sweep_parts(parts)
+        monkeypatch.setattr(verification, "_BATCH_ROWS", self._ONE_PROTOTYPE.trials)   # one labelling per chunk
         monkeypatch.setattr(kernels, "search_batch", recording)
-        assert search_lower_bound(cfg) == (0, None)
-        assert searched == [[0x0], [0x1]]
+        assert search_lower_bound(self._ONE_PROTOTYPE) == (0, None)
+        assert multiprocessing.active_children() == []
+        return [[int(bits) for bits in line.split()] for line in log.read_text().splitlines()]
+
+    def test_sweep_searches_no_chunk_after_the_first_failure(self, monkeypatch, tmp_path, sweep_parts):
+        # pinned to one part: at one labelling per chunk this sweep is large enough to fork
+        assert self._chunks_searched(monkeypatch, tmp_path, sweep_parts, 1) == [[0x0], [0x1]]
+
+    def test_forked_part_searches_at_most_one_chunk_past_the_first_failure(self, monkeypatch, tmp_path,
+                                                                         sweep_parts):
+        n = self._ONE_PROTOTYPE.n
+        searched = self._chunks_searched(monkeypatch, tmp_path, sweep_parts, 2)
+        assert [0x0] in searched and [0x1] in searched
+        for part in range(2):
+            chunks = [chunk for chunk in searched if _part_of(chunk[0], n, 2) == part]
+            assert all(_part_of(bits, n, 2) == part for chunk in chunks for bits in chunk)
+            assert sum(chunk[0] > 0x1 for chunk in chunks) <= 1
 
     def test_witnesses_reverify_without_generator(self):
         cfg = SearchConfig(d=2, m=2, n=3, trials=16, point_sets=2, steps=80, rng_seed=0)
@@ -591,7 +626,8 @@ def _part_of(bits: int, n: int, parts: int) -> int:
 
 def _part_reply(arrangement, produce, part: int, parts: int, stop, keep: bool):
     """The ``_collected`` reply that a forked worker returns for part ``part``, run in this process."""
-    verification._start_worker(arrangement, 1e-6, produce, parts, stop, keep)
+    verification._start_worker(arrangement, 1e-6, produce, parts, stop,
+                               functools.partial(verification._collected, keep=keep))
     try:
         return verification._part(part)
     finally:
@@ -680,6 +716,50 @@ class TestSweepParts:
         assert got[0] == want[0] == 6
         self._same(got[1], want[1])
 
+    def test_counts_of_the_c8_draw_agree_in_one_two_and_three_parts(self, sweep_parts):
+        budget = SearchBudget(trials=4, steps=24, rng_seed=1)
+        counts = []
+        for parts in (1, 2, 3):
+            sweep_parts(parts)
+            draw = np.random.default_rng(99)   # the draw of test_counts_of_the_c8_draw_are_frozen
+            counts.append([shatter_coefficient_exhaustive(draw.uniform(-1.0, 1.0, size=(n, d)), m, budget)
+                           for n in range(3, 9) for m in (3, 4) for d in (2, 3)])
+            assert multiprocessing.active_children() == []
+        assert counts[0] == counts[1] == counts[2]
+
+    def _count_calling(self, monkeypatch, sweep_parts, action):
+        """A forked count of 5 points whose search runs ``action(bitmasks)`` on every chunk first."""
+        search_batch = kernels.search_batch
+
+        def acting(points, targets, *rest):
+            action([Labeling.from_array(target).bits for target in targets])
+            return search_batch(points, targets, *rest)
+
+        sweep_parts(2)
+        monkeypatch.setattr(kernels, "search_batch", acting)
+        points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(5, 2))
+        return shatter_coefficient_exhaustive(points, 3, SearchBudget(trials=4, steps=10))
+
+    def test_count_worker_exception_is_raised_with_its_type_and_text(self, monkeypatch, sweep_parts):
+        def raising(bitmasks):
+            if 0x5 in bitmasks:
+                raise ValueError("searched 0x5")
+
+        with pytest.raises(ValueError, match="^searched 0x5$"):
+            self._count_calling(monkeypatch, sweep_parts, raising)
+        assert multiprocessing.active_children() == []
+
+    def test_count_worker_that_dies_is_an_error_and_leaves_no_process(self, monkeypatch, sweep_parts):
+        parent = os.getpid()
+
+        def exits(bitmasks):
+            if 0x5 in bitmasks and os.getpid() != parent:
+                os._exit(3)
+
+        with pytest.raises(BrokenProcessPool):
+            self._count_calling(monkeypatch, sweep_parts, exits)
+        assert multiprocessing.active_children() == []
+
     def test_parts_hold_complementary_pairs(self):
         arr = takacs_arrangement(4)
         n, full = arr.n, (1 << arr.n) - 1
@@ -733,3 +813,15 @@ class TestSweepParts:
         assert verification._parts(gunn_arrangement(5).n) == 1
         assert verification._parts(takacs_arrangement(5).n) == 2
         assert verify_shattering(gunn_arrangement(5), gunn_shatter).verified
+
+    def test_search_sweeps_fork_from_one_chunk(self, monkeypatch):
+        # 2^n x trials rows: a count at 4 trials forks from 7 points, a search at 24 trials from 5
+        def no_fork():
+            raise AssertionError("a search sweep under one chunk forked")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert [verification._parts(n, 4) for n in (6, 7)] == [1, 2]
+        assert [verification._parts(n, 24) for n in (4, 5)] == [1, 2]
+        monkeypatch.setattr(os, "fork", no_fork)
+        points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(6, 2))
+        assert 2 <= shatter_coefficient_exhaustive(points, 3, SearchBudget(trials=4, steps=10)) <= 64
