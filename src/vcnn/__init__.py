@@ -6,6 +6,11 @@ lower and upper bounds on its VC dimension, builds the explicit planar
 point arrangements that realise the lower bounds, verifies the shattering
 exhaustively over all labelings, and complements the constructions with a
 randomized search certifier.
+
+The primitives work on arrays of points: ``evaluate_margins`` gives the
+1NN label and margin of each point, ``geometry.contains_many`` each
+point's membership of a polytope, and ``Labeling.array`` the labels of a
+labelling. A single point is a one-row array, e.g. ``evaluate_margins(s, [x])``.
 """
 
 from .bounds import (
@@ -24,7 +29,6 @@ from .classifier import (
     DEFAULT_MU,
     LabeledPrototypeSet,
     Labeling,
-    classify,
     evaluate_margins,
     realizes,
 )
@@ -37,13 +41,9 @@ from .constructions import (
     takacs_shatter,
 )
 from .geometry import (
-    BOUNDARY,
     DEFAULT_TOL,
-    INSIDE,
-    OUTSIDE,
     ConvexPolytope,
     Halfspace,
-    contains,
     reflect,
     regular_polygon_vertices,
 )
@@ -61,22 +61,17 @@ __version__ = "0.1.0"
 __all__ = [
     "Arrangement",
     "BoundsReport",
-    "BOUNDARY",
     "ConvexPolytope",
     "DEFAULT_MU",
     "DEFAULT_TOL",
     "Halfspace",
-    "INSIDE",
     "LabeledPrototypeSet",
     "Labeling",
-    "OUTSIDE",
     "SearchBudget",
     "SearchConfig",
     "ShatterCertificate",
-    "classify",
     "compute_bounds",
     "compute_bounds_range",
-    "contains",
     "evaluate_margins",
     "gunn_arrangement",
     "gunn_shatter",

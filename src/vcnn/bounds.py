@@ -144,10 +144,16 @@ def _tight_upper_real_array(d: int, ms: np.ndarray) -> np.ndarray:
 
 
 def _grid_curve(d: int, ms) -> np.ndarray:
-    """``ms`` as a float64 array, once (d, min m) and (d, max m) are on the supported grid."""
+    """``ms`` as a float64 array, once (d, min m) and (d, max m) are on the supported grid.
+
+    An empty ``ms`` is an empty curve; a non-finite m is refused.
+    """
     ms = np.asarray(ms, dtype=np.float64)
-    for m in (int(ms.min()), int(ms.max())):
-        _require_grid(d, m)
+    if not np.isfinite(ms).all():
+        raise UnsupportedParametersError("m values must be finite")
+    if ms.size:
+        for m in (int(ms.min()), int(ms.max())):
+            _require_grid(d, m)
     return ms
 
 
@@ -235,13 +241,11 @@ def shatter_coefficient_bound(d: int, m: int, n: int) -> float:
     return 2.0 ** log2_val
 
 
-def sample_size_estimate(
-    vc: int, epsilon: float, delta: float, constant: float = DEFAULT_PAC_CONSTANT
-) -> float:
+def sample_size_estimate(vc: int, epsilon: float, delta: float) -> float:
     """Agnostic-PAC style training-set size estimate C (vc + ln(1/delta)) / eps^2.
 
-    The constant is a documented convention (see DEFAULT_PAC_CONSTANT);
-    only the scaling in vc, epsilon and delta is meaningful.
+    C is the documented convention DEFAULT_PAC_CONSTANT; only the scaling
+    in vc, epsilon and delta is meaningful.
     """
     if vc < 1:
         raise InvalidInputError("vc must be >= 1")
@@ -249,7 +253,7 @@ def sample_size_estimate(
         raise InvalidInputError("epsilon must be in (0, 1)")
     if not 0.0 < delta < 1.0:
         raise InvalidInputError("delta must be in (0, 1)")
-    return constant * (vc + math.log(1.0 / delta)) / (epsilon * epsilon)
+    return DEFAULT_PAC_CONSTANT * (vc + math.log(1.0 / delta)) / (epsilon * epsilon)
 
 
 @dataclass(frozen=True)

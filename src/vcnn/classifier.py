@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import DEFAULT_TOL, as_point
+from .geometry import DEFAULT_TOL
 
 # Default decision margin required by realisation checks, for scenes of
 # unit circumradius.
@@ -147,14 +147,6 @@ class Labeling:
         if not 0 <= self.bits < (1 << self.size):
             raise InvalidInputError(f"bits {self.bits:#x} out of range for {self.size} points")
 
-    def __len__(self) -> int:
-        return self.size
-
-    def label(self, i: int) -> int:
-        if not 0 <= i < self.size:
-            raise InvalidInputError(f"index {i} out of range")
-        return 1 if (self.bits >> i) & 1 else -1
-
     @functools.cached_property
     def array(self) -> np.ndarray:
         """The labels as a read-only int64 array, built once, for a labelling of any size."""
@@ -162,10 +154,6 @@ class Labeling:
         labels = _BIT_LABELS[np.unpackbits(raw, count=self.size, bitorder="little")]
         labels.setflags(write=False)
         return labels
-
-    def to_array(self) -> np.ndarray:
-        """A writable copy of ``array``."""
-        return self.array.copy()
 
     @classmethod
     def from_array(cls, labels) -> "Labeling":
@@ -237,12 +225,6 @@ def evaluate_margins(s: LabeledPrototypeSet, points) -> tuple[np.ndarray, np.nda
     margins = other - same
     margins[np.abs(margins) <= TIE_RTOL * np.minimum(same, other)] = 0.0
     return np.where(margins >= 0, 1, -1), np.abs(margins)
-
-
-def classify(s: LabeledPrototypeSet, x) -> tuple[int, float]:
-    """Label and margin of one query point under the 1NN rule."""
-    labels, margins = evaluate_margins(s, as_point(x)[None, :])
-    return int(labels[0]), float(margins[0])
 
 
 def realisation(s: LabeledPrototypeSet, points, target: np.ndarray, mu: float) -> tuple[bool, float]:

@@ -305,15 +305,14 @@ def gunn_arrangement(m: int, radius: float = 1.0) -> Arrangement:
     return _arranged("gunn", m, radius)
 
 
-def polytope_to_prototypes(
-    polytope: ConvexPolytope, interior, inside_label: int, tol: float = DEFAULT_TOL
-) -> LabeledPrototypeSet:
+def polytope_to_prototypes(polytope: ConvexPolytope, interior, inside_label: int) -> LabeledPrototypeSet:
     """Prototype set whose decision region for ``inside_label`` is ``polytope``.
 
     One prototype at ``interior`` carries ``inside_label``; each facet
     contributes the reflection of ``interior`` across its hyperplane with
     the opposite label. The Voronoi cell of the interior prototype is then
     exactly the polytope, so 1NN classification agrees with membership.
+    ``interior`` must be more than ``DEFAULT_TOL`` inside every facet.
     """
     interior = as_point(interior)
     if inside_label not in (-1, 1):
@@ -322,7 +321,7 @@ def polytope_to_prototypes(
         raise InvalidInputError("interior point dimension mismatch")
     values = polytope.side_values(interior[None, :])[0]
     slack = -values
-    if slack.min() <= tol:
+    if slack.min() <= DEFAULT_TOL:
         raise InvalidWitnessError(
             f"interior point violates strict interiority (slack {slack.min():.3e})"
         )

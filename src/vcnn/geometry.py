@@ -19,10 +19,6 @@ from .errors import InvalidInputError
 # Absolute tolerance for geometric predicates on O(1) coordinates.
 DEFAULT_TOL = 1e-9
 
-INSIDE = "inside"
-BOUNDARY = "boundary"
-OUTSIDE = "outside"
-
 
 def as_point(coords) -> np.ndarray:
     """Coerce a coordinate sequence to a finite float64 vector."""
@@ -68,10 +64,6 @@ class Halfspace:
         x = as_point(x)
         _require_same_dim(x, self.normal)
         return float(self.normal @ x) - self.offset
-
-    def boundary_point(self) -> np.ndarray:
-        """The boundary point closest to the origin."""
-        return self.offset * self.normal
 
 
 def reflect(p, h: Halfspace) -> np.ndarray:
@@ -122,19 +114,13 @@ class ConvexPolytope:
         return xs @ self._normals.T - self._offsets
 
 
-def contains(polytope: ConvexPolytope, x, tol: float = DEFAULT_TOL) -> str:
-    """Classify ``x`` against ``polytope`` as inside / boundary / outside.
+def contains_many(polytope: ConvexPolytope, xs, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Membership of each row of ``xs``: +1 inside, 0 boundary, -1 outside.
 
     Inside means strictly inside every facet by more than ``tol``;
     outside means strictly beyond some facet by more than ``tol``;
-    anything else is boundary.
+    anything else is boundary. One point ``x`` is ``contains_many(polytope, [x])[0]``.
     """
-    member = int(contains_many(polytope, as_point(x)[None, :], tol)[0])
-    return {1: INSIDE, 0: BOUNDARY, -1: OUTSIDE}[member]
-
-
-def contains_many(polytope: ConvexPolytope, xs, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vectorised membership: +1 inside, 0 boundary, -1 outside."""
     if tol <= 0:
         raise InvalidInputError("tolerance must be positive")
     vals = polytope.side_values(xs)

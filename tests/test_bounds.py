@@ -165,6 +165,17 @@ class TestUpperBounds:
         for m, val in zip(ms, curve):
             assert upper_bound_tight(2, int(m))[0] == pytest.approx(float(val), rel=1e-14)
 
+    @pytest.mark.parametrize("curve", [tight_upper_curve, loose_upper_curve])
+    def test_empty_ms_is_an_empty_curve(self, curve):
+        out = curve(2, [])
+        assert out.dtype == np.float64 and out.shape == (0,)
+
+    @pytest.mark.parametrize("curve", [tight_upper_curve, loose_upper_curve])
+    @pytest.mark.parametrize("ms", [[math.nan], [math.inf], [3, 4, -math.inf]], ids=["nan", "inf", "-inf"])
+    def test_non_finite_m_refused(self, curve, ms):
+        with pytest.raises(UnsupportedParametersError, match="finite"):
+            curve(2, ms)
+
 
 class TestShatterCoefficientBound:
     def test_log2_form(self):

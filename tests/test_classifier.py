@@ -9,7 +9,6 @@ from vcnn.classifier import (
     LabeledPrototypeSet,
     Labeling,
     check_prototype_stack,
-    classify,
     evaluate_margins,
     nearest_distances,
     prototype_distances,
@@ -83,12 +82,12 @@ class TestCheckPrototypeStack:
 class TestLabeling:
     def test_bitmask_semantics(self):
         lab = Labeling(0b101, 3)
-        assert [lab.label(i) for i in range(3)] == [1, -1, 1]
-        assert lab.to_array().tolist() == [1, -1, 1]
+        assert [int(lab.array[i]) for i in range(3)] == [1, -1, 1]
+        assert lab.size == 3
 
     def test_roundtrip(self):
         arr = np.array([1, -1, -1, 1, 1])
-        assert Labeling.from_array(arr).to_array().tolist() == arr.tolist()
+        assert Labeling.from_array(arr).array.tolist() == arr.tolist()
 
     def test_array_is_built_once_and_read_only(self):
         lab = Labeling(0b101, 3)
@@ -96,9 +95,6 @@ class TestLabeling:
         assert lab.array.dtype == np.int64 and lab.array.tolist() == [1, -1, 1]
         with pytest.raises(ValueError):
             lab.array[0] = -1
-        copy = lab.to_array()
-        copy[0] = -1
-        assert lab.array.tolist() == [1, -1, 1]
 
     @pytest.mark.parametrize(
         "arrangement, generator",
@@ -141,15 +137,15 @@ class TestLabeling:
         assert type(lab.bits) is int and lab.array.tolist() == [1, -1, 1]
 
 
-class TestClassify:
+class TestOnePointMargins:
     def test_basic_margin(self):
-        label, margin = classify(two_prototypes(), [0.5, 0.0])
-        assert label == 1
-        assert margin == pytest.approx(1.0)
+        labels, margins = evaluate_margins(two_prototypes(), [[0.5, 0.0]])
+        assert labels.tolist() == [1]
+        assert margins[0] == pytest.approx(1.0)
 
     def test_tie_has_zero_margin(self):
-        _, margin = classify(two_prototypes(), [1.0, 0.0])
-        assert margin == pytest.approx(0.0, abs=1e-12)
+        _, margins = evaluate_margins(two_prototypes(), [[1.0, 0.0]])
+        assert margins[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_tie_label_survives_rotation(self):
         # (1, 0.5) is on the bisector; after rotating by 3 rad the two
@@ -158,14 +154,14 @@ class TestClassify:
         rot = np.array([[math.cos(3.0), -math.sin(3.0)], [math.sin(3.0), math.cos(3.0)]])
         moved = LabeledPrototypeSet(s.prototypes @ rot.T, s.labels)
         q = np.array([1.0, 0.5])
-        assert classify(s, q) == (1, 0.0)
-        assert classify(moved, rot @ q) == (1, 0.0)
+        for labels, margins in (evaluate_margins(s, [q]), evaluate_margins(moved, [rot @ q])):
+            assert (labels.tolist(), margins.tolist()) == ([1], [0.0])
 
     def test_single_prototype_margin_infinite(self):
         s = LabeledPrototypeSet(np.array([[3.0, 4.0]]), np.array([-1]))
-        label, margin = classify(s, [100.0, -50.0])
-        assert label == -1
-        assert margin == math.inf
+        labels, margins = evaluate_margins(s, [[100.0, -50.0]])
+        assert labels.tolist() == [-1]
+        assert margins[0] == math.inf
 
     @given(
         angle=st.floats(0, 2 * math.pi),
@@ -180,20 +176,20 @@ class TestClassify:
         shift = np.array([tx, ty])
         moved = LabeledPrototypeSet(s.prototypes @ rot.T + shift, s.labels)
         q = np.array([qx, qy])
-        l0, m0 = classify(s, q)
-        l1, m1 = classify(moved, rot @ q + shift)
-        assert l0 == l1
-        assert m1 == pytest.approx(m0, abs=1e-9)
+        l0, m0 = evaluate_margins(s, [q])
+        l1, m1 = evaluate_margins(moved, [rot @ q + shift])
+        assert l0.tolist() == l1.tolist()
+        assert m1[0] == pytest.approx(m0[0], abs=1e-9)
 
     @given(scale=st.floats(0.01, 100), qx=st.floats(-3, 3), qy=st.floats(-3, 3))
     def test_scaling_scales_margin(self, scale, qx, qy):
         s = two_prototypes()
         scaled = LabeledPrototypeSet(s.prototypes * scale, s.labels)
         q = np.array([qx, qy])
-        l0, m0 = classify(s, q)
-        l1, m1 = classify(scaled, q * scale)
-        assert l0 == l1
-        assert m1 == pytest.approx(m0 * scale, rel=1e-9)
+        l0, m0 = evaluate_margins(s, [q])
+        l1, m1 = evaluate_margins(scaled, [q * scale])
+        assert l0.tolist() == l1.tolist()
+        assert m1[0] == pytest.approx(m0[0] * scale, rel=1e-9)
 
     def test_two_prototype_boundary_is_perpendicular_bisector(self, rng):
         a, b = rng.uniform(-1, 1, size=(2, 2))
@@ -204,8 +200,8 @@ class TestClassify:
             side = float(normal @ (q - mid))
             if abs(side) < 1e-9:
                 continue
-            label, _ = classify(s, q)
-            assert label == (1 if side < 0 else -1)
+            labels, _ = evaluate_margins(s, [q])
+            assert labels.tolist() == [1 if side < 0 else -1]
 
 
 def argmin_margins(s, pts):
@@ -284,5 +280,5 @@ class TestRealizes:
         pts = rng.uniform(-1, 1, size=(50, 3))
         got, margins = evaluate_margins(s, pts)
         for p, l, mg in zip(pts, got, margins):
-            l2, m2 = classify(s, p)
-            assert l2 == l and m2 == pytest.approx(mg, abs=1e-12)
+            l2, m2 = evaluate_margins(s, [p])
+            assert l2.tolist() == [l] and m2[0] == pytest.approx(mg, abs=1e-12)

@@ -5,13 +5,15 @@ import pytest
 
 from conftest import witness_rows
 from vcnn import constructions
-from vcnn.classifier import Labeling, evaluate_margins
+from vcnn.classifier import DEFAULT_MU, Labeling, evaluate_margins
 from vcnn.constructions import (
     Arrangement,
     _build_strip,
     _pad_facets,
     _partners,
     _run_chords,
+    _strip_plans,
+    _strip_witness,
     centre_to_longest_diagonal,
     gunn_arrangement,
     gunn_shatter,
@@ -21,7 +23,12 @@ from vcnn.constructions import (
     takacs_arrangement,
     takacs_shatter,
 )
-from vcnn.errors import InvalidInputError, InvalidWitnessError, UnsupportedParametersError
+from vcnn.errors import (
+    ConstructionInfeasibleError,
+    InvalidInputError,
+    InvalidWitnessError,
+    UnsupportedParametersError,
+)
 from vcnn.geometry import ConvexPolytope, Halfspace, contains_many, reflect, regular_polygon_vertices
 from vcnn.verification import verify_shattering
 
@@ -439,7 +446,7 @@ class TestGunnShatter:
         assert cert.verified
         assert max(cert.witnesses) <= 4
         for bits, witness in witness_rows(cert):
-            lab = Labeling(bits, arr.n).to_array()
+            lab = Labeling(bits, arr.n).array
             if lab[7] != lab[8]:
                 # strip core first, its two reflections last: all inside
                 norms = np.linalg.norm(witness.prototypes[[0, -2, -1]], axis=1)
@@ -493,6 +500,21 @@ class TestGunnPlanTable:
             labels[:] = 1
         same_witnesses(verify_shattering(shared, gunn_shatter, 1e-6),
                        verify_shattering(gunn_arrangement(5), gunn_shatter, 1e-6))
+
+    def test_plan_whose_prototypes_coincide_does_not_build(self):
+        # the lone black interior point's one plan parks a prototype; parked on
+        # the strip core, the prototypes are not pairwise distinct, so the plan
+        # is passed over instead of raising InvalidInputError
+        arr = gunn_arrangement(4)
+        labeling = Labeling(1 << 7, arr.n)
+        (plan,) = _strip_plans(arr, labeling.array.tolist(), 1)
+        assert plan[2] == 1
+        assert _strip_witness(arr, 1, *plan, DEFAULT_MU) is not None
+        core, _ = arr._plans["strip", plan[0]]
+        arr._plans["park", 1] = (core.copy(),)
+        assert _strip_witness(arr, 1, *plan, DEFAULT_MU) is None
+        with pytest.raises(ConstructionInfeasibleError, match="no strip plan builds"):
+            gunn_shatter(arr, labeling)
 
     @pytest.mark.parametrize("build, generator, param",
                              [(gunn_arrangement, gunn_shatter, 4), (takacs_arrangement, takacs_shatter, 2)],

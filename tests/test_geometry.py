@@ -7,12 +7,8 @@ from hypothesis import strategies as st
 
 from vcnn.errors import InvalidInputError
 from vcnn.geometry import (
-    BOUNDARY,
-    INSIDE,
-    OUTSIDE,
     ConvexPolytope,
     Halfspace,
-    contains,
     contains_many,
     reflect,
     regular_polygon_vertices,
@@ -90,28 +86,30 @@ class TestReflect:
         # boundary points are equidistant from p and its mirror image
         tangent = np.array([-h.normal[1], h.normal[0]])
         for t in (-2.0, 0.0, 3.5):
-            x = h.boundary_point() + t * tangent
+            x = h.offset * h.normal + t * tangent
             assert abs(np.linalg.norm(x - p) - np.linalg.norm(x - r)) <= 1e-9
 
 
-class TestContains:
+class TestContainsMany:
     def test_unit_square_trichotomy(self):
         sq = unit_square()
-        assert contains(sq, [0.0, 0.0]) == INSIDE
-        assert contains(sq, [1.0, 0.0]) == BOUNDARY
-        assert contains(sq, [2.0, 0.0]) == OUTSIDE
+        assert contains_many(sq, [[0.0, 0.0]])[0] == 1
+        assert contains_many(sq, [[1.0, 0.0]])[0] == 0
+        assert contains_many(sq, [[2.0, 0.0]])[0] == -1
 
-    def test_vectorised_matches_scalar(self, rng):
+    def test_matches_the_sup_norm_rule_point_by_point(self, rng):
+        # the unit square is the sup-norm ball: inside below 1 - tol, outside above 1 + tol
         sq = unit_square()
-        pts = rng.uniform(-2, 2, size=(200, 2))
+        pts = np.vstack([rng.uniform(-2, 2, size=(200, 2)), [[1.0, 0.3], [-0.2, -1.0], [1.0, 1.0]]])
+        sup = np.abs(pts).max(axis=1)
+        want = np.where(sup > 1 + 1e-9, -1, np.where(sup < 1 - 1e-9, 1, 0))
         codes = contains_many(sq, pts)
-        names = {1: INSIDE, 0: BOUNDARY, -1: OUTSIDE}
-        for p, c in zip(pts, codes):
-            assert contains(sq, p) == names[int(c)]
+        assert codes.dtype == np.int8 and codes.tolist() == want.tolist()
+        assert [contains_many(sq, [p])[0] for p in pts] == want.tolist()
 
     def test_tolerance_must_be_positive(self):
         with pytest.raises(InvalidInputError):
-            contains(unit_square(), [0.0, 0.0], tol=0.0)
+            contains_many(unit_square(), [[0.0, 0.0]], tol=0.0)
 
 
 class TestRegularPolygon:

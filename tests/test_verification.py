@@ -522,7 +522,7 @@ class TestSearchLowerBound:
         _, cert = search_lower_bound(cfg)
         for bits, witness in witness_rows(cert):
             got, margins = evaluate_margins(witness, cert.arrangement.points)
-            assert np.all(got == Labeling(bits, 3).to_array())
+            assert np.all(got == Labeling(bits, 3).array)
             assert np.all(margins >= cert.mu)
 
 
