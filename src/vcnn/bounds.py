@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .classifier import check_int
 from .errors import InvalidInputError, NumericalError, UnsupportedParametersError
 
 # The one natural-log <-> base-2 conversion constant used by the solvers.
@@ -33,13 +34,16 @@ _LAMBERT_RTOL = 1e-12
 _TIGHT_RTOL = 1e-9  # relative residual, base-2 log space
 
 
-def _require_grid(d: int, m: int) -> None:
-    if not (isinstance(d, (int, np.integer)) and isinstance(m, (int, np.integer))):
-        raise UnsupportedParametersError("d and m must be integers")
+def _require_grid(d: int, *ms: int) -> None:
+    """Refuse a d or any m of ``ms`` off the supported grid; d is checked even when ``ms`` is empty."""
+    for value in (d, *ms):
+        if not isinstance(value, (int, np.integer)):
+            raise UnsupportedParametersError("d and m must be integers")
     if not (D_MIN <= d <= D_MAX):
         raise UnsupportedParametersError(f"d={d} outside supported range [{D_MIN}, {D_MAX}]")
-    if not (M_MIN <= m <= M_MAX):
-        raise UnsupportedParametersError(f"m={m} outside supported range [{M_MIN}, {M_MAX}]")
+    for m in ms:
+        if not (M_MIN <= m <= M_MAX):
+            raise UnsupportedParametersError(f"m={m} outside supported range [{M_MIN}, {M_MAX}]")
 
 
 def require_grid_ends(ds, ms: range) -> None:
@@ -48,8 +52,7 @@ def require_grid_ends(ds, ms: range) -> None:
     No m between the ends is read, so a range of any length costs the same.
     """
     for d in ds:
-        for m in (ms[0], ms[-1]):
-            _require_grid(d, m)
+        _require_grid(d, ms[0], ms[-1])
 
 
 def lower_bound(d: int, m: int) -> int:
@@ -146,14 +149,13 @@ def _tight_upper_real_array(d: int, ms: np.ndarray) -> np.ndarray:
 def _grid_curve(d: int, ms) -> np.ndarray:
     """``ms`` as a float64 array, once (d, min m) and (d, max m) are on the supported grid.
 
-    An empty ``ms`` is an empty curve; a non-finite m is refused.
+    An empty ``ms`` is an empty curve once d is on the grid; a non-finite m is refused.
     """
     ms = np.asarray(ms, dtype=np.float64)
     if not np.isfinite(ms).all():
         raise UnsupportedParametersError("m values must be finite")
-    if ms.size:
-        for m in (int(ms.min()), int(ms.max())):
-            _require_grid(d, m)
+    ends = (int(ms.min()), int(ms.max())) if ms.size else ()
+    _require_grid(d, *ends)
     return ms
 
 
@@ -228,8 +230,7 @@ def upper_bound_loose(d: int, m: int) -> float:
 def shatter_coefficient_bound_log2(d: int, m: int, n: int) -> float:
     """log2 of the shatter-coefficient bound 2^m * n^q."""
     _require_grid(d, m)
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
+    check_int("n", n, 1)
     return m + shatter_q(d, m) * math.log2(n)
 
 
@@ -247,8 +248,7 @@ def sample_size_estimate(vc: int, epsilon: float, delta: float) -> float:
     C is the documented convention DEFAULT_PAC_CONSTANT; only the scaling
     in vc, epsilon and delta is meaningful.
     """
-    if vc < 1:
-        raise InvalidInputError("vc must be >= 1")
+    check_int("vc", vc, 1)
     if not 0.0 < epsilon < 1.0:
         raise InvalidInputError("epsilon must be in (0, 1)")
     if not 0.0 < delta < 1.0:
@@ -293,8 +293,7 @@ def compute_bounds_range(d: int, ms) -> list[BoundsReport]:
     the others need leave it unchanged.
     """
     ms = list(ms)
-    for m in ms:
-        _require_grid(d, m)
+    _require_grid(d, *ms)
     if not ms:
         return []
     loose = loose_upper_curve(d, ms).tolist()

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .bounds import compute_bounds_range, loose_upper_curve, require_grid_ends, tight_upper_curve
 from .classifier import DEFAULT_MU
-from .constructions import gunn_arrangement, gunn_shatter, point_count, takacs_arrangement, takacs_shatter
+from .constructions import Arrangement, gunn_shatter, point_count, takacs_shatter
 from .errors import (
     CertificateError,
     InvalidInputError,
@@ -195,9 +195,9 @@ def cmd_witness(args) -> int:
         failure = None if doc["verified"] else "witness verification failed: sampled disagreement"
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
-        # refused from the layout's point count, before any of its points is built
-        check_exhaustive(point_count(args.kind, args.param))
-        cert = verify_shattering(args.build(args.param, args.radius), args.generator, mu=args.mu)
+        check_exhaustive(point_count(args.kind, args.param))   # from the count alone, before any point is built
+        arrangement = Arrangement(kind=args.kind, points=None, radius=args.radius, param=args.param)
+        cert = verify_shattering(arrangement, args.generator, mu=args.mu)
         failure = None if cert.verified else (
             f"construction failed at labelling {cert.first_failure:#x}: {cert.failure_reason}")
         text = certificate_json(cert, args.generator.__name__, meta=None if args.no_meta else _meta())
@@ -315,10 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     swept.add_argument("--mu", type=float, default=DEFAULT_MU)
     p_takacs = kinds.add_parser("takacs", parents=[swept], allow_abbrev=False, help="circle plus centre")
     p_takacs.add_argument("--n", dest="param", type=int, required=True, help="facet budget N")
-    p_takacs.set_defaults(build=takacs_arrangement, generator=takacs_shatter)
+    p_takacs.set_defaults(generator=takacs_shatter)
     p_gunn = kinds.add_parser("gunn", parents=[swept], allow_abbrev=False, help="odd polygon plus inner pair")
     p_gunn.add_argument("--m", dest="param", type=int, required=True, help="prototype budget m")
-    p_gunn.set_defaults(build=gunn_arrangement, generator=gunn_shatter)
+    p_gunn.set_defaults(generator=gunn_shatter)
     p_poly = kinds.add_parser("polytope", parents=[written], allow_abbrev=False, help="reflected polytope")
     p_poly.add_argument("--square", action="store_true", required=True, help="the unit square")
     p_poly.add_argument("--seed", type=int, default=None, help="sampling seed; default $VCNN_SEED")

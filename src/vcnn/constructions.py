@@ -24,6 +24,9 @@ prototype budget is parked far away. At most m prototypes in every case.
 All free placements are fixed deterministically with explicit clearances
 so the verification margins stay fat.
 
+``Arrangement`` is the one constructor of an arrangement: given
+``points=None`` it builds its kind's layout (``_LAYOUTS``) once.
+
 What depends only on the arrangement is built once per ``Arrangement``,
 in its private plan table (``_planned``), and a witness is assembled from
 its rows. The disc construction tables the origin's reflections across
@@ -155,15 +158,16 @@ class Arrangement:
     the interior pair, m prototypes; search any points, m >= 1 prototypes.
     Checked once here: a known kind, a radius in ``[1e-6, 1e6]`` that is
     not a bool (stored as a float), an integer param no less than the
-    kind's least (``UnsupportedParametersError`` below it), points forming
-    a finite, non-empty (n, d) array of the layout's point count, and
-    takacs or gunn points that are the layout's (same shape, every
-    coordinate within ``1e-12 * radius``, as ``cos`` and ``sin`` may differ
-    by an ulp between platforms).
+    kind's least (``UnsupportedParametersError`` below it), and either
+    ``points=None``, which builds a takacs or gunn layout once from the
+    stored radius, or points forming a finite, non-empty (n, d) array of
+    the layout's point count that, for takacs or gunn, are the layout's
+    (every coordinate within ``1e-12 * radius``, as ``cos`` and ``sin`` may
+    differ by an ulp between platforms). The stored points are read-only.
     """
 
     kind: str             # "takacs" | "gunn" | "search"
-    points: np.ndarray    # (n, d)
+    points: np.ndarray    # (n, d); None builds the kind's layout
     radius: float
     param: int            # N for takacs, m for gunn and search
     n_vertices: int = field(init=False, repr=False)   # polygon vertices: 2N+1 takacs, 2m-1 gunn, 0 search
@@ -179,6 +183,18 @@ class Arrangement:
         _check_param(self.kind, self.param)
         object.__setattr__(self, "radius", float(self.radius))   # a certificate writes both as JSON
         object.__setattr__(self, "param", int(self.param))
+        layout = _LAYOUTS[self.kind]
+        size, *derived = layout.derive(self.param)
+        for name, value in zip(("n_vertices", "special", "budget"), derived, strict=True):
+            object.__setattr__(self, name, value)
+        if self.points is None:
+            if layout.points is None:
+                raise InvalidInputError(f"a {self.kind} arrangement has no layout to build; pass its points")
+            # built once, from the float radius stored above, so there is nothing to compare
+            points = layout.points(self.param, self.radius)
+            points.setflags(write=False)
+            object.__setattr__(self, "points", points)
+            return
         # a private read-only copy: the plan table is only valid for fixed points
         points = np.array(self.points, dtype=np.float64)
         if points.ndim != 2 or 0 in points.shape or not np.isfinite(points).all():
@@ -187,10 +203,6 @@ class Arrangement:
         object.__setattr__(self, "points", points)
         # the budget is read from param, so param must be the one the points were built for;
         # the count is checked first, so a huge param is refused before its layout is built
-        layout = _LAYOUTS[self.kind]
-        size, *derived = layout.derive(self.param)
-        for name, value in zip(("n_vertices", "special", "budget"), derived, strict=True):
-            object.__setattr__(self, name, value)
         if size not in (None, self.n):
             raise InvalidInputError(
                 f"a {self.kind} arrangement with param {self.param} has {size} points, not {self.n}"
@@ -204,19 +216,6 @@ class Arrangement:
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-
-def _arranged(kind: str, param: int, radius: float) -> Arrangement:
-    """The ``kind`` arrangement of ``param`` and ``radius``, its points built by the layout.
-
-    ``radius`` and ``param`` are checked as ``Arrangement`` checks them
-    before the points are built, so a radius or param out of range is
-    reported as such, not as a polygon it cannot build.
-    """
-    _check_radius(radius)
-    _check_param(kind, param)
-    # built from the float the arrangement stores, not at a NumPy scalar's own precision
-    return Arrangement(kind=kind, points=_LAYOUTS[kind].points(param, float(radius)), radius=radius, param=param)
 
 
 def _planned(arrangement: Arrangement, key: tuple, build):
@@ -264,7 +263,7 @@ def _paired(arrangement: Arrangement, labeling: Labeling, mu: float, build) -> L
 
 def takacs_arrangement(n_facets: int, radius: float = 1.0) -> Arrangement:
     """2N+1 equally spaced circle points plus the centre; 2N+2 points total."""
-    return _arranged("takacs", n_facets, radius)
+    return Arrangement(kind="takacs", points=None, radius=radius, param=n_facets)
 
 
 def centre_to_longest_diagonal(n_vertices: int, radius: float = 1.0) -> float:
@@ -302,7 +301,7 @@ def gunn_arrangement(m: int, radius: float = 1.0) -> Arrangement:
     The interior pair sits at (+delta, 0) and (-delta, 0) with delta half
     the centre-to-longest-diagonal distance; 2m+1 points total.
     """
-    return _arranged("gunn", m, radius)
+    return Arrangement(kind="gunn", points=None, radius=radius, param=m)
 
 
 def polytope_to_prototypes(polytope: ConvexPolytope, interior, inside_label: int) -> LabeledPrototypeSet:

@@ -170,6 +170,16 @@ class TestUpperBounds:
         out = curve(2, [])
         assert out.dtype == np.float64 and out.shape == (0,)
 
+    @pytest.mark.parametrize(
+        "solve, d",
+        [(tight_upper_curve, 1), (loose_upper_curve, 99), (compute_bounds_range, 1), (compute_bounds_range, 65)],
+        ids=["tight-d1", "loose-d99", "range-d1", "range-d65"],
+    )
+    def test_off_grid_d_refused_with_no_m(self, solve, d):
+        # d is checked on its own, so an empty m list does not let an off-grid d through
+        with pytest.raises(UnsupportedParametersError, match=f"d={d} outside"):
+            solve(d, [])
+
     @pytest.mark.parametrize("curve", [tight_upper_curve, loose_upper_curve])
     @pytest.mark.parametrize("ms", [[math.nan], [math.inf], [3, 4, -math.inf]], ids=["nan", "inf", "-inf"])
     def test_non_finite_m_refused(self, curve, ms):
@@ -186,6 +196,12 @@ class TestShatterCoefficientBound:
 
     def test_overflow_to_inf(self):
         assert shatter_coefficient_bound(3, 50, 10**6) == math.inf
+
+    @pytest.mark.parametrize("n", [0, math.nan, math.inf, 2.5, True], ids=["0", "nan", "inf", "2.5", "true"])
+    def test_n_must_be_an_integer_at_least_1(self, n):
+        # nan and inf gave nan and inf, 2.5 a bound for no point count, and True the bound at n=1
+        with pytest.raises(InvalidInputError, match="n must be an integer >= 1"):
+            shatter_coefficient_bound_log2(2, 3, n)
 
 
 class TestSampleSizeEstimate:
@@ -208,6 +224,9 @@ class TestSampleSizeEstimate:
     def test_parameter_validation(self):
         with pytest.raises(InvalidInputError):
             sample_size_estimate(0, 0.1, 0.1)
+        for vc in (math.nan, math.inf, 2.5, True):   # gave nan, inf and two estimates for no VC dimension
+            with pytest.raises(InvalidInputError, match="vc must be an integer >= 1"):
+                sample_size_estimate(vc, 0.1, 0.05)
         with pytest.raises(InvalidInputError):
             sample_size_estimate(5, 1.5, 0.1)
         with pytest.raises(InvalidInputError):

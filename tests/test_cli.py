@@ -498,6 +498,7 @@ def _with_string_coordinate(doc: dict, key: str) -> dict:
         lambda doc: {**doc, "radius": -1.0},
         lambda doc: {**doc, "param": 2.5},
         lambda doc: {**doc, "points": [[math.nan, 0.0]] + doc["points"][1:]},
+        lambda doc: {**doc, "points": None},   # refused by the loader's type check, before Arrangement
         lambda doc: {**doc, "mu": str(doc["mu"])},
         lambda doc: {**doc, "radius": str(doc["radius"])},
         lambda doc: {**doc, "points": [[str(doc["points"][0][0]), doc["points"][0][1]]] + doc["points"][1:]},
@@ -509,7 +510,7 @@ def _with_string_coordinate(doc: dict, key: str) -> dict:
          "unknown-kind", "non-canonical-key", "labels-scaled", "label-true", "verified-string",
          "verified-number", "min-margin-null", "min-margin-infinite", "min-margin-nan",
          "min-margin-string", "special-wrong-centre", "special-string-centre", "special-gunn-layout",
-         "special-missing", "radius-negative", "param-fraction", "point-nan", "mu-string",
+         "special-missing", "radius-negative", "param-fraction", "point-nan", "points-null", "mu-string",
          "radius-string", "point-string", "witness-coordinate-string", "point-moved", "points-lifted"],
 )
 def test_verify_of_non_object_is_usage_error(capsys, tmp_path, edit):

@@ -112,9 +112,10 @@ class TestArrangements:
             ({"points": [[0.0, 0.0], [1.0, math.nan], [0.0, 1.0]]}, "finite"),
             ({"points": [0.0, 1.0, 2.0]}, "non-empty"),
             ({"points": np.zeros((0, 2))}, "non-empty"),
+            ({"points": None}, "search arrangement has no layout"),
         ],
         ids=["radius-0", "radius-negative", "radius-nan", "radius-inf", "radius-true", "param-0", "param-2.5",
-             "param-true", "nan-point", "1d-points", "empty-points"],
+             "param-true", "nan-point", "1d-points", "empty-points", "no-points"],
     )
     def test_invalid_arrangement_refused(self, kwargs, match):
         # the radius is checked before the points, so a NaN radius reports the radius
@@ -185,6 +186,24 @@ class TestArrangements:
         assert calls == [4]
         Arrangement(kind="gunn", points=arr.points, radius=1.0, param=4)
         assert calls == [4, 4]
+
+    @pytest.mark.parametrize("build, kind", [(takacs_arrangement, "takacs"), (gunn_arrangement, "gunn")])
+    def test_builder_builds_and_checks_its_layout_once(self, monkeypatch, build, kind):
+        layout, calls = constructions._LAYOUTS[kind], []
+
+        def counted(name, f):
+            def wrapper(*args):
+                calls.append(name)
+                return f(*args)
+            return wrapper
+
+        monkeypatch.setitem(constructions._LAYOUTS, kind, layout._replace(points=counted("points", layout.points)))
+        monkeypatch.setattr(constructions, "_check_radius", counted("radius", constructions._check_radius))
+        monkeypatch.setattr(constructions, "_check_param", counted("param", constructions._check_param))
+        arr = build(4, 2.0)
+        assert calls == ["radius", "param", "points"]   # each once, and both checks before the build
+        assert not arr.points.flags.writeable
+        assert np.array_equal(arr.points, layout.points(4, 2.0))
 
     def test_special_is_derived_from_kind_and_param(self):
         assert takacs_arrangement(3).special == {"center_index": 7}

@@ -1,4 +1,7 @@
+import ast
 import inspect
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +35,20 @@ def test_removed_methods_and_keywords_are_gone():
         assert not hasattr(classifier.Labeling, attr)
     assert "tol" not in inspect.signature(polytope_to_prototypes).parameters
     assert "constant" not in inspect.signature(sample_size_estimate).parameters
+
+
+def test_package_imports_only_the_standard_library_numpy_and_itself():
+    # SciPy may be installed, but it is not a dependency
+    allowed = sys.stdlib_module_names | {"numpy", "vcnn"}
+    sources = sorted(Path(vcnn.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
