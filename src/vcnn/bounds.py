@@ -4,12 +4,15 @@
 come from solving ``2^m * n^q = 2^n`` for its largest real root via the
 W_{-1} branch of the Lambert W function, plus a looser closed form that
 avoids special functions. All solver math is done in natural logs; the
-single base-2 conversion constant is ``LN2``.
+single base-2 conversion constant is ``LN2``. ``compute_bounds_range``
+is the one solver of the bounds table, whose columns are the fields of
+``BoundsReport``; the scalar upper bounds read its one-row call.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,10 +65,12 @@ def lower_bound(d: int, m: int) -> int:
     (d, m) = (2, 3) the value 6 is exact.
     """
     _require_grid(d, m)
-    best = d * m + 2 - d
-    if d == 2 and m >= 4:
-        best = max(best, 2 * m + 1)
-    return best
+    return _lower(d, m)
+
+
+def _lower(d: int, m: int) -> int:
+    """``lower_bound`` of a (d, m) already on the grid."""
+    return max(d * m + 2 - d, 2 * m + 1) if d == 2 and m >= 4 else d * m + 2 - d
 
 
 def _q(d: int, ms):
@@ -93,7 +98,7 @@ def chatzigeorgiou_seed(u) -> np.ndarray | float:
 def _lambert_wm1_array(y: np.ndarray) -> np.ndarray:
     """W_{-1}(y) for y in [-1/e, 0), elementwise."""
     y = np.asarray(y, dtype=np.float64)
-    if np.any(y >= 0.0):
+    if not np.all(y < 0.0):   # a NaN fails this too
         raise InvalidInputError("lambert_wm1 requires y < 0")
     # u >= 0 parameterises y = -exp(-u - 1); allow a few ulps of slack at
     # the branch point.
@@ -138,16 +143,24 @@ def lambert_wm1(y: float) -> float:
     return float(_lambert_wm1_array(np.array([y]))[0])
 
 
-def _tight_upper_real_array(d: int, ms: np.ndarray) -> np.ndarray:
-    ms = np.asarray(ms, dtype=np.float64)
-    q = _q(d, ms)
+def _tight_upper_real_array(ms: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The tight bound of each m of ``ms``, whose exponents ``_q`` are ``q``; the grid is not checked."""
     y = -(LN2 / q) * np.exp2(-ms / q)
     w = _lambert_wm1_array(y)
     return -(q / LN2) * w
 
 
-def _grid_curve(d: int, ms) -> np.ndarray:
-    """``ms`` as a float64 array, once (d, min m) and (d, max m) are on the supported grid.
+def _loose_upper_array(ms: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The loose bound of each m of ``ms``, whose exponents ``_q`` are ``q``; the grid is not checked."""
+    qp = q / LN2
+    inner = ms / qp + np.log(qp) - 1.0
+    if np.any(inner <= 0.0):
+        raise NumericalError("loose bound undefined: m/q' + log q' - 1 <= 0")
+    return qp * (np.sqrt(2.0 * inner) + ms / qp + np.log(qp))
+
+
+def _grid_curve(d: int, ms) -> tuple[np.ndarray, np.ndarray]:
+    """``ms`` as a float64 array and its exponents q, once (d, min m) and (d, max m) are on the supported grid.
 
     An empty ``ms`` is an empty curve once d is on the grid; a non-finite m is refused.
     """
@@ -156,75 +169,40 @@ def _grid_curve(d: int, ms) -> np.ndarray:
         raise UnsupportedParametersError("m values must be finite")
     ends = (int(ms.min()), int(ms.max())) if ms.size else ()
     _require_grid(d, *ends)
-    return ms
+    return ms, _q(d, ms)
 
 
 def tight_upper_curve(d: int, ms) -> np.ndarray:
     """Vectorised real-valued tight upper bound over an array of m values."""
-    return _tight_upper_real_array(d, _grid_curve(d, ms))
+    return _tight_upper_real_array(*_grid_curve(d, ms))
 
 
-def _solve_tight(d: int, ms: list[int]) -> list[tuple[float, int, float]]:
-    """``upper_bound_tight`` plus the residual of its defining equation, for each m of ``ms``.
-
-    Every m is solved in one ``tight_upper_curve`` call; the residual and
-    integer-crossing checks stay per m.
-    """
-    rows = []
-    for m, n_star in zip(ms, tight_upper_curve(d, ms).tolist()):
-        q = shatter_q(d, m)
-        resid = abs(m + q * math.log2(n_star) - n_star) / n_star
-        if resid > _TIGHT_RTOL:
-            raise NumericalError(
-                f"tight upper bound residual {resid:.3e} exceeds {_TIGHT_RTOL:.0e} at (d={d}, m={m})"
-            )
-
-        def crossing(n: int) -> bool:
-            return m + q * math.log2(n) >= n
-
-        n_int = math.floor(n_star)
-        if crossing(n_int + 1):
-            n_int += 1
-        elif not crossing(n_int):
-            n_int -= 1
-        if not (crossing(n_int) and not crossing(n_int + 1)):
-            raise NumericalError(f"integer crossing inconsistent at (d={d}, m={m})")
-        rows.append((n_star, n_int, resid))
-    return rows
+def loose_upper_curve(d: int, ms) -> np.ndarray:
+    """Vectorised loose upper bound over an array of m values."""
+    return _loose_upper_array(*_grid_curve(d, ms))
 
 
 def upper_bound_tight(d: int, m: int) -> tuple[float, int]:
     """Tight upper bound: the largest real n solving 2^m * n^q = 2^n.
 
-    Returns ``(n_star, floor(n_star))``. The integer part is the tightest
-    valid integer bound, since the VC dimension is an integer and every
-    integer beyond n_star fails 2^m * n^q >= 2^n. Verifies the defining
-    equation to 1e-9 relative in base-2 log space and that floor(n_star)
-    is the largest integer crossing.
+    Returns ``(n_star, floor(n_star))``, the ``upper_tight_real`` and
+    ``upper_tight`` of ``compute_bounds(d, m)``, checked as every row of
+    ``compute_bounds_range`` is. The integer part is the tightest valid
+    integer bound, since the VC dimension is an integer and every integer
+    beyond n_star fails 2^m * n^q >= 2^n.
     """
-    _require_grid(d, m)
-    n_star, n_int, _ = _solve_tight(d, [m])[0]
-    return n_star, n_int
-
-
-def loose_upper_curve(d: int, ms) -> np.ndarray:
-    """Vectorised loose upper bound over an array of m values."""
-    ms = _grid_curve(d, ms)
-    qp = _q(d, ms) / LN2
-    inner = ms / qp + np.log(qp) - 1.0
-    if np.any(inner <= 0.0):
-        raise NumericalError("loose bound undefined: m/q' + log q' - 1 <= 0")
-    return qp * (np.sqrt(2.0 * inner) + ms / qp + np.log(qp))
+    r = compute_bounds(d, m)
+    return r.upper_tight_real, r.upper_tight
 
 
 def upper_bound_loose(d: int, m: int) -> float:
     """Looser closed-form upper bound q' (sqrt(2(m/q' + log q' - 1)) + m/q' + log q').
 
     q' = q / ln 2; natural logarithms throughout. Always at least the
-    tight bound, and asymptotically ~ q' log q'.
+    tight bound, and asymptotically ~ q' log q'. The ``upper_loose`` of
+    ``compute_bounds(d, m)``.
     """
-    _require_grid(d, m)
-    return float(loose_upper_curve(d, np.array([m], dtype=np.float64))[0])
+    return compute_bounds(d, m).upper_loose
 
 
 def shatter_coefficient_bound_log2(d: int, m: int, n: int) -> float:
@@ -249,6 +227,8 @@ def sample_size_estimate(vc: int, epsilon: float, delta: float) -> float:
     in vc, epsilon and delta is meaningful.
     """
     check_int("vc", vc, 1)
+    if vc > sys.float_info.max:   # float(vc) would overflow
+        raise InvalidInputError(f"vc must be at most {sys.float_info.max:.6g}")
     if not 0.0 < epsilon < 1.0:
         raise InvalidInputError("epsilon must be in (0, 1)")
     if not 0.0 < delta < 1.0:
@@ -258,7 +238,7 @@ def sample_size_estimate(vc: int, epsilon: float, delta: float) -> float:
 
 @dataclass(frozen=True)
 class BoundsReport:
-    """All bounds for one (d, m), plus solver diagnostics."""
+    """All bounds for one (d, m), plus solver diagnostics; its fields are the columns of ``vcnn bounds``."""
 
     d: int
     m: int
@@ -267,7 +247,7 @@ class BoundsReport:
     upper_tight_real: float
     upper_tight: int
     upper_loose: float
-    solver_residual: float
+    residual: float
 
     def __post_init__(self):
         if self.lower > self.upper_tight:
@@ -285,20 +265,38 @@ def compute_bounds(d: int, m: int) -> BoundsReport:
 
 
 def compute_bounds_range(d: int, ms) -> list[BoundsReport]:
-    """``compute_bounds(d, m)`` for each m of ``ms``, with one solver call per bound curve.
+    """``compute_bounds(d, m)`` for each m of ``ms``: the one solver of the bounds table.
 
+    The grid is checked and q derived once, each bound curve is solved in
+    one call, and each row checks its tight bound against the defining
+    equation (1e-9 relative, base-2 log space) and the integer crossing.
     The rows are bit-identical to solving each m alone: the Halley loop
     runs until every element has converged, and a converged element is an
-    exact fixed point (its step is below one ulp), so the further steps
-    the others need leave it unchanged.
+    exact fixed point (its step is below one ulp).
     """
     ms = list(ms)
     _require_grid(d, *ms)
-    if not ms:
-        return []
-    loose = loose_upper_curve(d, ms).tolist()
-    return [
-        BoundsReport(d=d, m=m, lower=lower_bound(d, m), q=shatter_q(d, m), upper_tight_real=n_star,
-                     upper_tight=n_int, upper_loose=upper_loose, solver_residual=resid)
-        for m, (n_star, n_int, resid), upper_loose in zip(ms, _solve_tight(d, ms), loose)
-    ]
+    ms_arr = np.asarray(ms, dtype=np.float64)
+    q = _q(d, ms_arr)
+    tight, loose = _tight_upper_real_array(ms_arr, q), _loose_upper_array(ms_arr, q)
+    rows = []
+    for m, q_m, n_star, upper_loose in zip(ms, q.tolist(), tight.tolist(), loose.tolist()):
+        resid = abs(m + q_m * math.log2(n_star) - n_star) / n_star
+        if resid > _TIGHT_RTOL:
+            raise NumericalError(
+                f"tight upper bound residual {resid:.3e} exceeds {_TIGHT_RTOL:.0e} at (d={d}, m={m})"
+            )
+
+        def crossing(n: int) -> bool:
+            return m + q_m * math.log2(n) >= n
+
+        n_int = math.floor(n_star)
+        if crossing(n_int + 1):
+            n_int += 1
+        elif not crossing(n_int):
+            n_int -= 1
+        if not (crossing(n_int) and not crossing(n_int + 1)):
+            raise NumericalError(f"integer crossing inconsistent at (d={d}, m={m})")
+        rows.append(BoundsReport(d=d, m=m, lower=_lower(d, m), q=q_m, upper_tight_real=n_star,
+                                 upper_tight=n_int, upper_loose=upper_loose, residual=resid))
+    return rows

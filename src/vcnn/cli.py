@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -30,7 +31,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .bounds import compute_bounds_range, loose_upper_curve, require_grid_ends, tight_upper_curve
+from .bounds import BoundsReport, compute_bounds_range, loose_upper_curve, require_grid_ends, tight_upper_curve
 from .classifier import DEFAULT_MU
 from .constructions import Arrangement, gunn_shatter, point_count, takacs_shatter
 from .errors import (
@@ -121,28 +122,16 @@ def _write_text(text: str, path: str | None) -> None:
 # bounds table
 
 
-_BOUND_COLUMNS = ["d", "m", "lower", "q", "upper_tight_real", "upper_tight", "upper_loose", "residual"]
-
-
-def _bound_rows(ds: range, ms: range) -> list[dict]:
-    reports = [report for d in ds for report in compute_bounds_range(d, ms)]
-    return [
-        dict(zip(_BOUND_COLUMNS, (r.d, r.m, r.lower, r.q, r.upper_tight_real, r.upper_tight,
-                                  r.upper_loose, r.solver_residual)))
-        for r in reports
-    ]
-
-
-def _render_table(rows: list[dict]) -> str:
+def _render_table(rows: list[dict], columns: list[str]) -> str:
     def fmt(value) -> str:
         return f"{value:.6g}" if isinstance(value, float) else str(value)
 
-    cells = [[fmt(r[c]) for c in _BOUND_COLUMNS] for r in rows]
+    cells = [[fmt(r[c]) for c in columns] for r in rows]
     widths = [
         max([len(name)] + [len(row[i]) for row in cells])
-        for i, name in enumerate(_BOUND_COLUMNS)
+        for i, name in enumerate(columns)
     ]
-    lines = ["  ".join(name.ljust(w) for name, w in zip(_BOUND_COLUMNS, widths))]
+    lines = ["  ".join(name.ljust(w) for name, w in zip(columns, widths))]
     for row in cells:
         lines.append("  ".join(col.ljust(w) for col, w in zip(row, widths)))
     return "\n".join(lines) + "\n"
@@ -161,11 +150,12 @@ def cmd_bounds(args) -> int:
     ds = _parse_range(args.d)
     ms = _parse_range(args.m)
     require_grid_ends(ds, ms)   # before any row is solved
-    rows = _bound_rows(ds, ms)
+    rows = [dataclasses.asdict(report) for d in ds for report in compute_bounds_range(d, ms)]
+    columns = [field.name for field in dataclasses.fields(BoundsReport)]
     if args.format == "table":
-        text = _render_table(rows)
+        text = _render_table(rows, columns)
     elif args.format == "csv":
-        text = _render_csv(rows, _BOUND_COLUMNS)
+        text = _render_csv(rows, columns)
     else:
         text = json.dumps({"schema": "vcnn-bounds/1", "rows": rows}, sort_keys=True, indent=2) + "\n"
     _write_text(text, args.out)

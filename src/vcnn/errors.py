@@ -21,9 +21,10 @@ class ConstructionInfeasibleError(VcnnError, RuntimeError):
     """A generator has no witness for a labelling.
 
     From the constructions this is an internal bug signal, since they are
-    proven to cover every labelling of their arrangements. It is also a
-    normal outcome: the randomized search raises it when its budget finds
-    no witness, and re-verification when a stored witness is missing.
+    proven to cover every labelling of their arrangements.
+    ``verify_shattering`` turns it into the labelling's failure reason.
+    The randomized search and re-verification raise nothing for a
+    labelling without a witness: each hands the sweep a failure reason.
     """
 
 

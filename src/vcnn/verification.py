@@ -626,10 +626,13 @@ def _load_witnesses(entries: dict, n: int, d: int) -> dict:
     m, d) coordinate and (k, m) label stacks, checked a block at a time
     with ``check_prototype_stack``. Labels must be JSON integers and
     coordinates JSON numbers. Raises ``CertificateError`` for a key that
-    is not a labelling of n points written as ``format(bits, "#x")`` and
-    for prototypes that are not in R^d, and lets NumPy's and the stack
-    check's errors through for a malformed entry.
+    is not a labelling of n points written as ``format(bits, "#x")``, for
+    a table or an entry that is not a JSON object and for prototypes that
+    are not in R^d, and lets NumPy's and the stack check's errors through
+    for a malformed entry.
     """
+    if not isinstance(entries, dict):
+        raise CertificateError("witnesses must be a JSON object keyed by labelling")
     groups: dict[int, list[tuple[int, dict]]] = {}
     for key, val in entries.items():
         bits = int(key, 16)
@@ -637,6 +640,8 @@ def _load_witnesses(entries: dict, n: int, d: int) -> dict:
             raise CertificateError(f"witness key {key!r} is not written as {bits:#x}")
         if not 0 <= bits < 1 << n:
             raise CertificateError(f"witness key {bits:#x} is not a labelling of {n} points")
+        if not isinstance(val, dict):
+            raise CertificateError(f"witness {key} must be a JSON object with prototypes and labels")
         groups.setdefault(len(val["prototypes"]), []).append((bits, val))
     witnesses = {}
     for m, group in sorted(groups.items()):
@@ -666,17 +671,18 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
     """The certificate stored in a ``certificate_to_dict`` document.
 
     Raises ``CertificateError`` for an unknown schema, a malformed
-    document, an arrangement ``Arrangement`` refuses (among them takacs or
-    gunn ``points`` that are not the layout ``kind``, ``param`` and
-    ``radius`` build), a stored ``special`` (missing reads as ``{}``) other
-    than the one ``kind`` and ``param`` derive, a ``mu``, ``radius`` or
-    coordinate that is not a JSON number, a margin ``mu`` that is not
-    finite and positive, a ``verified`` that is not a JSON boolean, a
-    ``min_margin`` that is not a number (or null when no witness is
-    stored) or is not finite although a stored witness has both labels, a
-    witness label that is not a JSON integer +1 or -1, or a witness key
-    that is not a labelling of the stored points written as
-    ``format(bits, "#x")``.
+    document, ``points`` that are not a list of coordinate lists, a
+    ``witnesses`` table or entry that is not an object, an arrangement
+    ``Arrangement`` refuses (among them takacs or gunn ``points`` that are
+    not the layout ``kind``, ``param`` and ``radius`` build), a stored
+    ``special`` (missing reads as ``{}``) other than the one ``kind`` and
+    ``param`` derive, a ``mu``, ``radius`` or coordinate that is not a
+    JSON number, a margin ``mu`` that is not finite and positive, a
+    ``verified`` that is not a JSON boolean, a ``min_margin`` that is not
+    a number (or null when no witness is stored) or is not finite although
+    a stored witness has both labels, a witness label that is not a JSON
+    integer +1 or -1, or a witness key that is not a labelling of the
+    stored points written as ``format(bits, "#x")``.
     """
     if not isinstance(doc, dict):
         raise CertificateError(f"a certificate is a JSON object, not {type(doc).__name__}")
@@ -688,6 +694,8 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
                             f"mu and radius must be JSON numbers, got {mu!r} and {radius!r}")
         _require_json_types([recorded], (int, float, type(None)),
                             f"min_margin must be a number or null, got {recorded!r}")
+        _require_json_types([doc["points"]], (list,), "points must be a JSON list of coordinate lists")
+        _require_json_types(doc["points"], (list,), "points must be a JSON list of coordinate lists")
         _require_json_types(itertools.chain.from_iterable(doc["points"]), (int, float),
                             "point coordinates must be JSON numbers")
         arr = Arrangement(kind=doc["kind"], points=doc["points"], radius=radius, param=doc["param"])

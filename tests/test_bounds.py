@@ -105,7 +105,7 @@ class TestLambertWm1:
         assert chatzigeorgiou_seed(1.0) == pytest.approx(-1 - math.sqrt(2) - 1)
 
     def test_domain_errors(self):
-        for y in (0.0, 0.5, -1.0):
+        for y in (0.0, 0.5, -1.0, math.nan):   # nan fails every comparison, so neither range test sees it
             with pytest.raises(InvalidInputError):
                 lambert_wm1(y)
 
@@ -227,6 +227,8 @@ class TestSampleSizeEstimate:
         for vc in (math.nan, math.inf, 2.5, True):   # gave nan, inf and two estimates for no VC dimension
             with pytest.raises(InvalidInputError, match="vc must be an integer >= 1"):
                 sample_size_estimate(vc, 0.1, 0.05)
+        with pytest.raises(InvalidInputError, match="vc must be at most"):   # beyond float range
+            sample_size_estimate(10**400, 0.1, 0.05)
         with pytest.raises(InvalidInputError):
             sample_size_estimate(5, 1.5, 0.1)
         with pytest.raises(InvalidInputError):
@@ -239,12 +241,19 @@ class TestBoundsReport:
         assert rep.lower == 6
         assert rep.q == 9
         assert rep.upper_tight == 55
-        assert rep.solver_residual <= 1e-9
+        assert rep.residual <= 1e-9
 
     def test_range_rows_equal_single_rows_on_the_cli_grid(self):
         # one solve per d gives every row bit for bit as solving its m alone
         for d in range(2, 11):
             assert compute_bounds_range(d, range(3, 51)) == [compute_bounds(d, m) for m in range(3, 51)]
+
+    @pytest.mark.parametrize("d", [2, 3, 10, 64])
+    def test_scalar_upper_bounds_are_the_row_fields(self, d):
+        ms = [*range(3, 61), 10**6]
+        for m, row in zip(ms, compute_bounds_range(d, ms)):
+            assert upper_bound_tight(d, m) == (row.upper_tight_real, row.upper_tight)
+            assert upper_bound_loose(d, m) == row.upper_loose
 
     def test_range_refuses_an_m_off_the_grid(self):
         with pytest.raises(UnsupportedParametersError):
@@ -259,5 +268,5 @@ class TestBoundsReport:
         with pytest.raises(err.NumericalError):
             BoundsReport(
                 d=2, m=3, lower=100, q=9.0, upper_tight_real=55.0,
-                upper_tight=55, upper_loose=60.0, solver_residual=0.0,
+                upper_tight=55, upper_loose=60.0, residual=0.0,
             )

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from vcnn import cli, constructions
+from vcnn.bounds import BoundsReport
 from vcnn.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 
 
@@ -42,6 +44,35 @@ class TestBoundsCommand:
         doc = json.loads(out)
         assert doc["schema"] == "vcnn-bounds/1"
         assert doc["rows"][0]["lower"] == 6
+
+    def test_columns_are_the_report_fields(self, capsys):
+        names = [field.name for field in dataclasses.fields(BoundsReport)]
+        _, table, _ = run_cli(capsys, "bounds", "--d", "2", "--m", "3..4")
+        _, csv_text, _ = run_cli(capsys, "bounds", "--d", "2", "--m", "3..4", "--format", "csv")
+        _, json_text, _ = run_cli(capsys, "bounds", "--d", "2", "--m", "3..4", "--format", "json")
+        assert table.splitlines()[0].split() == names
+        assert csv_text.splitlines()[0].split(",") == names
+        # the JSON writer sorts every object's keys
+        assert [list(row) for row in json.loads(json_text)["rows"]] == [sorted(names)] * 2
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (("bounds", "--d", "2..10", "--m", "3..50", "--format", "csv"),
+             "c6eecf9b13e5c2573e41befb863759ed342b69e3cb53051bc8ed8d15b58679bf"),
+            (("bounds", "--d", "2..10", "--m", "3..50", "--format", "json"),
+             "9e2c4755f08b9d0c6dd50caee10e7ef7a3a3eabe7c67139210a579b584c22bf4"),
+            (("bounds", "--d", "2..4", "--m", "3..12"),
+             "663ddb5ec6d408079dce09f8953d9ab4a4c4397a9be75345daf6c20188a44c79"),
+            (("plot-data", "--d", "2,3", "--m", "3..50"),
+             "c27f40965c7e022f8a17c0d889ca62e333ea037eb806956f98e738ebec70410f"),
+        ],
+        ids=["bounds-csv", "bounds-json", "bounds-table", "plot-data"],
+    )
+    def test_output_bytes_are_frozen(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_unsupported_range_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "bounds", "--d", "1", "--m", "3")
@@ -473,53 +504,61 @@ def _with_string_coordinate(doc: dict, key: str) -> dict:
 
 
 @pytest.mark.parametrize(
-    "edit",
+    "edit, name",
     [
-        lambda doc: [],
-        lambda doc: "x",
-        lambda doc: 3,
-        lambda doc: {**doc, "witnesses": []},
-        lambda doc: {**doc, "special": []},
-        lambda doc: {**doc, "points": 5},
-        lambda doc: {**doc, "kind": "foo"},
-        lambda doc: {**doc, "witnesses": {**doc["witnesses"], "0x00": doc["witnesses"]["0x5"]}},
-        lambda doc: _relabelled(doc, lambda label: 1.5 * label),
-        lambda doc: _relabelled(doc, lambda label: True if label == 1 else label),
-        lambda doc: {**doc, "verified": "false"},
-        lambda doc: {**doc, "verified": 1},
-        lambda doc: {**doc, "min_margin": None},
-        lambda doc: {**doc, "min_margin": math.inf},
-        lambda doc: {**doc, "min_margin": math.nan},
-        lambda doc: {**doc, "min_margin": str(doc["min_margin"])},
-        lambda doc: {**doc, "special": {"center_index": 0}},
-        lambda doc: {**doc, "special": {"center_index": "x"}},
-        lambda doc: {**doc, "special": {"apex_index": 0, "inner_indices": [3, 4]}},
-        lambda doc: {key: val for key, val in doc.items() if key != "special"},
-        lambda doc: {**doc, "radius": -1.0},
-        lambda doc: {**doc, "param": 2.5},
-        lambda doc: {**doc, "points": [[math.nan, 0.0]] + doc["points"][1:]},
-        lambda doc: {**doc, "points": None},   # refused by the loader's type check, before Arrangement
-        lambda doc: {**doc, "mu": str(doc["mu"])},
-        lambda doc: {**doc, "radius": str(doc["radius"])},
-        lambda doc: {**doc, "points": [[str(doc["points"][0][0]), doc["points"][0][1]]] + doc["points"][1:]},
-        lambda doc: _with_string_coordinate(doc, "0x2a"),
-        lambda doc: {**doc, "points": [[doc["points"][0][0] + 1e-3, doc["points"][0][1]]] + doc["points"][1:]},
-        _lifted,
+        (lambda doc: [], None),
+        (lambda doc: "x", None),
+        (lambda doc: 3, None),
+        (lambda doc: {**doc, "witnesses": []}, "witnesses"),
+        (lambda doc: {**doc, "special": []}, None),
+        (lambda doc: {**doc, "points": 5}, "points"),
+        (lambda doc: {**doc, "kind": "foo"}, None),
+        (lambda doc: {**doc, "witnesses": {**doc["witnesses"], "0x00": doc["witnesses"]["0x5"]}}, None),
+        (lambda doc: _relabelled(doc, lambda label: 1.5 * label), None),
+        (lambda doc: _relabelled(doc, lambda label: True if label == 1 else label), None),
+        (lambda doc: {**doc, "verified": "false"}, None),
+        (lambda doc: {**doc, "verified": 1}, None),
+        (lambda doc: {**doc, "min_margin": None}, None),
+        (lambda doc: {**doc, "min_margin": math.inf}, None),
+        (lambda doc: {**doc, "min_margin": math.nan}, None),
+        (lambda doc: {**doc, "min_margin": str(doc["min_margin"])}, None),
+        (lambda doc: {**doc, "special": {"center_index": 0}}, None),
+        (lambda doc: {**doc, "special": {"center_index": "x"}}, None),
+        (lambda doc: {**doc, "special": {"apex_index": 0, "inner_indices": [3, 4]}}, None),
+        (lambda doc: {key: val for key, val in doc.items() if key != "special"}, None),
+        (lambda doc: {**doc, "radius": -1.0}, None),
+        (lambda doc: {**doc, "param": 2.5}, None),
+        (lambda doc: {**doc, "points": [[math.nan, 0.0]] + doc["points"][1:]}, None),
+        (lambda doc: {**doc, "points": None}, "points"),   # refused by the loader's type check, before Arrangement
+        (lambda doc: {**doc, "points": [5.0] * len(doc["points"])}, "points"),
+        (lambda doc: {**doc, "mu": str(doc["mu"])}, None),
+        (lambda doc: {**doc, "radius": str(doc["radius"])}, None),
+        (lambda doc: {**doc, "points": [[str(doc["points"][0][0]), doc["points"][0][1]]] + doc["points"][1:]},
+         None),
+        (lambda doc: _with_string_coordinate(doc, "0x2a"), None),
+        (lambda doc: {**doc, "points": [[doc["points"][0][0] + 1e-3, doc["points"][0][1]]] + doc["points"][1:]},
+         None),
+        (_lifted, None),
+        (lambda doc: {**doc, "witnesses": None}, "witnesses"),
+        (lambda doc: {**doc, "witnesses": {**doc["witnesses"], "0x5": None}}, "witness 0x5"),
     ],
     ids=["list", "string", "number", "witnesses-list", "special-list", "points-scalar",
          "unknown-kind", "non-canonical-key", "labels-scaled", "label-true", "verified-string",
          "verified-number", "min-margin-null", "min-margin-infinite", "min-margin-nan",
          "min-margin-string", "special-wrong-centre", "special-string-centre", "special-gunn-layout",
-         "special-missing", "radius-negative", "param-fraction", "point-nan", "points-null", "mu-string",
-         "radius-string", "point-string", "witness-coordinate-string", "point-moved", "points-lifted"],
+         "special-missing", "radius-negative", "param-fraction", "point-nan", "points-null", "points-flat",
+         "mu-string", "radius-string", "point-string", "witness-coordinate-string", "point-moved", "points-lifted",
+         "witnesses-null", "witness-null"],
 )
-def test_verify_of_non_object_is_usage_error(capsys, tmp_path, edit):
+def test_verify_of_non_object_is_usage_error(capsys, tmp_path, edit, name):
     path = tmp_path / "takacs2.json"
     run_cli(capsys, "witness", "takacs", "--n", "2", "--no-meta", "--out", str(path))
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     code, _, err = run_cli(capsys, "verify", str(path))
     assert code == EXIT_USAGE
     assert err.startswith("error:")
+    if name is not None:
+        assert f"{name} must be a JSON " in err
 
 
 class TestPlotData:
