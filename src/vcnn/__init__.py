@@ -19,8 +19,6 @@ from .bounds import (
     compute_bounds_range,
     lambert_wm1,
     lower_bound,
-    sample_size_estimate,
-    shatter_coefficient_bound,
     shatter_q,
     upper_bound_loose,
     upper_bound_tight,
@@ -30,7 +28,6 @@ from .classifier import (
     LabeledPrototypeSet,
     Labeling,
     evaluate_margins,
-    realizes,
 )
 from .constructions import (
     Arrangement,
@@ -78,12 +75,9 @@ __all__ = [
     "lambert_wm1",
     "lower_bound",
     "polytope_to_prototypes",
-    "realizes",
     "reflect",
     "regular_polygon_vertices",
-    "sample_size_estimate",
     "search_lower_bound",
-    "shatter_coefficient_bound",
     "shatter_coefficient_exhaustive",
     "shatter_q",
     "takacs_arrangement",

@@ -12,7 +12,6 @@ is the one solver of the bounds table, whose columns are the fields of
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +26,6 @@ LN2 = math.log(2.0)
 # extrapolate.
 D_MIN, D_MAX = 2, 64
 M_MIN, M_MAX = 3, 10**6
-
-# Convention constant for the agnostic-PAC sample-size estimate. This is
-# plumbing, not a sharp constant; it only fixes the scale of the estimate.
-DEFAULT_PAC_CONSTANT = 4.0
 
 _LAMBERT_MAX_ITER = 100
 _LAMBERT_RTOL = 1e-12
@@ -210,30 +205,6 @@ def shatter_coefficient_bound_log2(d: int, m: int, n: int) -> float:
     _require_grid(d, m)
     check_int("n", n, 1)
     return m + shatter_q(d, m) * math.log2(n)
-
-
-def shatter_coefficient_bound(d: int, m: int, n: int) -> float:
-    """The shatter-coefficient bound 2^m * n^q (may overflow to inf)."""
-    log2_val = shatter_coefficient_bound_log2(d, m, n)
-    if log2_val > 1023:
-        return math.inf
-    return 2.0 ** log2_val
-
-
-def sample_size_estimate(vc: int, epsilon: float, delta: float) -> float:
-    """Agnostic-PAC style training-set size estimate C (vc + ln(1/delta)) / eps^2.
-
-    C is the documented convention DEFAULT_PAC_CONSTANT; only the scaling
-    in vc, epsilon and delta is meaningful.
-    """
-    check_int("vc", vc, 1)
-    if vc > sys.float_info.max:   # float(vc) would overflow
-        raise InvalidInputError(f"vc must be at most {sys.float_info.max:.6g}")
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidInputError("epsilon must be in (0, 1)")
-    if not 0.0 < delta < 1.0:
-        raise InvalidInputError("delta must be in (0, 1)")
-    return DEFAULT_PAC_CONSTANT * (vc + math.log(1.0 / delta)) / (epsilon * epsilon)
 
 
 @dataclass(frozen=True)

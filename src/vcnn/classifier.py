@@ -158,6 +158,8 @@ class Labeling:
     @classmethod
     def from_array(cls, labels) -> "Labeling":
         labels = np.asarray(labels)
+        if labels.ndim != 1:
+            raise InvalidInputError(f"labels must be a 1-D array, got {labels.ndim} dimensions")
         if not np.all(np.isin(labels, (-1, 1))):
             raise InvalidInputError("labels must be +1 or -1")
         bits = int(np.sum((labels == 1) * (1 << np.arange(labels.size, dtype=object))))
@@ -214,11 +216,15 @@ def nearest_distances(points, target, prototypes, labels) -> tuple[np.ndarray, n
 def evaluate_margins(s: LabeledPrototypeSet, points) -> tuple[np.ndarray, np.ndarray]:
     """Labels and margins of the 1NN classifier at each query point.
 
-    Returns ``(labels, margins)`` with shapes (n,). Margins are
-    nonnegative; +inf where no opposite-label prototype exists. Ties
-    resolve to label +1 and margin 0 (see the module docstring).
+    ``points`` is an (n, d) array, or one point as a 1-D array; any other
+    rank raises ``InvalidInputError``. Returns ``(labels, margins)`` with
+    shapes (n,). Margins are nonnegative; +inf where no opposite-label
+    prototype exists. Ties resolve to label +1 and margin 0 (see the
+    module docstring).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if pts.ndim != 2:
+        raise InvalidInputError(f"points must be an (n, d) array, got {pts.ndim} dimensions")
     if pts.shape[1] != s.dim:
         raise InvalidInputError(f"dimension mismatch: {pts.shape[1]} vs {s.dim}")
     same, other = nearest_distances(pts, np.ones(pts.shape[0], dtype=np.int64), s.prototypes, s.labels)
@@ -230,22 +236,17 @@ def evaluate_margins(s: LabeledPrototypeSet, points) -> tuple[np.ndarray, np.nda
 def realisation(s: LabeledPrototypeSet, points, target: np.ndarray, mu: float) -> tuple[bool, float]:
     """Whether ``s`` realises ``target`` at margin ``mu``, and its minimum margin.
 
-    ``target`` holds the wanted label of each point. The labelling is
-    realised iff every point gets its target label with margin >= mu;
+    ``target`` holds the wanted label of each point, shape (n,) for the
+    n points; any other shape raises ``InvalidInputError``. The labelling
+    is realised iff every point gets its target label with margin >= mu;
     this is the test behind every witness that is accepted or rejected.
     The minimum margin is negative if a point gets the wrong label, and 0
     if a point is a tie. The caller checks ``mu`` with ``check_mu``.
     """
     got, margins = evaluate_margins(s, points)
+    if np.shape(target) != got.shape:
+        raise InvalidInputError(f"target must hold one label per point: shape {got.shape}, got {np.shape(target)}")
     # + 0.0 turns the -0.0 of a tie against a -1 target into 0
     min_margin = float(np.where(got == target, margins, -margins).min()) + 0.0
     return min_margin >= mu, min_margin
 
-
-def realizes(s: LabeledPrototypeSet, points, labeling: Labeling, mu: float = DEFAULT_MU) -> bool:
-    """True iff ``s`` classifies every point as ``labeling`` with margin >= mu."""
-    check_mu(mu)
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.shape[0] != labeling.size:
-        raise InvalidInputError("labelling size must match the number of points")
-    return realisation(s, pts, labeling.array, mu)[0]

@@ -627,9 +627,11 @@ def _load_witnesses(entries: dict, n: int, d: int) -> dict:
     with ``check_prototype_stack``. Labels must be JSON integers and
     coordinates JSON numbers. Raises ``CertificateError`` for a key that
     is not a labelling of n points written as ``format(bits, "#x")``, for
-    a table or an entry that is not a JSON object and for prototypes that
-    are not in R^d, and lets NumPy's and the stack check's errors through
-    for a malformed entry.
+    a table or an entry that is not a JSON object, for an entry whose
+    ``prototypes`` are not a list of lists or whose ``labels`` are not a
+    list of one label per prototype, naming the key, and for prototypes
+    that are not in R^d, and lets NumPy's and the stack check's errors
+    through for a malformed entry.
     """
     if not isinstance(entries, dict):
         raise CertificateError("witnesses must be a JSON object keyed by labelling")
@@ -642,7 +644,12 @@ def _load_witnesses(entries: dict, n: int, d: int) -> dict:
             raise CertificateError(f"witness key {bits:#x} is not a labelling of {n} points")
         if not isinstance(val, dict):
             raise CertificateError(f"witness {key} must be a JSON object with prototypes and labels")
-        groups.setdefault(len(val["prototypes"]), []).append((bits, val))
+        val_protos, val_labels = val.get("prototypes"), val.get("labels")
+        if not isinstance(val_protos, list):
+            raise CertificateError(f"witness {key} prototypes must be a JSON list of coordinate lists")
+        if not isinstance(val_labels, list) or len(val_labels) != len(val_protos):
+            raise CertificateError(f"witness {key} labels must be a JSON list of one label per prototype")
+        groups.setdefault(len(val_protos), []).append((bits, val))
     witnesses = {}
     for m, group in sorted(groups.items()):
         group.sort(key=lambda entry: entry[0])
@@ -652,6 +659,12 @@ def _load_witnesses(entries: dict, n: int, d: int) -> dict:
             block = group[lo : lo + _LOAD_ROWS]
             label_rows = [val["labels"] for _, val in block]
             proto_rows = [val["prototypes"] for _, val in block]
+            row_kinds = set(map(type, itertools.chain.from_iterable(proto_rows)))
+            if not all(issubclass(kind, list) for kind in row_kinds):
+                # only a refused block looks for the entry to name
+                bits = next(bits for bits, val in block
+                            if not all(isinstance(row, list) for row in val["prototypes"]))
+                raise CertificateError(f"witness {bits:#x} prototypes must be a JSON list of coordinate lists")
             _require_json_types(itertools.chain.from_iterable(label_rows), (int,),
                                 "witness labels must be JSON integers +1 or -1")
             _require_json_types(itertools.chain.from_iterable(itertools.chain.from_iterable(proto_rows)),
@@ -680,9 +693,11 @@ def certificate_from_dict(doc: dict) -> ShatterCertificate:
     JSON number, a margin ``mu`` that is not finite and positive, a
     ``verified`` that is not a JSON boolean, a ``min_margin`` that is not
     a number (or null when no witness is stored) or is not finite although
-    a stored witness has both labels, a witness label that is not a JSON
-    integer +1 or -1, or a witness key that is not a labelling of the
-    stored points written as ``format(bits, "#x")``.
+    a stored witness has both labels, a witness whose ``prototypes`` are
+    not a list of coordinate lists or whose ``labels`` are not a list of
+    one label per prototype, a witness label that is not a JSON integer +1
+    or -1, or a witness key that is not a labelling of the stored points
+    written as ``format(bits, "#x")``.
     """
     if not isinstance(doc, dict):
         raise CertificateError(f"a certificate is a JSON object, not {type(doc).__name__}")

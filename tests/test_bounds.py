@@ -11,8 +11,6 @@ from vcnn.bounds import (
     lambert_wm1,
     loose_upper_curve,
     lower_bound,
-    sample_size_estimate,
-    shatter_coefficient_bound,
     shatter_coefficient_bound_log2,
     shatter_q,
     tight_upper_curve,
@@ -191,48 +189,11 @@ class TestShatterCoefficientBound:
     def test_log2_form(self):
         assert shatter_coefficient_bound_log2(2, 3, 8) == pytest.approx(3 + 9 * 3)
 
-    def test_linear_form(self):
-        assert shatter_coefficient_bound(2, 3, 2) == pytest.approx(2**3 * 2**9)
-
-    def test_overflow_to_inf(self):
-        assert shatter_coefficient_bound(3, 50, 10**6) == math.inf
-
     @pytest.mark.parametrize("n", [0, math.nan, math.inf, 2.5, True], ids=["0", "nan", "inf", "2.5", "true"])
     def test_n_must_be_an_integer_at_least_1(self, n):
         # nan and inf gave nan and inf, 2.5 a bound for no point count, and True the bound at n=1
         with pytest.raises(InvalidInputError, match="n must be an integer >= 1"):
             shatter_coefficient_bound_log2(2, 3, n)
-
-
-class TestSampleSizeEstimate:
-    def test_linear_in_vc(self):
-        lo = sample_size_estimate(6, 0.1, 0.05)
-        hi = sample_size_estimate(12, 0.1, 0.05)
-        assert lo < hi <= 2 * lo
-
-    def test_quadratic_in_inverse_epsilon(self):
-        assert sample_size_estimate(6, 0.05, 0.05) == pytest.approx(
-            4 * sample_size_estimate(6, 0.1, 0.05)
-        )
-
-    def test_formula_instantiation(self):
-        from vcnn.bounds import DEFAULT_PAC_CONSTANT
-
-        expected = DEFAULT_PAC_CONSTANT * (6 + math.log(20.0)) / 0.01
-        assert sample_size_estimate(6, 0.1, 0.05) == pytest.approx(expected)
-
-    def test_parameter_validation(self):
-        with pytest.raises(InvalidInputError):
-            sample_size_estimate(0, 0.1, 0.1)
-        for vc in (math.nan, math.inf, 2.5, True):   # gave nan, inf and two estimates for no VC dimension
-            with pytest.raises(InvalidInputError, match="vc must be an integer >= 1"):
-                sample_size_estimate(vc, 0.1, 0.05)
-        with pytest.raises(InvalidInputError, match="vc must be at most"):   # beyond float range
-            sample_size_estimate(10**400, 0.1, 0.05)
-        with pytest.raises(InvalidInputError):
-            sample_size_estimate(5, 1.5, 0.1)
-        with pytest.raises(InvalidInputError):
-            sample_size_estimate(5, 0.1, 0.0)
 
 
 class TestBoundsReport:

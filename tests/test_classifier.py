@@ -6,14 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from vcnn.classifier import (
+    DEFAULT_MU,
     LabeledPrototypeSet,
     Labeling,
     check_prototype_stack,
     evaluate_margins,
     nearest_distances,
     prototype_distances,
+    check_mu,
     realisation,
-    realizes,
 )
 from vcnn.constructions import gunn_arrangement, gunn_shatter, takacs_arrangement, takacs_shatter
 from vcnn.errors import InvalidInputError
@@ -123,14 +124,20 @@ class TestLabeling:
             assert array.dtype == np.int64 and not array.flags.writeable
             assert array.tolist() == [1 if bits >> i & 1 else -1 for i in range(size)]
 
-    def test_realizes_a_labelling_past_63_bits(self):
+    @pytest.mark.parametrize("labels", [[[1, -1], [1, 1]], [[1]], 1], ids=["2-d", "column", "scalar"])
+    def test_from_array_refuses_labels_that_are_not_1d(self, labels):
+        # the 2-d array got NumPy's broadcast error as its message
+        with pytest.raises(InvalidInputError, match="labels must be a 1-D array"):
+            Labeling.from_array(labels)
+
+    def test_realises_a_labelling_past_63_bits(self):
         # 80 points on a line, +1 from x = 40 on: bit 79 is set
         points = np.column_stack([np.arange(80.0), np.zeros(80)])
         labeling = Labeling.from_array(np.where(np.arange(80) < 40, -1, 1))
         assert labeling.bits >= 2**63
         s = LabeledPrototypeSet(np.array([[19.5, 0.0], [59.5, 0.0]]), np.array([-1, 1]))
-        assert realizes(s, points, labeling)
-        assert not realizes(s, points, Labeling(labeling.bits ^ 1 << 79, 80))
+        assert realisation(s, points, labeling.array, DEFAULT_MU)[0]
+        assert not realisation(s, points, Labeling(labeling.bits ^ 1 << 79, 80).array, DEFAULT_MU)[0]
 
     def test_numpy_integer_bits_are_stored_as_int(self):
         lab = Labeling(np.int64(5), 3)
@@ -156,6 +163,21 @@ class TestOnePointMargins:
         q = np.array([1.0, 0.5])
         for labels, margins in (evaluate_margins(s, [q]), evaluate_margins(moved, [rot @ q])):
             assert (labels.tolist(), margins.tolist()) == ([1], [0.0])
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [(np.zeros((2, 3)), "dimension mismatch"), (np.zeros((2, 2, 2)), "an \\(n, d\\) array"),
+         (np.zeros((1, 1, 2)), "an \\(n, d\\) array")],
+        ids=["3-d-points", "rank-3", "rank-3-one-point"],
+    )
+    def test_points_of_another_dimension_or_rank_refused(self, points, message):
+        # the (2, 2, 2) array gave two labels and two margins
+        with pytest.raises(InvalidInputError, match=message):
+            evaluate_margins(two_prototypes(), points)
+
+    def test_a_bare_point_is_one_row(self):
+        labels, margins = evaluate_margins(two_prototypes(), [0.5, 0.0])
+        assert (labels.tolist(), margins.tolist()) == ([1], [1.0])
 
     def test_single_prototype_margin_infinite(self):
         s = LabeledPrototypeSet(np.array([[3.0, 4.0]]), np.array([-1]))
@@ -246,19 +268,30 @@ class TestNearestDistances:
             assert np.array_equal(margins, want_margins)
 
 
-class TestRealizes:
+class TestRealisation:
     def test_matching_labelling(self):
         s = two_prototypes()
         pts = np.array([[-1.0, 0.0], [3.0, 0.0]])
-        assert realizes(s, pts, Labeling.from_array([1, -1]), mu=0.1)
-        assert not realizes(s, pts, Labeling.from_array([-1, 1]), mu=0.1)
+        assert realisation(s, pts, Labeling.from_array([1, -1]).array, 0.1)[0]
+        assert not realisation(s, pts, Labeling.from_array([-1, 1]).array, 0.1)[0]
 
     def test_margin_threshold_enforced(self):
         s = two_prototypes()
         pts = np.array([[0.9, 0.0]])
         # margin is 0.2 here
-        assert realizes(s, pts, Labeling.from_array([1]), mu=0.1)
-        assert not realizes(s, pts, Labeling.from_array([1]), mu=0.3)
+        assert realisation(s, pts, Labeling.from_array([1]).array, 0.1)[0]
+        assert not realisation(s, pts, Labeling.from_array([1]).array, 0.3)[0]
+
+    @pytest.mark.parametrize(
+        "points, target",
+        [(np.zeros((2, 2)), [1]), (np.zeros((2, 2)), [1, -1, 1]), (np.zeros((1, 2)), [1, -1]),
+         (np.zeros((2, 2)), [[1, -1]]), (np.zeros((2, 2)), 1)],
+        ids=["short", "long", "one-point", "row", "scalar"],
+    )
+    def test_target_must_hold_one_label_per_point(self, points, target):
+        # broadcasting let a short target through: two points and [1] gave (True, 2.0)
+        with pytest.raises(InvalidInputError, match="one label per point"):
+            realisation(two_prototypes(), points, np.array(target), 0.1)
 
     def test_misclassified_point_has_negative_minimum_margin(self):
         pts = np.array([[-1.0, 0.0], [0.5, 0.0]])
@@ -269,7 +302,7 @@ class TestRealizes:
     def test_mu_must_be_positive(self):
         for mu in (0.0, math.nan, math.inf):
             with pytest.raises(InvalidInputError):
-                realizes(two_prototypes(), np.zeros((1, 2)), Labeling(1, 1), mu=mu)
+                check_mu(mu)
 
     def test_margins_vectorised_consistent(self, rng):
         protos = rng.uniform(-1, 1, size=(5, 3))

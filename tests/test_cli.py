@@ -503,6 +503,11 @@ def _with_string_coordinate(doc: dict, key: str) -> dict:
     return {**doc, "witnesses": {**doc["witnesses"], key: {**doc["witnesses"][key], "prototypes": protos}}}
 
 
+def _witness_edited(doc: dict, key: str, edit) -> dict:
+    """``doc`` with witness entry ``key`` replaced by ``edit(entry)``."""
+    return {**doc, "witnesses": {**doc["witnesses"], key: edit(doc["witnesses"][key])}}
+
+
 @pytest.mark.parametrize(
     "edit, name",
     [
@@ -541,6 +546,16 @@ def _with_string_coordinate(doc: dict, key: str) -> dict:
         (_lifted, None),
         (lambda doc: {**doc, "witnesses": None}, "witnesses"),
         (lambda doc: {**doc, "witnesses": {**doc["witnesses"], "0x5": None}}, "witness 0x5"),
+        # each of these got a bare KeyError, TypeError or ValueError text that named neither key nor field
+        (lambda doc: _witness_edited(doc, "0x13", lambda e: {"labels": e["labels"]}), "witness 0x13 prototypes"),
+        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "prototypes": None}), "witness 0x13 prototypes"),
+        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "prototypes": 5}), "witness 0x13 prototypes"),
+        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "prototypes": [None] + e["prototypes"][1:]}),
+         "witness 0x13 prototypes"),
+        (lambda doc: _witness_edited(doc, "0x13", lambda e: {"prototypes": e["prototypes"]}), "witness 0x13 labels"),
+        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "labels": None}), "witness 0x13 labels"),
+        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "labels": 5}), "witness 0x13 labels"),
+        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "labels": e["labels"][:-1]}), "witness 0x13 labels"),
     ],
     ids=["list", "string", "number", "witnesses-list", "special-list", "points-scalar",
          "unknown-kind", "non-canonical-key", "labels-scaled", "label-true", "verified-string",
@@ -548,7 +563,8 @@ def _with_string_coordinate(doc: dict, key: str) -> dict:
          "min-margin-string", "special-wrong-centre", "special-string-centre", "special-gunn-layout",
          "special-missing", "radius-negative", "param-fraction", "point-nan", "points-null", "points-flat",
          "mu-string", "radius-string", "point-string", "witness-coordinate-string", "point-moved", "points-lifted",
-         "witnesses-null", "witness-null"],
+         "witnesses-null", "witness-null", "prototypes-missing", "prototypes-null", "prototypes-number",
+         "prototype-row-null", "labels-missing", "labels-null", "labels-number", "labels-short"],
 )
 def test_verify_of_non_object_is_usage_error(capsys, tmp_path, edit, name):
     path = tmp_path / "takacs2.json"
