@@ -65,7 +65,7 @@ def lower_bound(d: int, m: int) -> int:
 
 def _lower(d: int, m: int) -> int:
     """``lower_bound`` of a (d, m) already on the grid."""
-    return max(d * m + 2 - d, 2 * m + 1) if d == 2 and m >= 4 else d * m + 2 - d
+    return 2 * m + 1 if d == 2 and m >= 4 else d * m + 2 - d
 
 
 def _q(d: int, ms):

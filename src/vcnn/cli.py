@@ -41,7 +41,6 @@ from .errors import (
     UnsupportedParametersError,
     VcnnError,
 )
-from .geometry import ConvexPolytope, Halfspace
 from .verification import (
     POLYTOPE_SCHEMA,
     SearchConfig,
@@ -166,22 +165,10 @@ def cmd_bounds(args) -> int:
 # witnesses
 
 
-def _square_polytope() -> ConvexPolytope:
-    return ConvexPolytope(
-        (
-            Halfspace(np.array([1.0, 0.0]), 1.0),
-            Halfspace(np.array([-1.0, 0.0]), 1.0),
-            Halfspace(np.array([0.0, 1.0]), 1.0),
-            Halfspace(np.array([0.0, -1.0]), 1.0),
-        )
-    )
-
-
 def cmd_witness(args) -> int:
     if args.kind == "polytope":
         seed = args.seed if args.seed is not None else _default_seed()
-        doc = polytope_witness_to_dict(_square_polytope(), np.zeros(2), 1, seed,
-                                       meta=None if args.no_meta else _meta(seed))
+        doc = polytope_witness_to_dict(seed, meta=None if args.no_meta else _meta(seed))
         failure = None if doc["verified"] else "witness verification failed: sampled disagreement"
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:

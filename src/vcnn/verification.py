@@ -19,9 +19,10 @@ generator.
 ``certificate_from_dict`` are the JSON form of a certificate (schema
 ``vcnn-certificate/1``); ``certificate_json`` writes the same text as
 ``json.dumps`` of that document from the stacks, and the loader reads
-the witnesses back into stacks. The polytope witness file
-(schema ``vcnn-polytope-witness/1``) is written and re-verified here as
-well.
+the witnesses back into stacks. The polytope witness file (schema
+``vcnn-polytope-witness/1``) is the ``--square`` document of its seed:
+``_square_witness`` builds it, and re-verification rebuilds it from the
+stored seed and compares the two field by field.
 
 ``search_lower_bound`` is the randomized complement to the constructive
 witnesses: it samples point sets and certifies each through the same
@@ -618,20 +619,43 @@ def _require_json_types(values, types: tuple, message: str) -> None:
 _LOAD_ROWS = 4096
 
 
+def _parsed_block(block: list[tuple[int, dict]], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, m, d) coordinate and (k, m) label stacks of the k entries of ``block``, all of m prototypes.
+
+    Raises ``ValueError`` (``InvalidInputError`` and ``CertificateError``
+    included), ``TypeError`` or ``OverflowError`` for a block with an
+    entry that is not a valid witness in R^d; the message names the field,
+    not the entry.
+    """
+    label_rows = [val["labels"] for _, val in block]
+    proto_rows = [val["prototypes"] for _, val in block]
+    row_kinds = set(map(type, itertools.chain.from_iterable(proto_rows)))
+    if not all(issubclass(kind, list) for kind in row_kinds):
+        raise CertificateError("prototypes must be a JSON list of coordinate lists")
+    _require_json_types(itertools.chain.from_iterable(label_rows), (int,), "labels must be JSON integers +1 or -1")
+    _require_json_types(itertools.chain.from_iterable(itertools.chain.from_iterable(proto_rows)),
+                        (int, float), "prototype coordinates must be JSON numbers")
+    dims = set(map(len, itertools.chain.from_iterable(proto_rows))) - {d}
+    if dims:
+        raise CertificateError(f"prototypes are in R^{min(dims)}, not in R^{d} with the points")
+    protos, labels = np.array(proto_rows, dtype=np.float64), np.array(label_rows, dtype=np.int64)
+    check_prototype_stack(protos, labels)
+    return protos, labels
+
+
 def _load_witnesses(entries: dict, n: int, d: int) -> dict:
     """The witness stacks (see ``ShatterCertificate``) of a ``"witnesses"`` table over n points in R^d.
 
     Entries are grouped by prototype count and sorted by bitmask; each
     group is parsed, up to ``_LOAD_ROWS`` entries at a time, into its (k,
-    m, d) coordinate and (k, m) label stacks, checked a block at a time
-    with ``check_prototype_stack``. Labels must be JSON integers and
-    coordinates JSON numbers. Raises ``CertificateError`` for a key that
-    is not a labelling of n points written as ``format(bits, "#x")``, for
-    a table or an entry that is not a JSON object, for an entry whose
-    ``prototypes`` are not a list of lists or whose ``labels`` are not a
-    list of one label per prototype, naming the key, and for prototypes
-    that are not in R^d, and lets NumPy's and the stack check's errors
-    through for a malformed entry.
+    m, d) coordinate and (k, m) label stacks with ``_parsed_block``.
+    Labels must be JSON integers and coordinates JSON numbers. Raises
+    ``CertificateError`` for a key that is not a labelling of n points
+    written as ``format(bits, "#x")``, for a table or an entry that is not
+    a JSON object, and for an entry whose ``prototypes`` are not a list of
+    lists or whose ``labels`` are not a list of one label per prototype;
+    a refused block is parsed again an entry at a time, and the error
+    names the key of the first entry refused.
     """
     if not isinstance(entries, dict):
         raise CertificateError("witnesses must be a JSON object keyed by labelling")
@@ -657,25 +681,16 @@ def _load_witnesses(entries: dict, n: int, d: int) -> dict:
         # a block of rows at a time bounds the temporaries of parsing and checking
         for lo in range(0, len(group), _LOAD_ROWS):
             block = group[lo : lo + _LOAD_ROWS]
-            label_rows = [val["labels"] for _, val in block]
-            proto_rows = [val["prototypes"] for _, val in block]
-            row_kinds = set(map(type, itertools.chain.from_iterable(proto_rows)))
-            if not all(issubclass(kind, list) for kind in row_kinds):
+            try:
+                protos[lo : lo + len(block)], labels[lo : lo + len(block)] = _parsed_block(block, d)
+            except (OverflowError, TypeError, ValueError):
                 # only a refused block looks for the entry to name
-                bits = next(bits for bits, val in block
-                            if not all(isinstance(row, list) for row in val["prototypes"]))
-                raise CertificateError(f"witness {bits:#x} prototypes must be a JSON list of coordinate lists")
-            _require_json_types(itertools.chain.from_iterable(label_rows), (int,),
-                                "witness labels must be JSON integers +1 or -1")
-            _require_json_types(itertools.chain.from_iterable(itertools.chain.from_iterable(proto_rows)),
-                                (int, float), "witness coordinates must be JSON numbers")
-            dims = set(map(len, itertools.chain.from_iterable(proto_rows))) - {d}
-            if dims:
-                raise CertificateError(f"witness prototypes are in R^{min(dims)}, not in R^{d} with the points")
-            block_protos = np.array(proto_rows, dtype=np.float64)
-            block_labels = np.array(label_rows, dtype=np.int64)
-            check_prototype_stack(block_protos, block_labels)
-            protos[lo : lo + len(block)], labels[lo : lo + len(block)] = block_protos, block_labels
+                for entry in block:
+                    try:
+                        _parsed_block([entry], d)
+                    except (OverflowError, TypeError, ValueError) as exc:
+                        raise CertificateError(f"witness {entry[0]:#x} {exc}") from exc
+                raise
         witnesses[m] = np.array([bits for bits, _ in group], dtype=np.int64), protos, labels
     return witnesses
 
@@ -769,101 +784,83 @@ def reverify_certificate(cert: ShatterCertificate) -> tuple[bool, str]:
     return True, message
 
 
-def _polytope_disagreements(polytope: ConvexPolytope, witness: LabeledPrototypeSet,
-                            inside_label: int, check: dict) -> tuple[int, int]:
-    """Sampled disagreements between membership in ``polytope`` and 1NN labels.
+def _square_witness(seed: int) -> tuple[dict, int]:
+    """The ``--square`` polytope witness document of ``seed``, without ``meta``, and the samples its check kept.
 
-    Draws ``check["n_samples"]`` points uniformly from the box of
-    half-width ``check["box_halfwidth"]`` with seed ``check["seed"]``, drops
-    those within ``check["band"]`` of the boundary, and returns
-    ``(disagreements, samples kept)``.
-    """
-    rng = np.random.default_rng(int(check["seed"]))
-    half = float(check["box_halfwidth"])
-    samples = rng.uniform(-half, half, size=(int(check["n_samples"]), polytope.dim))
-    member = contains_many(polytope, samples, tol=float(check["band"]))
-    keep = member != 0
-    got, _ = evaluate_margins(witness, samples[keep])
-    want = np.where(member[keep] == 1, inside_label, -inside_label)
-    return int((got != want).sum()), int(keep.sum())
-
-
-def polytope_witness_to_dict(polytope: ConvexPolytope, interior, inside_label: int, seed: int,
-                             meta: dict | None = None) -> dict:
-    """The polytope witness document: reflection prototypes plus a sampled check.
-
-    ``"verified"`` is True iff no sample of the check disagrees. ``meta``
-    is stored as in ``certificate_to_dict``. A ``seed`` that is not an
-    integer >= 0 raises ``InvalidInputError``.
+    The unit square ``|x|, |y| <= 1``, its reflection witness about the
+    origin with inside label +1, and the sampled check: 10,000 points drawn
+    uniformly from ``[-3, 3]^2`` with ``seed``, those within ``1e-6`` of
+    the boundary dropped, and the disagreements between membership and 1NN
+    labels counted. ``"verified"`` is True iff no kept sample disagrees. A
+    ``seed`` that is not an integer >= 0 raises ``InvalidInputError``.
     """
     check_int("seed", seed, 0)
-    interior = np.asarray(interior, dtype=np.float64)
-    witness = polytope_to_prototypes(polytope, interior, inside_label)
+    square = ConvexPolytope(tuple(Halfspace(np.array(normal), 1.0)
+                                  for normal in ([1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0])))
+    interior = np.zeros(2)
+    witness = polytope_to_prototypes(square, interior, 1)
     check = {"seed": seed, "n_samples": 10000, "box_halfwidth": 3.0, "band": 1e-6}
-    check["disagreements"], _ = _polytope_disagreements(polytope, witness, inside_label, check)
+    samples = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(10000, 2))
+    member = contains_many(square, samples, tol=1e-6)
+    keep = member != 0
+    got, _ = evaluate_margins(witness, samples[keep])
+    check["disagreements"] = int((got != member[keep]).sum())   # inside is +1, so a kept label is its membership
     doc = {
         "schema": POLYTOPE_SCHEMA,
         "kind": "polytope",
         "facets": {
-            "normals": [f.normal.tolist() for f in polytope.facets],
-            "offsets": [f.offset for f in polytope.facets],
+            "normals": [f.normal.tolist() for f in square.facets],
+            "offsets": [f.offset for f in square.facets],
         },
         "interior": interior.tolist(),
-        "inside_label": inside_label,
+        "inside_label": 1,
         "prototypes": witness.prototypes.tolist(),
         "labels": witness.labels.tolist(),
         "check": check,
         "verified": check["disagreements"] == 0,
     }
+    return doc, int(keep.sum())
+
+
+def polytope_witness_to_dict(seed: int, meta: dict | None = None) -> dict:
+    """The ``--square`` polytope witness document of ``seed``: reflection prototypes plus a sampled check.
+
+    ``meta`` is stored as in ``certificate_to_dict``. A ``seed`` that is
+    not an integer >= 0 raises ``InvalidInputError``.
+    """
+    doc, _ = _square_witness(seed)
     if meta is not None:
         doc["meta"] = meta
     return doc
 
 
 def reverify_polytope_witness(doc: dict) -> tuple[bool, str]:
-    """Repeat the sampled check of a ``polytope_witness_to_dict`` document.
+    """Check a ``polytope_witness_to_dict`` document by rebuilding it from its ``check.seed``.
 
-    Raises ``CertificateError`` for a malformed document, as
-    ``certificate_from_dict`` does: labels must be JSON integers +1 or -1,
-    facet normals and offsets, the interior point and the prototypes JSON
-    numbers, one offset per normal, ``seed``, ``n_samples`` and
-    ``disagreements`` JSON integers, ``n_samples >= 1``,
-    ``0 < band < box_halfwidth < inf``, and ``verified`` a JSON boolean;
-    the interior point must lie strictly inside the facets, and the stored
-    prototypes and labels must be the witness ``polytope_to_prototypes``
-    rebuilds from them (within ``1e-12`` of its largest coordinate). Fails
-    when a sample disagrees, when the check keeps no sample, and when the
-    file records ``"verified": false``.
+    Raises ``CertificateError`` when ``check.seed`` is not a JSON integer
+    >= 0, when a field other than ``meta`` and ``verified`` is missing,
+    extra, or differs as JSON text from the rebuilt document's, and when
+    ``verified`` is not a JSON boolean. Fails when a sample of the
+    rebuilt check disagrees and when the file records ``"verified": false``.
     """
+    check = doc.get("check")
+    seed = check.get("seed") if isinstance(check, dict) else None
     try:
-        check, inside, verified = doc["check"], doc["inside_label"], doc["verified"]
-        normals, offsets, interior = doc["facets"]["normals"], doc["facets"]["offsets"], doc["interior"]
-        _require_json_types([inside, *doc["labels"]], (int,), "labels must be JSON integers +1 or -1")
-        _require_json_types(itertools.chain(offsets, interior, *normals, *doc["prototypes"]), (int, float),
-                            "normals, offsets, interior and prototype coordinates must be JSON numbers")
-        _require_json_types([check["seed"], check["n_samples"], check["disagreements"]], (int,),
-                            "seed, n_samples and disagreements must be JSON integers")
-        half, band = check["box_halfwidth"], check["band"]
-        _require_json_types([half, band], (int, float), "box_halfwidth and band must be JSON numbers")
-        if inside not in (1, -1) or check["n_samples"] < 1 or not 0 < band < half < math.inf:
-            raise ValueError(f"need inside_label +1 or -1, n_samples >= 1 and 0 < band < box_halfwidth "
-                             f"< inf, got {inside!r}, {check['n_samples']!r}, {band!r} and {half!r}")
-        if not isinstance(verified, bool):
-            raise ValueError(f"verified must be true or false, got {verified!r}")
-        polytope = ConvexPolytope(tuple(Halfspace(np.asarray(n, dtype=np.float64), float(b))
-                                        for n, b in zip(normals, offsets, strict=True)))
-        witness = polytope_to_prototypes(polytope, interior, inside)
-        stored = np.array(doc["prototypes"], dtype=np.float64)
-        if (stored.shape != witness.prototypes.shape or doc["labels"] != witness.labels.tolist()
-                or np.abs(stored - witness.prototypes).max() > 1e-12 * np.abs(witness.prototypes).max()):
-            raise ValueError("prototypes and labels are not the reflection witness of the facets and interior")
-        disagreements, kept = _polytope_disagreements(polytope, witness, inside, check)
-    except (KeyError, TypeError, ValueError) as exc:
+        check_int("check.seed", seed, 0)
+    except InvalidInputError as exc:
         raise CertificateError(f"malformed polytope witness: {exc}") from exc
-    if disagreements != check["disagreements"] or disagreements != 0:
-        return False, f"{disagreements} membership/classification disagreements"
-    if not kept:
-        return False, f"no sample of the check lies outside the band {band!r} around the boundary"
+    want, kept = _square_witness(seed)
+    for key in sorted((doc.keys() | want.keys()) - {"meta", "verified"}):
+        # compared as JSON text, as certificate_from_dict compares special
+        if key not in doc or key not in want or (
+                json.dumps(doc[key], sort_keys=True) != json.dumps(want[key], sort_keys=True)):
+            raise CertificateError(f"malformed polytope witness: {key} differs from the --square "
+                                   f"document of seed {seed}")
+    verified = doc.get("verified")
+    if not isinstance(verified, bool):
+        raise CertificateError(f"malformed polytope witness: verified must be true or false, got {verified!r}")
+    if want["check"]["disagreements"]:
+        return False, f"{want['check']['disagreements']} membership/classification disagreements"
     message = f"membership and classification agree on {kept} samples"
     if not verified:
         return False, f"recorded verified=False but re-check says True: {message}"

@@ -7,9 +7,11 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from vcnn import cli, constructions
+from vcnn import cli, constructions, verification
 from vcnn.bounds import BoundsReport
-from vcnn.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+from vcnn.classifier import evaluate_margins
+from vcnn.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+from vcnn.errors import ConstructionInfeasibleError, NumericalError
 
 
 def run_cli(capsys, *argv):
@@ -292,34 +294,54 @@ class TestWitnessAndVerify:
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, want",
     [
-        ("bounds", "--d", "2", "--m", "x"),
-        ("witness", "takacs", "--n", "2", "--radius", "0"),
-        ("search", "--d", "2", "--m", "3", "--n", "30"),
-        ("witness", "gunn", "--m", "4", "--radius", "1e-4"),
-        ("witness", "gunn", "--m", "4", "--mu", "1e-2"),
-        ("witness", "gunn", "--m", "4", "--radius", "nan"),
-        ("witness", "takacs", "--n", "2", "--radius", "inf"),
-        ("witness", "takacs", "--n", "2", "--mu", "inf"),
-        ("search", "--d", "2", "--m", "3", "--n", "4", "--mu", "inf"),
-        ("plot-data", "--d", ",", "--m", "3..4"),
-        ("plot-data", "--d", "2,2", "--m", "3..4"),
-        *[("search", *argv, "--point-sets", "1", "--seed", "0")
+        (("bounds", "--d", "2", "--m", "x"), None),
+        (("witness", "takacs", "--n", "2", "--radius", "0"), None),
+        (("search", "--d", "2", "--m", "3", "--n", "30"), None),
+        (("witness", "gunn", "--m", "4", "--radius", "1e-4"), None),
+        (("witness", "gunn", "--m", "4", "--mu", "1e-2"), None),
+        (("witness", "gunn", "--m", "4", "--radius", "nan"), None),
+        (("witness", "takacs", "--n", "2", "--radius", "inf"), None),
+        (("witness", "takacs", "--n", "2", "--mu", "inf"), None),
+        (("search", "--d", "2", "--m", "3", "--n", "4", "--mu", "inf"), None),
+        (("plot-data", "--d", ",", "--m", "3..4"), None),
+        (("plot-data", "--d", "2,2", "--m", "3..4"), None),
+        *[(("search", *argv, "--point-sets", "1", "--seed", "0"), None)
           for argv in (("--d", "2", "--m", "3", "--n", "3", "--trials", "1000000000"),
                        ("--d", "2", "--m", "1000000000", "--n", "3"),
                        ("--d", "1000000000", "--m", "3", "--n", "3"))],
+        (("bounds", "--d", "2", "--m", "5..3"), "error: empty range '5..3'\n"),
+        # paths relative to the test's own directory
+        (("verify", "missing.json"), "error: cannot read certificate: "),
+        (("verify", "truncated.json"), "error: cannot read certificate: "),
     ],
     ids=["bounds-non-integer", "witness-zero-radius", "search-beyond-desk-scale",
          "witness-gunn-small-radius", "witness-gunn-large-mu", "witness-gunn-nan-radius",
          "witness-takacs-inf-radius", "witness-takacs-inf-mu", "search-inf-mu",
          "plot-data-empty-d", "plot-data-repeated-d", "search-huge-trials", "search-huge-m",
-         "search-huge-d"],
+         "search-huge-d", "bounds-empty-range", "verify-missing-file", "verify-non-json-file"],
 )
-def test_bad_input_is_usage_error(capsys, argv):
-    code, _, err = run_cli(capsys, *argv)
-    assert code == EXIT_USAGE
-    assert err.startswith("error:")
+def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, want):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "truncated.json").write_text('{"schema": ')
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(want or "error:")
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [(NumericalError, EXIT_NUMERICAL, "numerical failure: "),
+     (ConstructionInfeasibleError, EXIT_VERIFICATION, "error: ")],
+    ids=["numerical", "other-package-error"],
+)
+def test_package_error_exit_codes(capsys, monkeypatch, error, code, prefix):
+    def failing(d, ms):
+        raise error("solver gave up")
+
+    monkeypatch.setattr(cli, "compute_bounds_range", failing)
+    assert run_cli(capsys, "bounds", "--d", "2", "--m", "3") == (code, "", f"{prefix}solver gave up\n")
 
 
 @pytest.mark.parametrize(
@@ -418,8 +440,9 @@ def test_witness_flag_of_another_kind_is_usage_error(capsys, tmp_path, argv):
         (lambda doc: doc["check"].update(seed="7"), EXIT_USAGE),
         (lambda doc: doc.update(verified="true"), EXIT_USAGE),
         (lambda doc: doc.update(verified=False), EXIT_VERIFICATION),
-        # the box is the square itself, so every sample lies within the band of its boundary
-        (lambda doc: doc["check"].update(box_halfwidth=1.0, band=0.999), EXIT_VERIFICATION),
+        # the box is the square itself, so every sample lies within the band of its boundary; the
+        # check's parameters are not inputs, so this is simply not the --square document
+        (lambda doc: doc["check"].update(box_halfwidth=1.0, band=0.999), EXIT_USAGE),
     ],
     ids=["no-samples", "band-wider-than-box", "zero-box", "inside-label-fraction", "inside-label-true",
          "label-true", "seed-string", "verified-string", "recorded-unverified", "no-sample-kept"],
@@ -434,6 +457,53 @@ def test_polytope_witness_that_checks_nothing_is_refused(capsys, tmp_path, edit,
     code, _, err = run_cli(capsys, "verify", str(path))
     assert code == want
     assert err.startswith("error: malformed polytope witness") if want == EXIT_USAGE else err == ""
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda doc: doc["check"].update(n_samples=2000000), "check"),
+        (lambda doc: doc["check"].update(band=1e-3), "check"),
+        (lambda doc: doc["check"].update(box_halfwidth=2.0), "check"),
+        (lambda doc: doc["check"].update(disagreements=1), "check"),
+        (lambda doc: doc["facets"]["offsets"].__setitem__(0, 2.0), "facets"),
+        (lambda doc: doc.update(interior=[0.5, 0.0]), "interior"),
+        (lambda doc: doc.update(inside_label=-1), "inside_label"),
+        (lambda doc: doc["prototypes"][1].__setitem__(0, 2.0 + 1e-15), "prototypes"),
+        (lambda doc: doc["labels"].__setitem__(1, 1), "labels"),
+        (lambda doc: doc.pop("kind"), "kind"),
+        (lambda doc: doc.update(extra=None), "extra"),
+    ],
+    ids=["n-samples", "band", "box-halfwidth", "disagreements", "facet", "interior", "inside-label",
+         "prototype", "label", "kind-missing", "extra-field"],
+)
+def test_polytope_witness_other_than_the_square_document_is_refused(capsys, tmp_path, monkeypatch, edit, field):
+    path = tmp_path / "square.json"
+    run_cli(capsys, "witness", "polytope", "--square", "--seed", "0", "--no-meta", "--out", str(path))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    sampled = []
+    monkeypatch.setattr(verification, "evaluate_margins",
+                        lambda *args: sampled.append(len(args[1])) or evaluate_margins(*args))
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: malformed polytope witness: {field} differs from the --square document of seed 0\n"
+    assert sampled == [10000]   # the rebuilt check, whatever the file asks for
+
+
+@pytest.mark.parametrize("meta", [True, False], ids=["meta", "no-meta"])
+def test_square_witness_verify_runs_the_check_once(capsys, tmp_path, monkeypatch, meta):
+    path = tmp_path / "square.json"
+    run_cli(capsys, "witness", "polytope", "--square", "--seed", "3", *([] if meta else ["--no-meta"]),
+            "--out", str(path))
+    assert ("meta" in json.loads(path.read_text())) == meta
+    sampled = []
+    monkeypatch.setattr(verification, "evaluate_margins",
+                        lambda *args: sampled.append(len(args[1])) or evaluate_margins(*args))
+    assert run_cli(capsys, "verify", str(path)) == (
+        EXIT_OK, "membership and classification agree on 10000 samples\n", "")
+    assert sampled == [10000]
 
 
 @pytest.mark.parametrize(
@@ -509,14 +579,14 @@ def _witness_edited(doc: dict, key: str, edit) -> dict:
 
 
 @pytest.mark.parametrize(
-    "edit, name",
+    "edit, want",
     [
         (lambda doc: [], None),
         (lambda doc: "x", None),
         (lambda doc: 3, None),
-        (lambda doc: {**doc, "witnesses": []}, "witnesses"),
+        (lambda doc: {**doc, "witnesses": []}, "witnesses must be a JSON "),
         (lambda doc: {**doc, "special": []}, None),
-        (lambda doc: {**doc, "points": 5}, "points"),
+        (lambda doc: {**doc, "points": 5}, "points must be a JSON "),
         (lambda doc: {**doc, "kind": "foo"}, None),
         (lambda doc: {**doc, "witnesses": {**doc["witnesses"], "0x00": doc["witnesses"]["0x5"]}}, None),
         (lambda doc: _relabelled(doc, lambda label: 1.5 * label), None),
@@ -534,8 +604,9 @@ def _witness_edited(doc: dict, key: str, edit) -> dict:
         (lambda doc: {**doc, "radius": -1.0}, None),
         (lambda doc: {**doc, "param": 2.5}, None),
         (lambda doc: {**doc, "points": [[math.nan, 0.0]] + doc["points"][1:]}, None),
-        (lambda doc: {**doc, "points": None}, "points"),   # refused by the loader's type check, before Arrangement
-        (lambda doc: {**doc, "points": [5.0] * len(doc["points"])}, "points"),
+        (lambda doc: {**doc, "points": None},   # refused by the loader's type check, before Arrangement
+         "points must be a JSON "),
+        (lambda doc: {**doc, "points": [5.0] * len(doc["points"])}, "points must be a JSON "),
         (lambda doc: {**doc, "mu": str(doc["mu"])}, None),
         (lambda doc: {**doc, "radius": str(doc["radius"])}, None),
         (lambda doc: {**doc, "points": [[str(doc["points"][0][0]), doc["points"][0][1]]] + doc["points"][1:]},
@@ -544,18 +615,40 @@ def _witness_edited(doc: dict, key: str, edit) -> dict:
         (lambda doc: {**doc, "points": [[doc["points"][0][0] + 1e-3, doc["points"][0][1]]] + doc["points"][1:]},
          None),
         (_lifted, None),
-        (lambda doc: {**doc, "witnesses": None}, "witnesses"),
-        (lambda doc: {**doc, "witnesses": {**doc["witnesses"], "0x5": None}}, "witness 0x5"),
+        (lambda doc: {**doc, "witnesses": None}, "witnesses must be a JSON "),
+        (lambda doc: {**doc, "witnesses": {**doc["witnesses"], "0x5": None}}, "witness 0x5 must be a JSON "),
         # each of these got a bare KeyError, TypeError or ValueError text that named neither key nor field
-        (lambda doc: _witness_edited(doc, "0x13", lambda e: {"labels": e["labels"]}), "witness 0x13 prototypes"),
-        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "prototypes": None}), "witness 0x13 prototypes"),
-        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "prototypes": 5}), "witness 0x13 prototypes"),
+        (lambda doc: _witness_edited(doc, "0x13", lambda e: {"labels": e["labels"]}),
+         "witness 0x13 prototypes must be a JSON "),
+        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "prototypes": None}),
+         "witness 0x13 prototypes must be a JSON "),
+        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "prototypes": 5}),
+         "witness 0x13 prototypes must be a JSON "),
         (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "prototypes": [None] + e["prototypes"][1:]}),
-         "witness 0x13 prototypes"),
-        (lambda doc: _witness_edited(doc, "0x13", lambda e: {"prototypes": e["prototypes"]}), "witness 0x13 labels"),
-        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "labels": None}), "witness 0x13 labels"),
-        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "labels": 5}), "witness 0x13 labels"),
-        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "labels": e["labels"][:-1]}), "witness 0x13 labels"),
+         "witness 0x13 prototypes must be a JSON "),
+        (lambda doc: _witness_edited(doc, "0x13", lambda e: {"prototypes": e["prototypes"]}),
+         "witness 0x13 labels must be a JSON "),
+        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "labels": None}),
+         "witness 0x13 labels must be a JSON "),
+        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "labels": 5}), "witness 0x13 labels must be a JSON "),
+        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "labels": e["labels"][:-1]}),
+         "witness 0x13 labels must be a JSON "),
+        # each of these is refused by a check of a block of entries, which named no key
+        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "labels": [2] + e["labels"][1:]}),
+         "witness 0x13 labels must be +1 or -1"),
+        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "labels": ["1"] + e["labels"][1:]}),
+         "witness 0x13 labels must be JSON integers"),
+        (lambda doc: _witness_edited(
+            doc, "0x13", lambda e: {**e, "prototypes": [e["prototypes"][0]] * 2 + e["prototypes"][2:]}),
+         "witness 0x13 prototypes must be pairwise distinct"),
+        (lambda doc: _witness_edited(
+            doc, "0x13", lambda e: {**e, "prototypes": [[math.nan, 0.0]] + e["prototypes"][1:]}),
+         "witness 0x13 prototype coordinates must be finite"),
+        (lambda doc: _witness_edited(
+            doc, "0x13", lambda e: {**e, "prototypes": [e["prototypes"][0] + [0.0]] + e["prototypes"][1:]}),
+         "witness 0x13 prototypes are in R^3"),
+        (lambda doc: _witness_edited(doc, "0x13", lambda e: {**e, "prototypes": [["0.5", 0.0]] + e["prototypes"][1:]}),
+         "witness 0x13 prototype coordinates must be JSON numbers"),
     ],
     ids=["list", "string", "number", "witnesses-list", "special-list", "points-scalar",
          "unknown-kind", "non-canonical-key", "labels-scaled", "label-true", "verified-string",
@@ -564,17 +657,19 @@ def _witness_edited(doc: dict, key: str, edit) -> dict:
          "special-missing", "radius-negative", "param-fraction", "point-nan", "points-null", "points-flat",
          "mu-string", "radius-string", "point-string", "witness-coordinate-string", "point-moved", "points-lifted",
          "witnesses-null", "witness-null", "prototypes-missing", "prototypes-null", "prototypes-number",
-         "prototype-row-null", "labels-missing", "labels-null", "labels-number", "labels-short"],
+         "prototype-row-null", "labels-missing", "labels-null", "labels-number", "labels-short",
+         "label-two", "label-string", "prototypes-coincident", "coordinate-nan", "prototype-in-r3",
+         "coordinate-string"],
 )
-def test_verify_of_non_object_is_usage_error(capsys, tmp_path, edit, name):
+def test_verify_of_non_object_is_usage_error(capsys, tmp_path, edit, want):
     path = tmp_path / "takacs2.json"
     run_cli(capsys, "witness", "takacs", "--n", "2", "--no-meta", "--out", str(path))
     path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     code, _, err = run_cli(capsys, "verify", str(path))
     assert code == EXIT_USAGE
     assert err.startswith("error:")
-    if name is not None:
-        assert f"{name} must be a JSON " in err
+    if want is not None:
+        assert want in err
 
 
 class TestPlotData:
@@ -684,20 +779,24 @@ class TestSweepParts:
         assert code == EXIT_USAGE
         assert err == "error: mu / radius = 0.01 exceeds 0.001, the largest margin ratio the gunn construction supports\n"
 
-    @pytest.mark.parametrize("edit", ["flip", "drop"])
+    @pytest.mark.parametrize("edit", ["flip", "drop", "halve-margin"])
     def test_broken_certificate_fails_at_the_same_labelling(self, capsys, tmp_path, sweep_parts, edit):
         path = tmp_path / "takacs5.json"
         run_cli(capsys, "witness", "takacs", "--n", "5", "--no-meta", "--out", str(path))
         doc = json.loads(path.read_text())
         if edit == "flip":   # one label of a witness in the upper half
             doc["witnesses"]["0xa53"]["labels"][0] *= -1
-        else:
+        elif edit == "drop":
             del doc["witnesses"]["0xc00"]
+        else:   # every labelling passes, but not at the recorded margin
+            doc["min_margin"] /= 2
         path.write_text(json.dumps(doc))
         code, out, _ = self._in_parts(capsys, sweep_parts, "verify", str(path))
         assert code == EXIT_VERIFICATION
-        assert out.startswith("labelling 0xa53: witness misclassifies" if edit == "flip"
-                              else "labelling 0xc00: missing from certificate")
+        assert out.startswith({"flip": "labelling 0xa53: witness misclassifies",
+                               "drop": "labelling 0xc00: missing from certificate",
+                               "halve-margin": f"recorded min margin {doc['min_margin']!r} does not match "
+                                               f"recomputed {2 * doc['min_margin']!r}"}[edit])
 
     def test_search_bytes_are_frozen(self, capsys, tmp_path, sweep_parts):
         for parts in (1, 2):

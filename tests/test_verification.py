@@ -383,8 +383,9 @@ class TestWitnessLoader:
     )
     def test_defect_in_a_later_witness_refused(self, gunn4_doc, defect):
         doc = json.loads(json.dumps(gunn4_doc))
-        defect(doc["witnesses"][_late_key(doc, 4)])
-        with pytest.raises(CertificateError):
+        key = _late_key(doc, 4)
+        defect(doc["witnesses"][key])
+        with pytest.raises(CertificateError, match=f"^witness {key} "):
             certificate_from_dict(doc)
 
 
