@@ -18,10 +18,6 @@ from .bounds import (
     compute_bounds,
     compute_bounds_range,
     lambert_wm1,
-    lower_bound,
-    shatter_q,
-    upper_bound_loose,
-    upper_bound_tight,
 )
 from .classifier import (
     DEFAULT_MU,
@@ -73,16 +69,12 @@ __all__ = [
     "gunn_arrangement",
     "gunn_shatter",
     "lambert_wm1",
-    "lower_bound",
     "polytope_to_prototypes",
     "reflect",
     "regular_polygon_vertices",
     "search_lower_bound",
     "shatter_coefficient_exhaustive",
-    "shatter_q",
     "takacs_arrangement",
     "takacs_shatter",
-    "upper_bound_loose",
-    "upper_bound_tight",
     "verify_shattering",
 ]

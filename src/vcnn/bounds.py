@@ -1,12 +1,13 @@
 """Closed-form and solver-based VC-dimension bounds for 1NN(d, m).
 
-``lower_bound`` collects the constructive lower bounds; the upper bounds
-come from solving ``2^m * n^q = 2^n`` for its largest real root via the
-W_{-1} branch of the Lambert W function, plus a looser closed form that
-avoids special functions. All solver math is done in natural logs; the
-single base-2 conversion constant is ``LN2``. ``compute_bounds_range``
-is the one solver of the bounds table, whose columns are the fields of
-``BoundsReport``; the scalar upper bounds read its one-row call.
+Each bound has one function: ``_lower`` the constructive lower bound,
+``tight_upper_curve`` the largest real root of ``2^m * n^q = 2^n`` via
+the W_{-1} branch of the Lambert W function, and ``loose_upper_curve`` a
+looser closed form that avoids special functions. All solver math is
+done in natural logs; the single base-2 conversion constant is ``LN2``.
+``compute_bounds_range`` is the bounds table: it checks each m, reads the
+curves and checks each row, and its columns are the fields of
+``BoundsReport``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import check_int
 from .errors import InvalidInputError, NumericalError, UnsupportedParametersError
 
 # The one natural-log <-> base-2 conversion constant used by the solvers.
@@ -53,18 +53,12 @@ def require_grid_ends(ds, ms: range) -> None:
         _require_grid(d, ms[0], ms[-1])
 
 
-def lower_bound(d: int, m: int) -> int:
-    """Best constructive lower bound for the VC dimension of 1NN(d, m).
+def _lower(d: int, m: int) -> int:
+    """Best constructive lower bound at a (d, m) already on the grid.
 
     d * m + 2 - d in general; 2 * m + 1 in the plane for m >= 4. At
     (d, m) = (2, 3) the value 6 is exact.
     """
-    _require_grid(d, m)
-    return _lower(d, m)
-
-
-def _lower(d: int, m: int) -> int:
-    """``lower_bound`` of a (d, m) already on the grid."""
     return 2 * m + 1 if d == 2 and m >= 4 else d * m + 2 - d
 
 
@@ -72,12 +66,6 @@ def _q(d: int, ms):
     """q = 9(m - 2) in the plane and (d + 1) m (m - 1) / 2 otherwise, elementwise in m."""
     ms = np.asarray(ms, dtype=np.float64)
     return 9.0 * (ms - 2.0) if d == 2 else (d + 1) * ms * (ms - 1.0) / 2.0
-
-
-def shatter_q(d: int, m: int) -> float:
-    """Exponent q of the shatter-coefficient bound 2^m * n^q."""
-    _require_grid(d, m)
-    return float(_q(d, m))
 
 
 def chatzigeorgiou_seed(u) -> np.ndarray | float:
@@ -90,14 +78,19 @@ def chatzigeorgiou_seed(u) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _lambert_wm1_array(y: np.ndarray) -> np.ndarray:
-    """W_{-1}(y) for y in [-1/e, 0), elementwise."""
+def lambert_wm1(y) -> np.ndarray | float:
+    """The W_{-1} branch of the Lambert W function, elementwise.
+
+    Solves w * e^w = y for w <= -1, for each y in [-1/e, 0): an array for
+    an array and a float for a scalar. Relative residual is at most 1e-12.
+    """
     y = np.asarray(y, dtype=np.float64)
-    if not np.all(y < 0.0):   # a NaN fails this too
+    flat = y.reshape(-1)
+    if not np.all(flat < 0.0):   # a NaN fails this too
         raise InvalidInputError("lambert_wm1 requires y < 0")
     # u >= 0 parameterises y = -exp(-u - 1); allow a few ulps of slack at
     # the branch point.
-    u = -1.0 - np.log(-y)
+    u = -1.0 - np.log(-flat)
     if np.any(u < -1e-12):
         raise InvalidInputError("lambert_wm1 requires y >= -1/e")
     u = np.maximum(u, 0.0)
@@ -126,32 +119,7 @@ def _lambert_wm1_array(y: np.ndarray) -> np.ndarray:
     if np.any(resid > _LAMBERT_RTOL):
         worst = float(np.max(resid))
         raise NumericalError(f"lambert_wm1 failed to converge: residual {worst:.3e}")
-    return -t
-
-
-def lambert_wm1(y: float) -> float:
-    """The W_{-1} branch of the Lambert W function.
-
-    Solves w * e^w = y for w <= -1, for y in [-1/e, 0). Relative residual
-    is at most 1e-12.
-    """
-    return float(_lambert_wm1_array(np.array([y]))[0])
-
-
-def _tight_upper_real_array(ms: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The tight bound of each m of ``ms``, whose exponents ``_q`` are ``q``; the grid is not checked."""
-    y = -(LN2 / q) * np.exp2(-ms / q)
-    w = _lambert_wm1_array(y)
-    return -(q / LN2) * w
-
-
-def _loose_upper_array(ms: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The loose bound of each m of ``ms``, whose exponents ``_q`` are ``q``; the grid is not checked."""
-    qp = q / LN2
-    inner = ms / qp + np.log(qp) - 1.0
-    if np.any(inner <= 0.0):
-        raise NumericalError("loose bound undefined: m/q' + log q' - 1 <= 0")
-    return qp * (np.sqrt(2.0 * inner) + ms / qp + np.log(qp))
+    return (-t).reshape(y.shape) if y.ndim else float(-t[0])
 
 
 def _grid_curve(d: int, ms) -> tuple[np.ndarray, np.ndarray]:
@@ -168,43 +136,29 @@ def _grid_curve(d: int, ms) -> tuple[np.ndarray, np.ndarray]:
 
 
 def tight_upper_curve(d: int, ms) -> np.ndarray:
-    """Vectorised real-valued tight upper bound over an array of m values."""
-    return _tight_upper_real_array(*_grid_curve(d, ms))
+    """Tight upper bound of each m of ``ms``: the largest real n solving 2^m * n^q = 2^n.
+
+    n = -(q / ln 2) W_{-1}(-(ln 2 / q) 2^(-m/q)). Its floor is the
+    tightest integer bound, since the VC dimension is an integer and every
+    integer beyond it fails 2^m * n^q >= 2^n (``compute_bounds_range``
+    checks the crossing).
+    """
+    ms, q = _grid_curve(d, ms)
+    return -(q / LN2) * lambert_wm1(-(LN2 / q) * np.exp2(-ms / q))
 
 
 def loose_upper_curve(d: int, ms) -> np.ndarray:
-    """Vectorised loose upper bound over an array of m values."""
-    return _loose_upper_array(*_grid_curve(d, ms))
-
-
-def upper_bound_tight(d: int, m: int) -> tuple[float, int]:
-    """Tight upper bound: the largest real n solving 2^m * n^q = 2^n.
-
-    Returns ``(n_star, floor(n_star))``, the ``upper_tight_real`` and
-    ``upper_tight`` of ``compute_bounds(d, m)``, checked as every row of
-    ``compute_bounds_range`` is. The integer part is the tightest valid
-    integer bound, since the VC dimension is an integer and every integer
-    beyond n_star fails 2^m * n^q >= 2^n.
-    """
-    r = compute_bounds(d, m)
-    return r.upper_tight_real, r.upper_tight
-
-
-def upper_bound_loose(d: int, m: int) -> float:
-    """Looser closed-form upper bound q' (sqrt(2(m/q' + log q' - 1)) + m/q' + log q').
+    """Looser closed-form upper bound q' (sqrt(2(m/q' + log q' - 1)) + m/q' + log q') of each m of ``ms``.
 
     q' = q / ln 2; natural logarithms throughout. Always at least the
-    tight bound, and asymptotically ~ q' log q'. The ``upper_loose`` of
-    ``compute_bounds(d, m)``.
+    tight bound, and asymptotically ~ q' log q'.
     """
-    return compute_bounds(d, m).upper_loose
-
-
-def shatter_coefficient_bound_log2(d: int, m: int, n: int) -> float:
-    """log2 of the shatter-coefficient bound 2^m * n^q."""
-    _require_grid(d, m)
-    check_int("n", n, 1)
-    return m + shatter_q(d, m) * math.log2(n)
+    ms, q = _grid_curve(d, ms)
+    qp = q / LN2
+    inner = ms / qp + np.log(qp) - 1.0
+    if np.any(inner <= 0.0):
+        raise NumericalError("loose bound undefined: m/q' + log q' - 1 <= 0")
+    return qp * (np.sqrt(2.0 * inner) + ms / qp + np.log(qp))
 
 
 @dataclass(frozen=True)
@@ -236,22 +190,21 @@ def compute_bounds(d: int, m: int) -> BoundsReport:
 
 
 def compute_bounds_range(d: int, ms) -> list[BoundsReport]:
-    """``compute_bounds(d, m)`` for each m of ``ms``: the one solver of the bounds table.
+    """``compute_bounds(d, m)`` for each m of ``ms``: the bounds table, read off the bound curves.
 
-    The grid is checked and q derived once, each bound curve is solved in
-    one call, and each row checks its tight bound against the defining
-    equation (1e-9 relative, base-2 log space) and the integer crossing.
-    The rows are bit-identical to solving each m alone: the Halley loop
-    runs until every element has converged, and a converged element is an
-    exact fixed point (its step is below one ulp).
+    Every m is checked against the grid, each curve is solved in one call,
+    and each row checks its tight bound against the defining equation
+    (1e-9 relative, base-2 log space) and the integer crossing. The rows
+    are bit-identical to solving each m alone: the Halley loop runs until
+    every element has converged, and a converged element is an exact
+    fixed point (its step is below one ulp).
     """
     ms = list(ms)
     _require_grid(d, *ms)
-    ms_arr = np.asarray(ms, dtype=np.float64)
-    q = _q(d, ms_arr)
-    tight, loose = _tight_upper_real_array(ms_arr, q), _loose_upper_array(ms_arr, q)
+    q = _q(d, ms).tolist()
+    tight, loose = tight_upper_curve(d, ms).tolist(), loose_upper_curve(d, ms).tolist()
     rows = []
-    for m, q_m, n_star, upper_loose in zip(ms, q.tolist(), tight.tolist(), loose.tolist()):
+    for m, q_m, n_star, upper_loose in zip(ms, q, tight, loose):
         resid = abs(m + q_m * math.log2(n_star) - n_star) / n_star
         if resid > _TIGHT_RTOL:
             raise NumericalError(

@@ -13,8 +13,8 @@ search     drive the randomized lower-bound search
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (bad
 arguments, invalid input, unreadable certificate), 3 numerical failure.
-``--no-meta`` suppresses timestamps for byte-identical outputs.
-``VCNN_SEED`` provides the default seed.
+``--no-meta`` suppresses timestamps for byte-identical outputs. ``--seed``
+defaults to 0.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -66,10 +65,6 @@ def _parse_int(text: str) -> int:
         return int(text)
     except ValueError:
         raise UnsupportedParametersError(f"not an integer: {text!r}") from None
-
-
-def _default_seed() -> int:
-    return _parse_int(os.environ.get("VCNN_SEED", "0"))
 
 
 def _parse_range(text: str) -> range:
@@ -167,8 +162,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_witness(args) -> int:
     if args.kind == "polytope":
-        seed = args.seed if args.seed is not None else _default_seed()
-        doc = polytope_witness_to_dict(seed, meta=None if args.no_meta else _meta(seed))
+        doc = polytope_witness_to_dict(args.seed, meta=None if args.no_meta else _meta(args.seed))
         failure = None if doc["verified"] else "witness verification failed: sampled disagreement"
         text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
@@ -189,7 +183,7 @@ def cmd_verify(args) -> int:
     try:
         with open(args.certificate) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:   # too deeply nested is unreadable too
         raise CertificateError(f"cannot read certificate: {exc}") from exc
     # certificate_from_dict refuses a document that is not an object or names another schema
     if isinstance(doc, dict) and doc.get("schema") == POLYTOPE_SCHEMA:
@@ -233,7 +227,6 @@ def cmd_plot_data(args) -> int:
 
 
 def cmd_search(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     cfg = SearchConfig(
         d=args.d,
         m=args.m,
@@ -241,23 +234,23 @@ def cmd_search(args) -> int:
         trials=args.trials,
         point_sets=args.point_sets,
         steps=args.steps,
-        rng_seed=seed,
+        rng_seed=args.seed,
         mu=args.mu,
     )
-    n_found, cert = search_lower_bound(cfg)
+    cert = search_lower_bound(cfg)
     if cert is None:
         print(
             f"no certificate found for (d={args.d}, m={args.m}, n={args.n}) within budget "
-            f"(point_sets={cfg.point_sets}, trials={cfg.trials}, steps={cfg.steps}, seed={seed}); "
+            f"(point_sets={cfg.point_sets}, trials={cfg.trials}, steps={cfg.steps}, seed={args.seed}); "
             "absence of a certificate proves nothing"
         )
         return EXIT_VERIFICATION
     print(
-        f"certificate found: {n_found} points shattered with m={args.m} prototypes "
+        f"certificate found: {cfg.n} points shattered with m={args.m} prototypes "
         f"(min margin {cert.min_margin:.6g})"
     )
     if args.out:
-        meta = None if args.no_meta else _meta(seed)
+        meta = None if args.no_meta else _meta(args.seed)
         _write_text(certificate_json(cert, "search_lower_bound", meta=meta), args.out)
     return EXIT_OK
 
@@ -298,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gunn.set_defaults(generator=gunn_shatter)
     p_poly = kinds.add_parser("polytope", parents=[written], allow_abbrev=False, help="reflected polytope")
     p_poly.add_argument("--square", action="store_true", required=True, help="the unit square")
-    p_poly.add_argument("--seed", type=int, default=None, help="sampling seed; default $VCNN_SEED")
+    p_poly.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
 
     p_ver = sub.add_parser("verify", help="re-verify a witness file")
     p_ver.add_argument("certificate")
@@ -318,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--point-sets", type=int, default=3)
     p_search.add_argument("--steps", type=int, default=120)
     p_search.add_argument("--mu", type=float, default=DEFAULT_MU)
-    p_search.add_argument("--seed", type=int, default=None, help="default $VCNN_SEED")
+    p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--out", default=None, help="write the certificate here if found")
     p_search.add_argument("--no-meta", action="store_true")
     p_search.set_defaults(func=cmd_search)

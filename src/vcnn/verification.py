@@ -470,8 +470,8 @@ def _searched(budget: SearchBudget, ps: int, arrangement: Arrangement, bitmasks)
 def search_lower_bound(cfg: SearchConfig):
     """Certify by search that some n-point set in R^d is shattered by 1NN(d, m).
 
-    Returns ``(n, certificate)`` when every labelling of some sampled
-    point set is realised at margin mu, and ``(0, None)`` otherwise. A
+    Returns the certificate of the first sampled point set whose every
+    labelling is realised at margin mu, and ``None`` when there is none. A
     negative outcome only means the budget was exhausted.
     """
     for ps in range(cfg.point_sets):
@@ -479,8 +479,8 @@ def search_lower_bound(cfg: SearchConfig):
         arrangement = Arrangement(kind="search", points=points, radius=1.0, param=cfg.m)
         cert = _certify(arrangement, cfg.mu, functools.partial(_searched, cfg, ps, arrangement), trials=cfg.trials)
         if cert.verified:
-            return cfg.n, cert
-    return 0, None
+            return cert
+    return None
 
 
 def shatter_coefficient_exhaustive(points, m: int, budget: SearchBudget) -> int:

@@ -14,13 +14,11 @@ from conftest import random_convex_polygon, random_simplex, stored_bits
 from vcnn.bounds import (
     LN2,
     chatzigeorgiou_seed,
+    compute_bounds,
+    compute_bounds_range,
     lambert_wm1,
     loose_upper_curve,
-    lower_bound,
-    shatter_coefficient_bound_log2,
-    shatter_q,
     tight_upper_curve,
-    upper_bound_tight,
 )
 from vcnn.classifier import evaluate_margins
 from vcnn.constructions import (
@@ -71,17 +69,17 @@ def test_c2_circle_arrangement_exhaustive_and_search_negative():
         assert max(cert.witnesses) <= n_facets + 1
 
     # the matching positive search: three prototypes shatter six points
-    found_n, cert6 = search_lower_bound(
+    cert6 = search_lower_bound(
         SearchConfig(d=2, m=3, n=6, trials=24, point_sets=6, steps=120, rng_seed=0)
     )
-    assert found_n == 6 and cert6 is not None and cert6.verified
+    assert cert6 is not None and cert6.verified and cert6.arrangement.n == 6
 
     # regression expectation under a fixed seed and budget: no 7-point
     # certificate appears; absence is evidence, not proof
-    found_n, cert7 = search_lower_bound(
+    cert7 = search_lower_bound(
         SearchConfig(d=2, m=3, n=7, trials=16, point_sets=2, steps=80, rng_seed=0)
     )
-    assert found_n == 0 and cert7 is None
+    assert cert7 is None
 
 
 def test_c3_reflection_construction_agreement():
@@ -108,12 +106,11 @@ def test_c4_tight_upper_bound_solver_grid():
     # the solver satisfies its defining equation, brackets the lower
     # bound, and matches an independent integer scan across the grid
     for d in range(2, 11):
-        for m in range(3, 51):
-            q = shatter_q(d, m)
-            n_star, n_int = upper_bound_tight(d, m)
+        for row in compute_bounds_range(d, range(3, 51)):
+            m, q, n_star, n_int = row.m, row.q, row.upper_tight_real, row.upper_tight
             residual = abs(m + q * math.log2(n_star) - n_star) / n_star
             assert residual <= 1e-9
-            assert n_int >= lower_bound(d, m)
+            assert n_int >= row.lower
             cap = 1024
             while True:
                 ns = np.arange(1, cap + 1, dtype=np.float64)
@@ -122,7 +119,7 @@ def test_c4_tight_upper_bound_solver_grid():
                     break
                 cap *= 2
             assert n_int == int(ns[ok].max()), (d, m)
-    assert upper_bound_tight(2, 3)[1] == 55
+    assert compute_bounds(2, 3).upper_tight == 55
 
 
 def test_c5_lambert_residuals_and_bound_orderings():
@@ -206,4 +203,4 @@ def test_c8_search_counts_respect_shatter_coefficient_bound():
         points = rng.uniform(-1.0, 1.0, size=(n, d))
         count = shatter_coefficient_exhaustive(points, m, budget)
         assert count >= 2  # constants are always realizable
-        assert math.log2(count) <= min(n, shatter_coefficient_bound_log2(d, m, n))
+        assert math.log2(count) <= min(n, m + compute_bounds(d, m).q * math.log2(n))

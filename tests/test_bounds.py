@@ -10,12 +10,7 @@ from vcnn.bounds import (
     compute_bounds_range,
     lambert_wm1,
     loose_upper_curve,
-    lower_bound,
-    shatter_coefficient_bound_log2,
-    shatter_q,
     tight_upper_curve,
-    upper_bound_loose,
-    upper_bound_tight,
 )
 from vcnn.errors import InvalidInputError, UnsupportedParametersError
 
@@ -38,7 +33,7 @@ def wm1_bisection(y, lo=-800.0, hi=-1.0, iters=200):
 
 def largest_integer_crossing(d, m):
     """Independent oracle: scan for the largest n with m + q log2 n >= n."""
-    q = shatter_q(d, m)
+    q = compute_bounds(d, m).q
     cap = 1024
     while True:
         ns = np.arange(1, cap + 1, dtype=np.float64)
@@ -50,36 +45,36 @@ def largest_integer_crossing(d, m):
 
 class TestLowerBound:
     def test_planar_exact_value_at_three_prototypes(self):
-        assert lower_bound(2, 3) == 6
+        assert compute_bounds(2, 3).lower == 6
 
     def test_planar_beats_polytope_bound(self):
-        assert lower_bound(2, 4) == 9
+        assert compute_bounds(2, 4).lower == 9
 
     def test_general_dimension(self):
-        assert lower_bound(3, 3) == 8
+        assert compute_bounds(3, 3).lower == 8
 
     def test_outside_grid_rejected(self):
         for d, m in [(1, 3), (2, 2), (65, 3), (2, 10**6 + 1)]:
             with pytest.raises(UnsupportedParametersError):
-                lower_bound(d, m)
+                compute_bounds(d, m)
 
     def test_monotone_in_d_and_m(self):
+        lower = {d: [row.lower for row in compute_bounds_range(d, range(3, 31))] for d in range(2, 9)}
         for d in range(2, 8):
-            for m in range(3, 30):
-                assert lower_bound(d, m + 1) >= lower_bound(d, m)
-                assert lower_bound(d + 1, m) >= lower_bound(d, m)
+            assert lower[d] == sorted(lower[d])
+            assert all(a >= b for a, b in zip(lower[d + 1], lower[d]))
 
 
 class TestShatterQ:
     def test_values(self):
-        assert shatter_q(2, 4) == 18
-        assert shatter_q(3, 3) == 12
-        assert shatter_q(2, 3) == 9
+        assert compute_bounds(2, 4).q == 18
+        assert compute_bounds(3, 3).q == 12
+        assert compute_bounds(2, 3).q == 9
 
     def test_planar_formula_not_replaced_by_general_one(self):
         # the planar exponent is the tighter special case, not (d+1)m(m-1)/2
-        assert shatter_q(2, 10) == 72
-        assert shatter_q(3, 10) == 180
+        assert compute_bounds(2, 10).q == 72
+        assert compute_bounds(3, 10).q == 180
 
 
 class TestLambertWm1:
@@ -113,6 +108,21 @@ class TestLambertWm1:
             w = lambert_wm1(float(y))
             assert abs(w * math.exp(w) - y) <= 1e-12 * abs(y)
 
+    def test_array_is_the_scalar_call_elementwise(self):
+        # one W_{-1} for both: an array in gives an array out, bit for bit the scalar calls
+        ys = -np.exp(np.linspace(math.log(1e-30), -1.0, 200))
+        ws = lambert_wm1(ys)
+        assert isinstance(ws, np.ndarray) and ws.shape == ys.shape
+        assert ws.tobytes() == np.array([lambert_wm1(float(y)) for y in ys]).tobytes()
+        assert type(lambert_wm1(-0.1)) is float
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.5], ids=["nan", "positive"])
+    def test_array_with_one_bad_entry_refused(self, bad):
+        ys = np.full(5, -0.1)
+        ys[2] = bad
+        with pytest.raises(InvalidInputError, match="y < 0"):
+            lambert_wm1(ys)
+
     def test_strict_closed_form_lower_bound(self):
         for u in np.linspace(1e-6, 50.0, 500):
             w = lambert_wm1(-math.exp(-u - 1.0))
@@ -121,26 +131,27 @@ class TestLambertWm1:
 
 class TestUpperBounds:
     def test_tight_matches_integer_scan_at_small_case(self):
-        n_star, n_int = upper_bound_tight(2, 3)
+        rep = compute_bounds(2, 3)
+        n_star, n_int = rep.upper_tight_real, rep.upper_tight
         assert n_int == 55
         assert 55 < n_star < 56
         assert n_int == largest_integer_crossing(2, 3)
 
     def test_defining_equation_residual(self):
         for d, m in [(2, 3), (2, 10), (3, 3), (5, 20)]:
-            q = shatter_q(d, m)
-            n_star, _ = upper_bound_tight(d, m)
+            rep = compute_bounds(d, m)
+            q, n_star = rep.q, rep.upper_tight_real
             assert abs(m + q * math.log2(n_star) - n_star) / n_star <= 1e-9
 
     def test_brackets_lower_bound(self):
         for d in range(2, 11):
-            for m in range(3, 51, 7):
-                assert lower_bound(d, m) <= upper_bound_tight(d, m)[1]
+            for row in compute_bounds_range(d, range(3, 51, 7)):
+                assert row.lower <= row.upper_tight
 
     def test_loose_value_and_ordering(self):
-        loose = upper_bound_loose(2, 3)
-        assert loose == pytest.approx(60.888, abs=1e-2)
-        assert loose >= upper_bound_tight(2, 3)[0]
+        rep = compute_bounds(2, 3)
+        assert rep.upper_loose == pytest.approx(60.888, abs=1e-2)
+        assert rep.upper_loose >= rep.upper_tight_real
 
     def test_loose_above_tight_on_grid(self):
         for d in (2, 3, 5, 10):
@@ -156,12 +167,6 @@ class TestUpperBounds:
         assert np.all(tight_upper_curve(3, m) >= tight_upper_curve(2, m))
         assert np.all(tight_upper_curve(4, m) >= tight_upper_curve(3, m))
         assert np.all(loose_upper_curve(3, m) >= loose_upper_curve(2, m))
-
-    def test_curve_matches_scalar(self):
-        ms = np.array([3, 7, 19])
-        curve = tight_upper_curve(2, ms)
-        for m, val in zip(ms, curve):
-            assert upper_bound_tight(2, int(m))[0] == pytest.approx(float(val), rel=1e-14)
 
     @pytest.mark.parametrize("curve", [tight_upper_curve, loose_upper_curve])
     def test_empty_ms_is_an_empty_curve(self, curve):
@@ -185,17 +190,6 @@ class TestUpperBounds:
             curve(2, ms)
 
 
-class TestShatterCoefficientBound:
-    def test_log2_form(self):
-        assert shatter_coefficient_bound_log2(2, 3, 8) == pytest.approx(3 + 9 * 3)
-
-    @pytest.mark.parametrize("n", [0, math.nan, math.inf, 2.5, True], ids=["0", "nan", "inf", "2.5", "true"])
-    def test_n_must_be_an_integer_at_least_1(self, n):
-        # nan and inf gave nan and inf, 2.5 a bound for no point count, and True the bound at n=1
-        with pytest.raises(InvalidInputError, match="n must be an integer >= 1"):
-            shatter_coefficient_bound_log2(2, 3, n)
-
-
 class TestBoundsReport:
     def test_compute_bounds_fields(self):
         rep = compute_bounds(2, 3)
@@ -210,11 +204,12 @@ class TestBoundsReport:
             assert compute_bounds_range(d, range(3, 51)) == [compute_bounds(d, m) for m in range(3, 51)]
 
     @pytest.mark.parametrize("d", [2, 3, 10, 64])
-    def test_scalar_upper_bounds_are_the_row_fields(self, d):
+    def test_curves_are_the_row_fields(self, d):
+        # one function per bound: plot-data's curves are the bounds table's columns, bit for bit
         ms = [*range(3, 61), 10**6]
-        for m, row in zip(ms, compute_bounds_range(d, ms)):
-            assert upper_bound_tight(d, m) == (row.upper_tight_real, row.upper_tight)
-            assert upper_bound_loose(d, m) == row.upper_loose
+        rows = compute_bounds_range(d, ms)
+        assert tight_upper_curve(d, ms).tolist() == [row.upper_tight_real for row in rows]
+        assert loose_upper_curve(d, ms).tolist() == [row.upper_loose for row in rows]
 
     def test_range_refuses_an_m_off_the_grid(self):
         with pytest.raises(UnsupportedParametersError):

@@ -199,13 +199,6 @@ class TestWitnessAndVerify:
         code, out, _ = run_cli(capsys, "verify", str(path))
         assert (code, out) == (EXIT_VERIFICATION, "labelling 0x1: missing from certificate\n")
 
-    def test_env_seed_is_default(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("VCNN_SEED", "42")
-        path = tmp_path / "square.json"
-        code, _, _ = run_cli(capsys, "witness", "polytope", "--square", "--no-meta", "--out", str(path))
-        assert code == EXIT_OK
-        assert json.loads(path.read_text())["check"]["seed"] == 42
-
     def test_nonpositive_mu_refused(self, capsys, tmp_path):
         path = tmp_path / "gunn4.json"
         code, _, err = run_cli(
@@ -315,16 +308,19 @@ class TestWitnessAndVerify:
         # paths relative to the test's own directory
         (("verify", "missing.json"), "error: cannot read certificate: "),
         (("verify", "truncated.json"), "error: cannot read certificate: "),
+        (("verify", "deep.json"), "error: cannot read certificate: "),
     ],
     ids=["bounds-non-integer", "witness-zero-radius", "search-beyond-desk-scale",
          "witness-gunn-small-radius", "witness-gunn-large-mu", "witness-gunn-nan-radius",
          "witness-takacs-inf-radius", "witness-takacs-inf-mu", "search-inf-mu",
          "plot-data-empty-d", "plot-data-repeated-d", "search-huge-trials", "search-huge-m",
-         "search-huge-d", "bounds-empty-range", "verify-missing-file", "verify-non-json-file"],
+         "search-huge-d", "bounds-empty-range", "verify-missing-file", "verify-non-json-file",
+         "verify-deeply-nested-file"],
 )
 def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, want):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "truncated.json").write_text('{"schema": ')
+    (tmp_path / "deep.json").write_text("[" * 100_000)   # json.load recurses once per level
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert err.startswith(want or "error:")
@@ -507,35 +503,30 @@ def test_square_witness_verify_runs_the_check_once(capsys, tmp_path, monkeypatch
 
 
 @pytest.mark.parametrize(
-    "env, argv, edit",
+    "argv, edit",
     [
-        ({}, ("search", "--d", "2", "--m", "3", "--n", "4", "--seed", "-1"), None),
-        ({"VCNN_SEED": "-3"}, ("search", "--d", "2", "--m", "3", "--n", "4"), None),
-        ({}, ("witness", "polytope", "--square", "--seed", "-1"), None),
-        ({"VCNN_SEED": "-1"}, ("witness", "polytope", "--square"), None),
-        ({}, ("witness", "takacs", "--n", "2", "--radius", "1e-9"), None),
-        ({}, ("witness", "gunn", "--m", "5", "--radius", "1e-9", "--mu", "1e-13"), None),
-        ({}, ("witness", "takacs", "--n", "2", "--radius", "1e155"), None),
-        ({}, ("witness", "gunn", "--m", "4", "--radius", "1e154"), None),
-        ({}, ("verify",), lambda doc: doc["facets"]["offsets"].append(1.0)),
-        ({}, ("verify",), lambda doc: doc["facets"]["normals"].append([1, 1])),
-        ({}, ("verify",), lambda doc: doc["facets"]["offsets"].__setitem__(0, "1.0")),
-        ({}, ("verify",), lambda doc: doc["prototypes"][1].__setitem__(0, "2.0")),
-        ({}, ("verify",), lambda doc: doc["facets"]["normals"][0].__setitem__(0, True)),
-        ({}, ("verify",), lambda doc: doc.update(interior="x")),
-        ({}, ("verify",), lambda doc: doc.update(interior=[5, 5])),
-        ({}, ("verify",), lambda doc: doc["prototypes"][1].__setitem__(0, 2.5)),
-        ({}, ("verify",), lambda doc: doc["labels"].__setitem__(1, 1)),
+        (("search", "--d", "2", "--m", "3", "--n", "4", "--seed", "-1"), None),
+        (("witness", "polytope", "--square", "--seed", "-1"), None),
+        (("witness", "takacs", "--n", "2", "--radius", "1e-9"), None),
+        (("witness", "gunn", "--m", "5", "--radius", "1e-9", "--mu", "1e-13"), None),
+        (("witness", "takacs", "--n", "2", "--radius", "1e155"), None),
+        (("witness", "gunn", "--m", "4", "--radius", "1e154"), None),
+        (("verify",), lambda doc: doc["facets"]["offsets"].append(1.0)),
+        (("verify",), lambda doc: doc["facets"]["normals"].append([1, 1])),
+        (("verify",), lambda doc: doc["facets"]["offsets"].__setitem__(0, "1.0")),
+        (("verify",), lambda doc: doc["prototypes"][1].__setitem__(0, "2.0")),
+        (("verify",), lambda doc: doc["facets"]["normals"][0].__setitem__(0, True)),
+        (("verify",), lambda doc: doc.update(interior="x")),
+        (("verify",), lambda doc: doc.update(interior=[5, 5])),
+        (("verify",), lambda doc: doc["prototypes"][1].__setitem__(0, 2.5)),
+        (("verify",), lambda doc: doc["labels"].__setitem__(1, 1)),
     ],
-    ids=["search-seed-negative", "search-env-seed-negative", "polytope-seed-negative",
-         "polytope-env-seed-negative", "takacs-tiny-radius", "gunn-tiny-radius", "takacs-huge-radius",
-         "gunn-huge-radius", "polytope-extra-offset", "polytope-extra-normal", "polytope-offset-string",
+    ids=["search-seed-negative", "polytope-seed-negative", "takacs-tiny-radius", "gunn-tiny-radius",
+         "takacs-huge-radius", "gunn-huge-radius", "polytope-extra-offset", "polytope-extra-normal", "polytope-offset-string",
          "polytope-prototype-string", "polytope-normal-true", "polytope-interior-string",
          "polytope-interior-outside", "polytope-prototype-moved", "polytope-label-flipped"],
 )
-def test_input_the_tool_cannot_serve_is_usage_error(capsys, tmp_path, monkeypatch, env, argv, edit):
-    for key, value in env.items():
-        monkeypatch.setenv(key, value)
+def test_input_the_tool_cannot_serve_is_usage_error(capsys, tmp_path, argv, edit):
     if edit is not None:
         path = tmp_path / "square.json"
         run_cli(capsys, "witness", "polytope", "--square", "--seed", "0", "--no-meta", "--out", str(path))

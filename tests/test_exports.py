@@ -17,8 +17,11 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # Then names the tool never called: realizes is realisation(s, points,
 # labeling.array, mu), the float shatter bound is the _log2 form, and the
 # sample-size estimate rested on a convention constant that proves nothing.
+# Last the per-bound scalars: each is a field of compute_bounds(d, m), and
+# the log2 shatter bound is m + q * log2(n) of its q.
 REMOVED = ["contains", "INSIDE", "BOUNDARY", "OUTSIDE", "classify",
-           "realizes", "shatter_coefficient_bound", "sample_size_estimate", "DEFAULT_PAC_CONSTANT"]
+           "realizes", "shatter_coefficient_bound", "sample_size_estimate", "DEFAULT_PAC_CONSTANT",
+           "lower_bound", "shatter_q", "upper_bound_tight", "upper_bound_loose", "shatter_coefficient_bound_log2"]
 
 
 def test_every_exported_name_resolves():
@@ -57,6 +60,26 @@ def test_package_imports_only_the_standard_library_numpy_and_itself():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, f"{path.name} imports {name}"
+
+
+def test_every_module_level_import_is_used():
+    # no linter runs here, so an import left behind by a deletion is caught here;
+    # __init__ imports to re-export, and a line marked "noqa: F401" imports on purpose
+    for path in sorted(Path(vcnn.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text()
+        lines = text.splitlines()
+        tree = ast.parse(text, filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    exempt = "# noqa: F401" in lines[alias.lineno - 1]
+                    assert exempt or bound in used, f"{path.name}:{alias.lineno} imports {bound} but never uses it"
 
 
 def test_readme_python_examples_run():

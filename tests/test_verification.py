@@ -272,7 +272,7 @@ class TestCertificateJson:
         assert certificate_json(cert, generator.__name__) == _dumped(cert, generator.__name__)
 
     def test_search_in_three_dimensions(self):
-        _, cert = search_lower_bound(SearchConfig(d=3, m=2, n=4, trials=8, point_sets=2, steps=40))
+        cert = search_lower_bound(SearchConfig(d=3, m=2, n=4, trials=8, point_sets=2, steps=40))
         assert cert is not None and cert.arrangement.points.shape[1] == 3
         assert certificate_json(cert, "search_lower_bound") == _dumped(cert, "search_lower_bound")
 
@@ -467,16 +467,14 @@ class TestSearchConfig:
 class TestSearchLowerBound:
     def test_halfplane_case_shatters_three_points(self):
         cfg = SearchConfig(d=2, m=2, n=3, trials=16, point_sets=2, steps=80, rng_seed=0)
-        n_found, cert = search_lower_bound(cfg)
-        assert n_found == 3
-        assert cert is not None and cert.verified
+        cert = search_lower_bound(cfg)
+        assert cert is not None and cert.verified and cert.arrangement.n == 3
         assert stored_bits(cert) == list(range(8))
 
     def test_reproducible_bit_for_bit(self):
         # the halfplane budget certifies n=3, so a witness and a margin are compared
         cfg = SearchConfig(d=2, m=2, n=3, trials=16, point_sets=2, steps=80, rng_seed=0)
-        (n1, c1), (n2, c2) = search_lower_bound(cfg), search_lower_bound(cfg)
-        assert n1 == n2 == 3
+        c1, c2 = search_lower_bound(cfg), search_lower_bound(cfg)
         assert c1 is not None and c2 is not None
         assert np.array_equal(c1.arrangement.points, c2.arrangement.points)
         assert c1.min_margin == c2.min_margin
@@ -500,7 +498,7 @@ class TestSearchLowerBound:
         sweep_parts(parts)
         monkeypatch.setattr(verification, "_BATCH_ROWS", self._ONE_PROTOTYPE.trials)   # one labelling per chunk
         monkeypatch.setattr(kernels, "search_batch", recording)
-        assert search_lower_bound(self._ONE_PROTOTYPE) == (0, None)
+        assert search_lower_bound(self._ONE_PROTOTYPE) is None
         assert multiprocessing.active_children() == []
         return [[int(bits) for bits in line.split()] for line in log.read_text().splitlines()]
 
@@ -520,7 +518,7 @@ class TestSearchLowerBound:
 
     def test_witnesses_reverify_without_generator(self):
         cfg = SearchConfig(d=2, m=2, n=3, trials=16, point_sets=2, steps=80, rng_seed=0)
-        _, cert = search_lower_bound(cfg)
+        cert = search_lower_bound(cfg)
         for bits, witness in witness_rows(cert):
             got, margins = evaluate_margins(witness, cert.arrangement.points)
             assert np.all(got == Labeling(bits, 3).array)
@@ -714,8 +712,8 @@ class TestSweepParts:
         want = search_lower_bound(cfg)
         sweep_parts(2)
         got = search_lower_bound(cfg)
-        assert got[0] == want[0] == 6
-        self._same(got[1], want[1])
+        assert got.arrangement.n == want.arrangement.n == 6
+        self._same(got, want)
 
     def test_counts_of_the_c8_draw_agree_in_one_two_and_three_parts(self, sweep_parts):
         budget = SearchBudget(trials=4, steps=24, rng_seed=1)
