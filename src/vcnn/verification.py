@@ -124,28 +124,25 @@ def verify_shattering(arrangement: Arrangement, generator, mu: float = DEFAULT_M
 
 # Sweeps of at least this many labellings are split across forked workers.
 # Below it the workers cost more than they save: takacs n=4 (1,024
-# labellings) was no faster in two parts, takacs n=5 (4,096) was. A search
-# sweep splits from one kernel chunk of rows up instead (see ``_parts``).
+# labellings) was no faster in two parts, takacs n=5 (4,096) was, and
+# search-count's counts of 3 to 8 points were no faster as a whole forked.
 _FORK_LABELLINGS = 1 << 12
 
 
-def _parts(n: int, trials: int | None = None) -> int:
+def _parts(n: int) -> int:
     """How many parts the sweep of the 2^n labellings of n points is split into.
 
-    One per CPU this process may run on when the sweep is large enough
-    and the platform can fork; 1, an in-process sweep, otherwise. A
-    search sweep of ``trials`` restarts per labelling is large enough
-    once its ``2^n * trials`` rows fill one ``_BATCH_ROWS`` kernel chunk,
-    any other sweep from ``_FORK_LABELLINGS`` labellings up.
+    One per CPU this process may run on from ``_FORK_LABELLINGS``
+    labellings up, on a platform that can fork; 1, an in-process sweep,
+    otherwise. The one rule for every sweep: constructions,
+    re-verification, searches and counts.
     """
-    size, least = (1 << n, _FORK_LABELLINGS) if trials is None else ((1 << n) * trials, _BATCH_ROWS)
-    if size < least or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    if 1 << n < _FORK_LABELLINGS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
 
-def _certify(arrangement: Arrangement, mu: float, produce, keep: bool = True,
-             trials: int | None = None) -> ShatterCertificate:
+def _certify(arrangement: Arrangement, mu: float, produce, keep: bool = True) -> ShatterCertificate:
     """The certificate of the sweep over ``produce(bitmasks)``.
 
     ``produce`` maps ascending labelling bitmasks to the sweep's stream
@@ -153,28 +150,27 @@ def _certify(arrangement: Arrangement, mu: float, produce, keep: bool = True,
     labelling and records it; failure is data, not an exception. The
     passing witnesses are recorded when ``keep``. Refuses more than
     ``_MAX_EXHAUSTIVE_N`` points and a ``mu`` that is not finite and
-    positive before any labelling is produced. ``trials`` is the restarts
-    per labelling of a search sweep, None for any other (see ``_parts``).
-    The parts' ``_collected`` replies (see ``_swept``) make the
-    certificate in ``_merged``.
+    positive before any labelling is produced. The sweep runs in the parts
+    ``_parts`` sets, and their ``_collected`` replies (see ``_swept``) make
+    the certificate in ``_merged``.
     """
     check_exhaustive(arrangement.n)
     check_mu(mu)
-    replies = _swept(arrangement, mu, produce, functools.partial(_collected, keep=keep), trials)
+    replies = _swept(arrangement, mu, produce, functools.partial(_collected, keep=keep))
     witnesses, min_margin, failure = _merged(replies)
     first, reason = failure or (None, None)
     return ShatterCertificate(arrangement=arrangement, mu=float(mu), witnesses=witnesses, min_margin=min_margin,
                               verified=failure is None, first_failure=first, failure_reason=reason)
 
 
-def _swept(arrangement: Arrangement, mu: float, produce, tally, trials: int | None = None) -> list:
+def _swept(arrangement: Arrangement, mu: float, produce, tally) -> list:
     """``tally(arrangement, mu, stream, stop)`` of every part of the sweep over ``produce(bitmasks)``.
 
     With one part (see ``_parts``) the stream is all 2^n labellings, swept
     in this process, and ``stop`` is None; with more, the parts are swept
     by ``_forked``.
     """
-    parts = _parts(arrangement.n, trials)
+    parts = _parts(arrangement.n)
     if parts == 1:
         return [tally(arrangement, mu, produce(range(1 << arrangement.n)), None)]
     return _forked(arrangement, mu, produce, parts, tally)
@@ -338,9 +334,6 @@ _STEP_DECAY = 0.5   # step factor after a sweep that improves nothing
 # Rows (labellings x restarts) the search climbs in one lockstep batch:
 # enough to spread NumPy's per-call cost, few enough that the sweep's stop
 # at a failing labelling wastes little and the batch stays small in memory.
-# A search sweep of fewer rows runs in process (see ``_parts``), so only a
-# forked part climbs a full chunk: on two CPUs, each part of a count of 8
-# points at 4 trials (128 labellings) is one kernel call.
 _BATCH_ROWS = 512
 
 # The search's largest array is the kernel's coordinate differences of
@@ -477,7 +470,7 @@ def search_lower_bound(cfg: SearchConfig):
     for ps in range(cfg.point_sets):
         points = np.random.default_rng([cfg.rng_seed, ps]).uniform(-1.0, 1.0, size=(cfg.n, cfg.d))
         arrangement = Arrangement(kind="search", points=points, radius=1.0, param=cfg.m)
-        cert = _certify(arrangement, cfg.mu, functools.partial(_searched, cfg, ps, arrangement), trials=cfg.trials)
+        cert = _certify(arrangement, cfg.mu, functools.partial(_searched, cfg, ps, arrangement))
         if cert.verified:
             return cert
     return None
@@ -491,14 +484,14 @@ def shatter_coefficient_exhaustive(points, m: int, budget: SearchBudget) -> int:
     The size cap is checked once, here, with ``m`` and the points' own n
     and d. ``m`` and ``points`` that ``Arrangement`` refuses, and a search
     too large to allocate, raise ``InvalidInputError``. The sweep reads
-    every labelling, in parts as a search does (see ``_parts``).
+    every labelling, in the parts every sweep runs in (see ``_parts``).
     """
     arrangement = Arrangement(kind="search", points=points, radius=1.0, param=m)
     if arrangement.n > _MAX_COEFFICIENT_N:
         raise InvalidInputError(f"2^{arrangement.n} labelings is beyond desk scale for counting")
     _check_search_size(budget.trials, m, *arrangement.points.shape)
     produce = functools.partial(_searched, budget, 0, arrangement)
-    return sum(_swept(arrangement, budget.mu, produce, _realised, budget.trials))
+    return sum(_swept(arrangement, budget.mu, produce, _realised))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import ast
 import inspect
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -80,6 +82,16 @@ def test_every_module_level_import_is_used():
                     bound = (alias.asname or alias.name).split(".")[0]
                     exempt = "# noqa: F401" in lines[alias.lineno - 1]
                     assert exempt or bound in used, f"{path.name}:{alias.lineno} imports {bound} but never uses it"
+
+
+def test_cli_import_loads_no_pool_and_no_random():
+    # start-up cost of every command: a process pool and NumPy's random module load only when used
+    src = str(Path(vcnn.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = ("import sys, vcnn.cli; "
+             "print(sorted({'multiprocessing', 'concurrent.futures', 'numpy.random'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_readme_python_examples_run():

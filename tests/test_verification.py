@@ -813,14 +813,26 @@ class TestSweepParts:
         assert verification._parts(takacs_arrangement(5).n) == 2
         assert verify_shattering(gunn_arrangement(5), gunn_shatter).verified
 
-    def test_search_sweeps_fork_from_one_chunk(self, monkeypatch):
-        # 2^n x trials rows: a count at 4 trials forks from 7 points, a search at 24 trials from 5
+    def test_every_sweep_forks_by_its_labelling_count_alone(self, monkeypatch):
+        # one rule: 2^12 labellings or more fork, searches and counts included, whatever their trials
         def no_fork():
-            raise AssertionError("a search sweep under one chunk forked")
+            raise AssertionError("a sweep under 2^12 labellings forked")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert [verification._parts(n, 4) for n in (6, 7)] == [1, 2]
-        assert [verification._parts(n, 24) for n in (4, 5)] == [1, 2]
-        monkeypatch.setattr(os, "fork", no_fork)
-        points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(6, 2))
-        assert 2 <= shatter_coefficient_exhaustive(points, 3, SearchBudget(trials=4, steps=10)) <= 64
+        assert [verification._parts(n) for n in (11, 12)] == [1, 2]
+        with monkeypatch.context() as unforked:
+            unforked.setattr(os, "fork", no_fork)
+            points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(8, 2))
+            assert 2 <= shatter_coefficient_exhaustive(points, 3, SearchBudget(trials=4, steps=10)) <= 256
+            search_lower_bound(SearchConfig(d=2, m=3, n=6, trials=24, point_sets=1, steps=10))
+        forked = []
+        fork_parts = verification._forked
+
+        def recorded(arrangement, *rest):
+            forked.append(arrangement.n)
+            return fork_parts(arrangement, *rest)
+
+        monkeypatch.setattr(verification, "_forked", recorded)
+        points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(12, 2))
+        assert 2 <= shatter_coefficient_exhaustive(points, 3, SearchBudget(trials=1, steps=1)) <= 1 << 12
+        assert forked == [12] and multiprocessing.active_children() == []
