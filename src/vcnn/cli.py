@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import gc
 import io
 import json
 import sys
@@ -181,21 +180,18 @@ def cmd_witness(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    collecting = gc.isenabled()
-    gc.disable()   # the parse makes many objects and no cycles, so the cyclic collector's passes find nothing
     try:
-        try:
-            with open(args.certificate) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError, RecursionError) as exc:   # too deeply nested is unreadable too
-            raise CertificateError(f"cannot read certificate: {exc}") from exc
-        # certificate_from_dict refuses a document that is not an object or names another schema
-        if not (isinstance(doc, dict) and doc.get("schema") == POLYTOPE_SCHEMA):
-            doc = certificate_from_dict(doc)   # drops the parsed text, which forked re-check workers need not inherit
-    finally:
-        if collecting:
-            gc.enable()
-    ok, message = reverify_polytope_witness(doc) if isinstance(doc, dict) else reverify_certificate(doc)
+        with open(args.certificate) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:   # too deeply nested is unreadable too
+        raise CertificateError(f"cannot read certificate: {exc}") from exc
+    # certificate_from_dict refuses a document that is not an object or names another schema
+    if isinstance(doc, dict) and doc.get("schema") == POLYTOPE_SCHEMA:
+        ok, message = reverify_polytope_witness(doc)
+    else:
+        cert = certificate_from_dict(doc)
+        del doc   # the parsed text is not needed again, and forked re-check workers need not inherit it
+        ok, message = reverify_certificate(cert)
     print(message)
     return EXIT_OK if ok else EXIT_VERIFICATION
 

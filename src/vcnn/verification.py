@@ -122,27 +122,29 @@ def verify_shattering(arrangement: Arrangement, generator, mu: float = DEFAULT_M
     return _certify(arrangement, mu, called)
 
 
-# Sweeps of at least this many labellings are split across forked workers.
-# Below it the workers cost more than they save: takacs n=4 (1,024
-# labellings) was no faster in two parts, takacs n=5 (4,096) was, and
-# search-count's counts of 3 to 8 points were no faster as a whole forked.
+# Sweeps of at least this much work are split across forked workers: a
+# labelling counts once, and a search's labelling once per restart. Below
+# it the workers cost more than they save: takacs n=4 (1,024 labellings)
+# was no faster in two parts, takacs n=5 (4,096) was.
 _FORK_LABELLINGS = 1 << 12
 
 
-def _parts(n: int) -> int:
+def _parts(n: int, restarts: int = 1) -> int:
     """How many parts the sweep of the 2^n labellings of n points is split into.
 
-    One per CPU this process may run on from ``_FORK_LABELLINGS``
-    labellings up, on a platform that can fork; 1, an in-process sweep,
-    otherwise. The one rule for every sweep: constructions,
+    One per CPU this process may run on once ``2^n * restarts`` reaches
+    ``_FORK_LABELLINGS``, on a platform that can fork; 1, an in-process
+    sweep, otherwise. ``restarts`` is the search's restarts per labelling,
+    1 for any other sweep: the one rule for constructions,
     re-verification, searches and counts.
     """
-    if 1 << n < _FORK_LABELLINGS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+    if (1 << n) * restarts < _FORK_LABELLINGS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return 1
     return len(os.sched_getaffinity(0))
 
 
-def _certify(arrangement: Arrangement, mu: float, produce, keep: bool = True) -> ShatterCertificate:
+def _certify(arrangement: Arrangement, mu: float, produce, keep: bool = True,
+             restarts: int = 1) -> ShatterCertificate:
     """The certificate of the sweep over ``produce(bitmasks)``.
 
     ``produce`` maps ascending labelling bitmasks to the sweep's stream
@@ -151,26 +153,27 @@ def _certify(arrangement: Arrangement, mu: float, produce, keep: bool = True) ->
     passing witnesses are recorded when ``keep``. Refuses more than
     ``_MAX_EXHAUSTIVE_N`` points and a ``mu`` that is not finite and
     positive before any labelling is produced. The sweep runs in the parts
-    ``_parts`` sets, and their ``_collected`` replies (see ``_swept``) make
-    the certificate in ``_merged``.
+    ``_parts`` sets for its ``restarts`` per labelling, and their
+    ``_collected`` replies (see ``_swept``) make the certificate in
+    ``_merged``.
     """
     check_exhaustive(arrangement.n)
     check_mu(mu)
-    replies = _swept(arrangement, mu, produce, functools.partial(_collected, keep=keep))
+    replies = _swept(arrangement, mu, produce, functools.partial(_collected, keep=keep), restarts)
     witnesses, min_margin, failure = _merged(replies)
     first, reason = failure or (None, None)
     return ShatterCertificate(arrangement=arrangement, mu=float(mu), witnesses=witnesses, min_margin=min_margin,
                               verified=failure is None, first_failure=first, failure_reason=reason)
 
 
-def _swept(arrangement: Arrangement, mu: float, produce, tally) -> list:
+def _swept(arrangement: Arrangement, mu: float, produce, tally, restarts: int = 1) -> list:
     """``tally(arrangement, mu, stream, stop)`` of every part of the sweep over ``produce(bitmasks)``.
 
-    With one part (see ``_parts``) the stream is all 2^n labellings, swept
-    in this process, and ``stop`` is None; with more, the parts are swept
-    by ``_forked``.
+    With one part (see ``_parts``, for ``restarts`` per labelling) the
+    stream is all 2^n labellings, swept in this process, and ``stop`` is
+    None; with more, the parts are swept by ``_forked``.
     """
-    parts = _parts(arrangement.n)
+    parts = _parts(arrangement.n, restarts)
     if parts == 1:
         return [tally(arrangement, mu, produce(range(1 << arrangement.n)), None)]
     return _forked(arrangement, mu, produce, parts, tally)
@@ -470,7 +473,7 @@ def search_lower_bound(cfg: SearchConfig):
     for ps in range(cfg.point_sets):
         points = np.random.default_rng([cfg.rng_seed, ps]).uniform(-1.0, 1.0, size=(cfg.n, cfg.d))
         arrangement = Arrangement(kind="search", points=points, radius=1.0, param=cfg.m)
-        cert = _certify(arrangement, cfg.mu, functools.partial(_searched, cfg, ps, arrangement))
+        cert = _certify(arrangement, cfg.mu, functools.partial(_searched, cfg, ps, arrangement), restarts=cfg.trials)
         if cert.verified:
             return cert
     return None
@@ -491,7 +494,7 @@ def shatter_coefficient_exhaustive(points, m: int, budget: SearchBudget) -> int:
         raise InvalidInputError(f"2^{arrangement.n} labelings is beyond desk scale for counting")
     _check_search_size(budget.trials, m, *arrangement.points.shape)
     produce = functools.partial(_searched, budget, 0, arrangement)
-    return sum(_swept(arrangement, budget.mu, produce, _realised))
+    return sum(_swept(arrangement, budget.mu, produce, _realised, budget.trials))
 
 
 # ---------------------------------------------------------------------------

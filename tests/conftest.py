@@ -27,7 +27,7 @@ def sweep_parts(monkeypatch):
     from vcnn import verification
 
     def force(parts: int) -> None:
-        monkeypatch.setattr(verification, "_parts", lambda n: parts)
+        monkeypatch.setattr(verification, "_parts", lambda n, restarts=1: parts)
 
     yield force
     assert multiprocessing.active_children() == []

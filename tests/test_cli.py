@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import hashlib
 import json
 import math
@@ -325,21 +324,6 @@ def test_bad_input_is_usage_error(capsys, tmp_path, monkeypatch, argv, want):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_USAGE and out == ""
     assert err.startswith(want or "error:")
-
-
-@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
-def test_verify_leaves_the_cyclic_collector_as_it_found_it(capsys, tmp_path, collecting):
-    # verify parses with the collector paused; a refused file must not leave it paused
-    good, bad = tmp_path / "takacs2.json", tmp_path / "bad.json"
-    bad.write_text('{"schema": ')
-    run_cli(capsys, "witness", "takacs", "--n", "2", "--no-meta", "--out", str(good))
-    enabled = gc.isenabled()
-    try:
-        (gc.enable if collecting else gc.disable)()
-        assert run_cli(capsys, "verify", str(good))[0] == EXIT_OK and gc.isenabled() == collecting
-        assert run_cli(capsys, "verify", str(bad))[0] == EXIT_USAGE and gc.isenabled() == collecting
-    finally:
-        (gc.enable if enabled else gc.disable)()
 
 
 @pytest.mark.parametrize(

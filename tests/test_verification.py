@@ -813,13 +813,15 @@ class TestSweepParts:
         assert verification._parts(takacs_arrangement(5).n) == 2
         assert verify_shattering(gunn_arrangement(5), gunn_shatter).verified
 
-    def test_every_sweep_forks_by_its_labelling_count_alone(self, monkeypatch):
-        # one rule: 2^12 labellings or more fork, searches and counts included, whatever their trials
+    def test_every_sweep_forks_by_labellings_times_restarts(self, monkeypatch):
+        # one rule: 2^n x restarts per labelling (1 outside a search) of 2^12 or more forks
         def no_fork():
-            raise AssertionError("a sweep under 2^12 labellings forked")
+            raise AssertionError("a sweep under 2^12 labellings x restarts forked")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert [verification._parts(n) for n in (11, 12)] == [1, 2]
+        assert [verification._parts(8, trials) for trials in (4, 15, 16, 24)] == [1, 1, 2, 2]
+        assert verification._parts(6, 24) == 1
         with monkeypatch.context() as unforked:
             unforked.setattr(os, "fork", no_fork)
             points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(8, 2))
@@ -833,6 +835,7 @@ class TestSweepParts:
             return fork_parts(arrangement, *rest)
 
         monkeypatch.setattr(verification, "_forked", recorded)
-        points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(12, 2))
-        assert 2 <= shatter_coefficient_exhaustive(points, 3, SearchBudget(trials=1, steps=1)) <= 1 << 12
-        assert forked == [12] and multiprocessing.active_children() == []
+        for n, trials in ((12, 1), (8, 16)):
+            points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(n, 2))
+            assert 2 <= shatter_coefficient_exhaustive(points, 3, SearchBudget(trials=trials, steps=1)) <= 1 << n
+        assert forked == [12, 8] and multiprocessing.active_children() == []
