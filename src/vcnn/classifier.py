@@ -81,6 +81,17 @@ class LabeledPrototypeSet:
             sets.append(s)
         return sets
 
+    def negated(self) -> "LabeledPrototypeSet":
+        """A copy of the prototypes with every label negated: the witness of the complement labelling.
+
+        Negating the labels and the target leaves every margin of
+        ``realisation`` bit for bit as it was, so the copy realises ``~L``
+        exactly when this set realises ``L``, at the same minimum margin.
+        It is not checked again: ``check_prototype_stack``'s verdict does
+        not change when labels +1 and -1 swap.
+        """
+        return LabeledPrototypeSet.from_checked_stack([self.prototypes.copy()], [-self.labels])[0]
+
     @property
     def m(self) -> int:
         return self.prototypes.shape[0]

@@ -240,13 +240,11 @@ def _paired(arrangement: Arrangement, labeling: Labeling, mu: float, build) -> L
     ``build`` must read the labelling only through which points share a
     label with a reference point, so that its witness of ``~L`` is its
     witness of ``L`` with every label negated. The first member asked for
-    is built and parks ``(bits, prototypes, negated labels)``, private
-    copies, under ``("pair", min(L, ~L), mu)``. The complement pops the
-    entry and wraps the copy, which no one else holds once it has left the
-    table, without ``check_prototype_stack``: that verdict reads only the
-    prototypes, which passed when the first member was built. The same
-    labelling asked for again is rebuilt, never negated. A build that
-    raises parks nothing.
+    is built and parks ``(bits, witness.negated())``, a private copy,
+    under ``("pair", min(L, ~L), mu)``. The complement pops the entry and
+    takes the copy, which no one else holds once it has left the table.
+    The same labelling asked for again is rebuilt, never negated. A build
+    that raises parks nothing.
     """
     bits = labeling.bits
     other = bits ^ ((1 << labeling.size) - 1)
@@ -255,9 +253,9 @@ def _paired(arrangement: Arrangement, labeling: Labeling, mu: float, build) -> L
     entry = plans.get(key)
     if entry is not None and entry[0] == other:
         del plans[key]
-        return LabeledPrototypeSet.from_checked_stack([entry[1]], [entry[2]])[0]
+        return entry[1]
     witness = build(arrangement, labeling, mu)
-    plans[key] = (bits, witness.prototypes.copy(), -witness.labels)
+    plans[key] = (bits, witness.negated())
     return witness
 
 

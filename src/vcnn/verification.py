@@ -29,12 +29,17 @@ witnesses: it samples point sets and certifies each through the same
 sweep, hill-climbing a chunk of labellings at a time in one lockstep
 batch, a chunk only when the sweep reaches it. Finding a certificate proves
 the lower bound for that n; not finding one proves nothing and is always
-reported as a budget-limited negative, never as impossibility.
-Deterministic for a fixed seed: every labelling derives its own child
-seed, so results depend neither on evaluation order nor on chunking, and
-so neither on the number of parts. ``shatter_coefficient_exhaustive``
+reported as a budget-limited negative, never as impossibility. Swapping
+every prototype's label realises the complement labelling ``~L`` at the
+same margins, so the search climbs only the lower member ``min(L, ~L)``
+of each pair, and ``~L`` takes its witness with the labels negated (or
+its failure reason), which the sweep checks like any other.
+Deterministic for a fixed seed: every climbed labelling derives its own
+child seed, and a part holds both members of each pair, so results
+depend neither on evaluation order nor on chunking, and so neither on
+the number of parts. ``shatter_coefficient_exhaustive``
 counts the labellings one sweep of the search realises, in parts too,
-and reads only a ``SearchBudget``;
+so every count is even, and reads only a ``SearchBudget``;
 ``search_lower_bound`` takes a ``SearchConfig``, a budget plus what it samples.
 """
 
@@ -422,45 +427,70 @@ def _restart_pool(rng: np.random.Generator, points: np.ndarray, target: np.ndarr
 def _searched(budget: SearchBudget, ps: int, arrangement: Arrangement, bitmasks):
     """The sweep's stream for point set ``ps``: ``(labeling, witness or reason)`` found by search.
 
-    The labellings of the ascending ``bitmasks`` are searched in chunks of
-    about ``_BATCH_ROWS`` rows (labellings x ``budget.trials``), each chunk in
-    one ``kernels.search_batch`` call made only when the sweep reads its
-    first labelling. Places ``arrangement.budget`` prototypes. Restarts are
-    seeded with ``[rng_seed, ps, bits]``, so a witness depends neither on
-    chunk boundaries nor on evaluation order. A labelling no restart
-    realises at margin 2 mu gets a failure reason in place of a witness.
-    The restarts' bounding box is computed once per point set.
+    Only the lower member ``L = min(L, ~L)`` of each complementary pair
+    is climbed; its complement ``~L`` takes ``L``'s witness with every
+    label negated (``LabeledPrototypeSet.negated``), or ``L``'s failure
+    reason, and the sweep checks it like any other witness. The
+    ascending ``bitmasks`` are read in chunks of about ``_BATCH_ROWS``
+    rows (labellings x ``budget.trials``), only when the sweep reads a
+    chunk's first labelling, and the chunk's lower members are climbed in
+    one ``kernels.search_batch`` call. An upper member whose lower member
+    came neither in its chunk nor before it is climbed too. Places
+    ``arrangement.budget`` prototypes. Restarts are seeded with
+    ``[rng_seed, ps, bits]`` of the climbed labelling, so a witness
+    depends neither on chunk boundaries nor on evaluation order. A
+    labelling no restart realises at margin 2 mu gets a failure reason in
+    place of a witness. The restarts' bounding box is computed once per
+    point set. A complement is held only until it is read.
     """
-    points, n, mu = arrangement.points, arrangement.n, budget.mu
+    points, n = arrangement.points, arrangement.n
     high, low = points.max(axis=0), points.min(axis=0)
     span = high - low
     scale = max(float(span.max()), 1e-6)
     centre = 0.5 * (high + low)
     box = centre - span, centre + span, np.array([-1, 1])
     chunk = max(1, _BATCH_ROWS // budget.trials)
+    top, full = n - 1, (1 << n) - 1   # bit n-1 is set exactly in the upper member of a pair
+    found = {}   # the results of a chunk's climbs, and each climbed lower member's complement, until read
     bitmasks = iter(bitmasks)
     while batch := list(itertools.islice(bitmasks, chunk)):
-        labelings = [Labeling(bits, n) for bits in batch]
-        pools = [
-            _restart_pool(np.random.default_rng([budget.rng_seed, ps, lab.bits]), points, lab.array,
-                          budget.trials, arrangement.budget, box, scale)
-            for lab in labelings
-        ]
-        init_labels = np.stack([labels for _, labels in pools])
-        best, protos, ridx = kernels.search_batch(
-            points, np.array([lab.array for lab in labelings]), np.stack([inits for inits, _ in pools]),
-            init_labels, budget.steps, _STEP_INIT * scale, _STEP_DECAY, 2.0 * mu, 1e-6 * scale,
-        )
-        labels = init_labels[np.arange(len(labelings)), ridx]
-        for labeling, margin, witness_protos, witness_labels in zip(labelings, best, protos, labels):
-            if margin < 2.0 * mu:
-                yield labeling, f"no witness within budget (best margin {margin:.3e})"
-                continue
-            try:
-                found = LabeledPrototypeSet(witness_protos, witness_labels)
-            except InvalidInputError as exc:
-                found = f"search witness rejected: {exc}"
-            yield labeling, found
+        members = set(batch)
+        climb = [bits for bits in batch if bits not in found and not (bits >> top and bits ^ full in members)]
+        if climb:
+            for bits, result in zip(climb, _climbed(budget, ps, arrangement, climb, box, scale)):
+                found[bits] = result
+                if not bits >> top:
+                    found[bits ^ full] = result if isinstance(result, str) else result.negated()
+        for bits in batch:
+            yield Labeling(bits, n), found.pop(bits)
+
+
+def _climbed(budget: SearchBudget, ps: int, arrangement: Arrangement, batch: list[int], box: tuple,
+             scale: float) -> list:
+    """The witness or failure reason of each labelling of ``batch``, climbed in one ``kernels.search_batch`` call."""
+    points, mu = arrangement.points, budget.mu
+    labelings = [Labeling(bits, arrangement.n) for bits in batch]
+    pools = [
+        _restart_pool(np.random.default_rng([budget.rng_seed, ps, lab.bits]), points, lab.array,
+                      budget.trials, arrangement.budget, box, scale)
+        for lab in labelings
+    ]
+    init_labels = np.stack([labels for _, labels in pools])
+    best, protos, ridx = kernels.search_batch(
+        points, np.array([lab.array for lab in labelings]), np.stack([inits for inits, _ in pools]),
+        init_labels, budget.steps, _STEP_INIT * scale, _STEP_DECAY, 2.0 * mu, 1e-6 * scale,
+    )
+    labels = init_labels[np.arange(len(labelings)), ridx]
+    results = []
+    for margin, witness_protos, witness_labels in zip(best, protos, labels):
+        if margin < 2.0 * mu:
+            results.append(f"no witness within budget (best margin {margin:.3e})")
+            continue
+        try:
+            results.append(LabeledPrototypeSet(witness_protos, witness_labels))
+        except InvalidInputError as exc:
+            results.append(f"search witness rejected: {exc}")
+    return results
 
 
 def search_lower_bound(cfg: SearchConfig):
@@ -468,7 +498,10 @@ def search_lower_bound(cfg: SearchConfig):
 
     Returns the certificate of the first sampled point set whose every
     labelling is realised at margin mu, and ``None`` when there is none. A
-    negative outcome only means the budget was exhausted.
+    negative outcome only means the budget was exhausted. Only the lower
+    member of each complementary pair is climbed (see ``_searched``), so
+    a certificate's upper half holds the lower half's witnesses with every
+    label negated.
     """
     for ps in range(cfg.point_sets):
         points = np.random.default_rng([cfg.rng_seed, ps]).uniform(-1.0, 1.0, size=(cfg.n, cfg.d))
@@ -484,10 +517,13 @@ def shatter_coefficient_exhaustive(points, m: int, budget: SearchBudget) -> int:
 
     A lower bound on the shatter coefficient: search failures undercount,
     successes are margin-verified so the count never exceeds the truth.
-    The size cap is checked once, here, with ``m`` and the points' own n
-    and d. ``m`` and ``points`` that ``Arrangement`` refuses, and a search
-    too large to allocate, raise ``InvalidInputError``. The sweep reads
-    every labelling, in the parts every sweep runs in (see ``_parts``).
+    Only the lower member of each complementary pair is climbed (see
+    ``_searched``), and its complement passes exactly when it does, so
+    the count is twice the realised lower members: always even. The size
+    cap is checked once, here, with ``m`` and the points' own n and d.
+    ``m`` and ``points`` that ``Arrangement`` refuses, and a search too
+    large to allocate, raise ``InvalidInputError``. The sweep reads every
+    labelling, in the parts every sweep runs in (see ``_parts``).
     """
     arrangement = Arrangement(kind="search", points=points, radius=1.0, param=m)
     if arrangement.n > _MAX_COEFFICIENT_N:

@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from vcnn.classifier import (
@@ -37,6 +38,52 @@ class TestLabeledPrototypeSet:
     def test_bad_labels_rejected(self):
         with pytest.raises(InvalidInputError):
             LabeledPrototypeSet(np.array([[0.0, 0.0]]), np.array([2]))
+
+
+    def test_negated_is_a_private_copy_with_every_label_negated(self):
+        s = LabeledPrototypeSet(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.5]]), np.array([1, -1, -1]))
+        flipped = s.negated()
+        assert flipped.prototypes.tobytes() == s.prototypes.tobytes()
+        assert not np.shares_memory(flipped.prototypes, s.prototypes)
+        assert flipped.labels.tolist() == [-1, 1, 1] and flipped.labels.dtype == np.int64
+
+
+@st.composite
+def lattice_cases(draw):
+    """``(prototypes, labels, points, target)`` on the integer lattice, where exact ties occur."""
+    d = draw(st.integers(1, 3))
+    coords = st.tuples(*[st.integers(-3, 3)] * d)
+    prototypes = draw(st.lists(coords, min_size=1, max_size=5, unique=True))
+    m = len(prototypes)
+    labels = draw(st.lists(st.sampled_from([-1, 1]), min_size=m, max_size=m))
+    points = draw(st.lists(coords, min_size=1, max_size=8))
+    target = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(points), max_size=len(points)))
+    return prototypes, labels, points, target
+
+
+class TestComplementLemma:
+    """Negating a witness's labels and the target leaves ``realisation`` bit for bit as it was.
+
+    The search and the constructions (``constructions._paired``) hand the
+    complement ``~L`` the witness of ``L`` with every label negated, and
+    rely on it passing exactly when ``L``'s does, at the same margin.
+    """
+
+    @given(case=lattice_cases(), mu=st.sampled_from([DEFAULT_MU, 0.5, 1.0]))
+    # a point midway between prototypes of both labels: margin 0, against either target
+    @example(case=([(0, 0), (2, 0)], [1, -1], [(1, 0), (-1, 0)], [1, 1]), mu=DEFAULT_MU)
+    @example(case=([(0, 0), (2, 0)], [1, -1], [(1, 0), (-1, 0)], [-1, 1]), mu=DEFAULT_MU)
+    # one-label witnesses: every margin is +inf or -inf
+    @example(case=([(0, 0), (1, 1)], [1, 1], [(3, 0), (0, 2)], [1, 1]), mu=DEFAULT_MU)
+    @example(case=([(0, 0), (1, 1)], [-1, -1], [(3, 0), (0, 2)], [1, -1]), mu=DEFAULT_MU)
+    def test_negating_labels_and_target_changes_nothing(self, case, mu):
+        prototypes, labels, points, target = (np.array(field) for field in case)
+        prototypes = prototypes.astype(np.float64)
+        points = points.astype(np.float64)
+        ok, worst = realisation(LabeledPrototypeSet(prototypes, labels), points, target, mu)
+        ok_negated, worst_negated = realisation(LabeledPrototypeSet(prototypes, -labels), points, -target, mu)
+        assert ok_negated == ok
+        assert struct.pack("<d", worst_negated) == struct.pack("<d", worst)   # the sign of a zero too
 
 
 class TestCheckPrototypeStack:

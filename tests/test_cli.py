@@ -708,13 +708,13 @@ class TestSearchCommand:
 
     @pytest.mark.parametrize(
         "d, n, digest",
-        [("2", "6", "f4093fb7110882186eb710362e31d373ddc5a4962b10c1a5982e95b730b9c5bc"),
-         ("3", "7", "4804ed49a4aa9356e712001a7e79720533e9c06d18cc7c98b938e380b8736778")],
+        [("2", "6", "f12143ba876688368887dec5c53e33dee40d25ee2fa9a36f2318d7667df2241a"),
+         ("3", "7", "63bcf81a784fc914ab693aaf31077bb4c0815b2ef44f79db52b33cc9a2e22940")],
         ids=["d2", "d3"],
     )
     def test_search_certificate_bytes_are_frozen(self, capsys, tmp_path, d, n, digest):
-        # d2 was recorded with the per-restart search, d3 before the kernel scored moves
-        # from cached minima; the search is deterministic
+        # both recorded once the search climbed one labelling of each complementary pair;
+        # the search is deterministic
         path = tmp_path / "search.json"
         code, _, _ = run_cli(capsys, "search", "--d", d, "--m", "3", "--n", n, "--seed", "0",
                              "--no-meta", "--out", str(path))
@@ -797,7 +797,7 @@ class TestSweepParts:
                                  "--no-meta", "--out", str(path))
             assert code == EXIT_OK
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            assert digest == "f4093fb7110882186eb710362e31d373ddc5a4962b10c1a5982e95b730b9c5bc"
+            assert digest == "f12143ba876688368887dec5c53e33dee40d25ee2fa9a36f2318d7667df2241a"
             assert multiprocessing.active_children() == []
 
     def test_search_failure_reports_budget(self, capsys, sweep_parts):

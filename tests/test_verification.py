@@ -525,6 +525,80 @@ class TestSearchLowerBound:
             assert np.all(margins >= cert.mu)
 
 
+def _recording_searches(monkeypatch, tmp_path):
+    """Record the labellings of every later ``kernels.search_batch`` call, from any process.
+
+    Records as ``TestSearchLowerBound._chunks_searched`` does, and returns
+    a function that reads them back, one list per call.
+    """
+    search_batch, log = kernels.search_batch, tmp_path / "searched.txt"
+
+    def recording(points, targets, *rest):   # one appended line per call
+        with open(log, "a") as fh:
+            fh.write(" ".join(str(Labeling.from_array(target).bits) for target in targets) + "\n")
+        return search_batch(points, targets, *rest)
+
+    monkeypatch.setattr(kernels, "search_batch", recording)
+    return lambda: [[int(bits) for bits in line.split()] for line in log.read_text().splitlines()]
+
+
+class TestComplementPairs:
+    """The search climbs the lower member ``min(L, ~L)`` of each pair; ``~L`` takes its witness negated."""
+
+    _BUDGET = SearchBudget(trials=4, steps=10)
+    _POINTS = np.random.default_rng(3).uniform(-1.0, 1.0, size=(5, 2))
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_every_upper_witness_is_its_complement_negated(self, sweep_parts, parts):
+        sweep_parts(parts)
+        cert = search_lower_bound(SearchConfig(d=2, m=3, n=6, rng_seed=0))
+        n, full = cert.arrangement.n, (1 << cert.arrangement.n) - 1
+        rows = dict(witness_rows(cert))
+        assert sorted(rows) == list(range(1 << n))
+        for bits in range(1 << (n - 1), 1 << n):
+            lower, upper = rows[bits ^ full], rows[bits]
+            assert upper.prototypes.tobytes() == lower.prototypes.tobytes()
+            assert upper.labels.tolist() == (-lower.labels).tolist()
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_only_lower_members_are_climbed_each_once(self, monkeypatch, tmp_path, sweep_parts, parts):
+        sweep_parts(parts)
+        monkeypatch.setattr(verification, "_BATCH_ROWS", 3 * self._BUDGET.trials)   # three labellings per chunk
+        searched = _recording_searches(monkeypatch, tmp_path)
+        shatter_coefficient_exhaustive(self._POINTS, 3, self._BUDGET)
+        assert sorted(bits for call in searched() for bits in call) == list(range(1 << 4))   # 2^(n-1), n = 5
+
+    def test_count_is_twice_the_realised_lower_members(self):
+        arr = Arrangement(kind="search", points=self._POINTS, radius=1.0, param=3)
+        lower = verification._searched(self._BUDGET, 0, arr, range(1 << (arr.n - 1)))
+        realised = sum(failure is None for *_, failure in verification._outcomes(arr, self._BUDGET.mu, lower))
+        assert shatter_coefficient_exhaustive(self._POINTS, 3, self._BUDGET) == 2 * realised
+
+    def test_upper_members_alone_are_climbed_with_their_own_seeds(self, monkeypatch, tmp_path):
+        arr = Arrangement(kind="search", points=self._POINTS, radius=1.0, param=3)
+        uppers = [0x11, 0x13, 0x1C, 0x1F]
+        searched = _recording_searches(monkeypatch, tmp_path)
+        together = list(verification._searched(self._BUDGET, 0, arr, uppers))
+        assert searched() == [uppers]
+        for bits, (labeling, found) in zip(uppers, together, strict=True):
+            # seeded by its own bits: the same as a stream of it alone
+            ((_, alone),) = verification._searched(self._BUDGET, 0, arr, [bits])
+            assert labeling.bits == bits
+            if isinstance(alone, str):
+                assert found == alone
+            else:
+                assert found.prototypes.tobytes() == alone.prototypes.tobytes()
+                assert found.labels.tolist() == alone.labels.tolist()
+
+    def test_a_stream_with_a_missing_lower_member_climbs_that_upper_member(self, monkeypatch, tmp_path):
+        # 0x1d is ~0x02 and takes its witness negated; 0x0e, the lower member of 0x11, is not in the stream
+        arr = Arrangement(kind="search", points=self._POINTS, radius=1.0, param=3)
+        searched = _recording_searches(monkeypatch, tmp_path)
+        got = [labeling.bits for labeling, _ in verification._searched(self._BUDGET, 0, arr, [0x02, 0x11, 0x1D])]
+        assert got == [0x02, 0x11, 0x1D]
+        assert searched() == [[0x02, 0x11]]
+
+
 class TestShatterCoefficient:
     def test_single_prototype_realises_only_constants(self, rng):
         pts = rng.uniform(-1, 1, size=(5, 2))
@@ -546,14 +620,15 @@ class TestShatterCoefficient:
                                         SearchBudget(trials=4, steps=24, rng_seed=1)], ids=["config", "budget"])
     def test_counts_of_the_c8_draw_are_frozen(self, budget):
         # one point set per (n, m, d), n 3..8, m 3..4, d 2..3, drawn as test c8
-        # draws them; the counts were recorded with the per-restart search
+        # draws them; the counts were recorded once the search climbed one labelling of
+        # each complementary pair, so every count is even
         draw = np.random.default_rng(99)
         counts = [
             shatter_coefficient_exhaustive(draw.uniform(-1.0, 1.0, size=(n, d)), m, budget)
             for n in range(3, 9) for m in (3, 4) for d in (2, 3)
         ]
-        assert counts == [8, 8, 8, 8, 15, 16, 15, 16, 29, 31, 31, 32,
-                          43, 62, 53, 64, 74, 113, 111, 125, 116, 178, 155, 243]
+        assert counts == [8, 8, 8, 8, 14, 16, 14, 16, 28, 30, 30, 32,
+                          42, 62, 52, 64, 76, 106, 110, 126, 126, 182, 166, 246]
 
     def test_config_counts_with_the_points_own_size(self):
         # the call shape of the benchmark's count child: a config's d, m and n are not read
